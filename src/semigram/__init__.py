@@ -45,6 +45,7 @@ from .linalg import (
     matrix_exponential,
     numerical_kernel,
     numerical_rank,
+    propagator,
 )
 from .matio import (
     format_matrix,
@@ -92,6 +93,7 @@ __all__ = [
     "QuadratureError",
     "RankDecision",
     "matrix_exponential",
+    "propagator",
     "numerical_kernel",
     "numerical_rank",
     "integrate_operator_valued",

@@ -330,8 +330,6 @@ def _build_parser():
         prog="semigram",
         description="Semistable model reduction toolkit: classification, "
         "semistability Gramians, invariant truncations, exact H2 errors.",
-        epilog="SEMIGRAM_THREADS caps internal parallelism (must be a "
-        "positive integer when set).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,28 +379,10 @@ def _build_parser():
     return parser
 
 
-def _check_threads_env():
-    raw = os.environ.get("SEMIGRAM_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            "SEMIGRAM_THREADS must be a positive integer, got %r" % raw
-        ) from None
-    if value < 1:
-        raise ValueError(
-            "SEMIGRAM_THREADS must be a positive integer, got %r" % raw
-        )
-    return value
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         config = RunConfig(
             rank_tol=args.rank_tol,
             quadrature_tol=args.quad_tol,

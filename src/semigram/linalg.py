@@ -4,15 +4,31 @@ matrix exponential, and adaptive quadrature of operator-valued integrands.
 All operators are plain numpy arrays (float64 or complex128) that have been
 validated by :func:`as_operator`; every public function treats its inputs as
 immutable and returns fresh arrays, so the whole module is safe to use from
-multiple threads. Quadrature panel sums are reduced in a fixed order so
-results are reproducible bit for bit for a given panel schedule.
+multiple threads.
+
+:func:`propagator` validates a generator once and returns t -> exp(A t) B,
+so quadrature integrands cost one product per node; :func:`matrix_exponential`
+is one evaluation of it.
+
+:func:`integrate_operator_valued` integrates a certified exponentially
+decaying integrand over [0, inf):
+
+- the truncation point comes from the caller's proven tail constant K and
+  rate; a tolerance below the float64 rounding floor 64 eps K / rate of the
+  sum raises :class:`QuadratureError` before the integrand is called;
+- each panel uses the nested Gauss-Kronrod 7/15 pair (15 evaluations, error
+  estimate |K15 - G7|);
+- the adaptive pass starts from a dyadic mesh T 2^-j that reaches down to
+  the integrand's fastest time scale, which the caller passes as a rate, so
+  a stiff start is never skipped;
+- panel values are summed in order of their left endpoints, so results are
+  reproducible bit for bit.
 """
 
 import heapq
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import roots_legendre
 
 from .errors import DimensionError, QuadratureError
 
@@ -23,6 +39,7 @@ __all__ = [
     "RankDecision",
     "numerical_rank",
     "numerical_kernel",
+    "propagator",
     "matrix_exponential",
     "integrate_operator_valued",
 ]
@@ -220,13 +237,59 @@ def _is_diagonal(a):
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
 
 
+def propagator(a, b=None):
+    """The map t -> exp(a*t) b of a constant-coefficient system.
+
+    ``a`` (and ``b``) are validated, and ``a`` is tested for being exactly
+    diagonal, once, here; the returned map does no per-call checks beyond
+    the time argument, so an integrand that evaluates it at many nodes pays
+    for neither. A diagonal ``a`` takes an exact elementwise path (a row
+    scaling of ``b``); any other ``a`` uses scaling-and-squaring with Pade
+    approximation (scipy's ``expm``), around 1e-12 relative accuracy for
+    well-conditioned inputs, followed by one product with ``b``.
+
+    Parameters
+    ----------
+    a : array_like
+        Square generator matrix.
+    b : array_like, optional
+        Matrix with as many rows as ``a``; omitted, the map returns
+        exp(a*t) itself.
+
+    Returns
+    -------
+    callable
+        Maps a finite nonnegative time to exp(a*t) b, real if the inputs
+        are real.
+    """
+    a = as_operator(a, "generator", square=True)
+    if b is not None:
+        b = as_operator(b, "input matrix")
+        if b.shape[0] != a.shape[0]:
+            raise DimensionError(
+                "input matrix row count must match the generator"
+            )
+    diagonal = np.diagonal(a).copy() if _is_diagonal(a) else None
+
+    def at(t):
+        t = float(t)
+        if not np.isfinite(t) or t < 0:
+            raise ValueError(
+                "time must be a finite nonnegative real, got %r" % t
+            )
+        if diagonal is not None:
+            scale = np.exp(diagonal * t)
+            return np.diag(scale) if b is None else scale[:, None] * b
+        e = expm(a * t)
+        return e if b is None else e @ b
+
+    return at
+
+
 def matrix_exponential(a, t):
     """Evaluate the propagator exp(a*t) of a constant-coefficient system.
 
-    Uses scaling-and-squaring with Pade approximation (scipy's ``expm``),
-    which delivers around 1e-12 relative accuracy for well-conditioned
-    inputs. Exactly diagonal matrices take an elementwise fast path, which
-    is exact and keeps large spectral surrogates cheap to propagate.
+    One evaluation of :func:`propagator`; see there for the method.
 
     Parameters
     ----------
@@ -240,43 +303,92 @@ def matrix_exponential(a, t):
     ndarray
         exp(a*t), real if ``a`` is real.
     """
-    a = as_operator(a, "generator", square=True)
-    t = float(t)
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("time must be a finite nonnegative real, got %r" % t)
-    if _is_diagonal(a):
-        return np.diag(np.exp(np.diagonal(a) * t))
-    return expm(a * t)
+    return propagator(a)(t)
 
 
-# 7/15-point Gauss pair on [-1, 1]; the coarse rule provides the error
-# estimate for the fine rule on each panel.
-_GAUSS_COARSE = roots_legendre(7)
-_GAUSS_FINE = roots_legendre(15)
+# Kronrod 15-point rule on [-1, 1] with its embedded 7-point Gauss rule
+# (QUADPACK's qk15): nodes and weights for x >= 0, largest first; the Gauss
+# nodes are the odd-indexed Kronrod nodes. |K15 - G7| is the panel error estimate.
+_XK_HALF = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WK_HALF = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG_HALF = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+# all 15 nodes in ascending order, weights aligned (Gauss weight 0 off-rule)
+_KRONROD_NODES = tuple(-x for x in _XK_HALF) + _XK_HALF[-2::-1]
+_KRONROD_WEIGHTS = _WK_HALF + _WK_HALF[-2::-1]
+_GAUSS_WEIGHTS = _WG_HALF + _WG_HALF[-2::-1]
 
 
-def _panel_rules(f, lo, hi):
-    """Evaluate the Gauss pair of f on [lo, hi]; returns (fine, err_estimate)."""
+def _kronrod_panel(f, lo, hi):
+    """K15 of f on [lo, hi] and its error estimate |K15 - G7|.
+
+    Evaluates f once at each of the 15 nodes, left to right, and keeps only
+    the two running sums, so memory stays at a few integrand values.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    xs_c, ws_c = _GAUSS_COARSE
-    xs_f, ws_f = _GAUSS_FINE
-    coarse = half * sum(w * f(mid + half * x) for x, w in zip(xs_c, ws_c))
-    fine = half * sum(w * f(mid + half * x) for x, w in zip(xs_f, ws_f))
-    err = float(np.abs(fine - coarse).max(initial=0.0))
-    return fine, err
+    kronrod = gauss = 0.0
+    for x, wk, wg in zip(_KRONROD_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS):
+        y = f(mid + half * x)
+        kronrod = kronrod + wk * y
+        if wg:
+            gauss = gauss + wg * y
+    kronrod = half * kronrod
+    err = float(np.abs(kronrod - half * gauss).max(initial=0.0))
+    return kronrod, err
 
 
-def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant=None,
-                              max_panels=4096):
+def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
+                              fast_rate, max_panels=4096):
     """Integrate an exponentially decaying matrix-valued function over [0, inf).
 
-    The caller certifies ``norm(f(t)) <= K * exp(-decay_rate * t)``; that
-    certificate determines the truncation point T at which the analytic tail
-    bound drops below ``abs_tol / 2``, and the finite panel [0, T] is then
-    integrated adaptively to the remaining ``abs_tol / 2``. Keeping the
-    truncation analytic (rather than heuristic) makes results auditable
-    against the certificate.
+    The caller certifies that every entry of ``f(t)`` is bounded by
+    ``K * exp(-decay_rate * t)`` (any operator-norm bound does this); that
+    certificate determines the truncation point T at which the analytic
+    tail bound drops below ``abs_tol / 2``, and [0, T] is then integrated
+    adaptively to the remaining ``abs_tol / 2``. Keeping the truncation
+    analytic (rather than heuristic) makes results auditable against the
+    certificate.
+
+    Each panel is integrated by the nested Gauss-Kronrod 7/15 pair
+    (Piessens et al., QUADPACK, 1983): 15 evaluations give the Kronrod
+    value and, from the embedded Gauss rule, the error estimate
+    |K15 - G7|. The adaptive pass starts from the dyadic mesh with
+    breakpoints T 2^-j, j = 0, 1, ..., down to the first one at or below
+    ``1 / fast_rate``, plus 0. A single panel [0, T] would put its first
+    node near 0.006 T, where a stiff integrand can already have decayed to
+    nothing; every node of the first panel and both estimates would then
+    read 0, and the mass near t = 0 would be lost without any warning. On
+    the dyadic mesh each panel is no longer than the time already elapsed
+    (or than 1 / fast_rate), so no integrand term can vanish across it
+    unseen. Panels are then split, worst estimate first, until the summed
+    estimates meet the budget.
 
     Parameters
     ----------
@@ -286,64 +398,78 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant=None,
         Positive certified exponential decay rate.
     abs_tol : float
         Entrywise absolute error target for the result.
-    bound_constant : float, optional
-        The constant K of the decay certificate. When omitted it is
-        estimated by sampling ``max |f(t)| * exp(decay_rate * t)`` on a
-        coarse grid and inflating by a safety factor; pass the certified
-        value whenever one is available.
+    bound_constant : float
+        The constant K of the decay certificate. It must be a proven bound:
+        it sets T, and so what is dropped.
+    fast_rate : float
+        Upper bound on the fastest rate at which ``f`` varies, e.g.
+        2 norm(A) for an integrand quadratic in exp(A t); any larger value
+        is safe and costs about one panel per doubling.
     max_panels : int
         Refinement budget for the adaptive pass.
 
     Returns
     -------
     ndarray
-        The integral, entrywise accurate to ``abs_tol``.
+        The integral, entrywise accurate to ``abs_tol``. Panel values are
+        summed in order of their left endpoints, so for a given integrand
+        and arguments the result is reproducible bit for bit.
 
     Raises
     ------
     QuadratureError
-        If the panel budget is exhausted first. The error carries the best
-        estimate and the tolerance actually achieved.
+        If ``abs_tol`` is below the float64 rounding floor
+        ``64 eps K / decay_rate`` of the sum (raised before ``f`` is ever
+        called), or if the panel budget is exhausted first; in the latter
+        case the error carries the best estimate and the tolerance
+        actually achieved.
     """
     decay_rate = float(decay_rate)
     abs_tol = float(abs_tol)
+    bound_constant = float(bound_constant)
+    fast_rate = float(fast_rate)
     if not np.isfinite(decay_rate) or decay_rate <= 0:
         raise ValueError("decay_rate must be a finite positive real")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
+    if not np.isfinite(bound_constant) or bound_constant <= 0:
+        raise ValueError("bound_constant must be a finite positive real")
+    if not np.isfinite(fast_rate) or fast_rate <= 0:
+        raise ValueError("fast_rate must be a finite positive real")
 
-    probe = np.asarray(f(0.0), dtype=np.complex128)
-    probe = np.atleast_2d(probe)
-
-    if bound_constant is None:
-        # sample the certificate constant on a coarse grid; the factor 4
-        # absorbs intersample growth of well-behaved integrands
-        k_hat = float(np.abs(probe).max(initial=0.0))
-        for tau in (0.25, 0.5, 1.0, 2.0, 4.0):
-            t = tau / decay_rate
-            k_hat = max(
-                k_hat,
-                float(np.abs(f(t)).max(initial=0.0)) * np.exp(decay_rate * t),
-            )
-        bound_constant = 4.0 * max(k_hat, EPS)
-    bound_constant = float(bound_constant)
-    if bound_constant <= 0:
-        raise ValueError("bound_constant must be positive")
+    # entries of the integral are up to K / rate; float64 cannot resolve a
+    # sum of that size much below eps times it
+    floor = 64.0 * EPS * bound_constant / decay_rate
+    if abs_tol < floor:
+        raise QuadratureError(
+            "tolerance %.3e is below the rounding floor %.3e of the sum "
+            "(64 eps K / rate with K = %.3e, rate = %.3e)"
+            % (abs_tol, floor, bound_constant, decay_rate)
+        )
 
     # tail: integral_T^inf K e^{-mu t} dt = K e^{-mu T} / mu <= abs_tol / 2
     t_end = np.log(max(2.0 * bound_constant / (decay_rate * abs_tol), 2.0)) / decay_rate
     panel_budget = abs_tol / 2.0
 
-    fine0, err0 = _panel_rules(f, 0.0, t_end)
+    edges = [t_end]
+    while edges[-1] * fast_rate > 1.0:
+        edges.append(0.5 * edges[-1])
+    edges.append(0.0)
+    edges.reverse()
+
     # heap orders panels by decreasing error; the counter makes ordering
     # deterministic under ties
-    counter = 0
-    heap = [(-err0, counter, 0.0, t_end, fine0)]
-    total_err = err0
-    n_panels = 1
+    heap = []
+    total_err = 0.0
+    for counter, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        value, err = _kronrod_panel(f, lo, hi)
+        heap.append((-err, counter, lo, hi, value))
+        total_err += err
+    heapq.heapify(heap)
+    counter = len(heap)
 
     while total_err > panel_budget:
-        if n_panels >= max_panels:
+        if len(heap) >= max_panels:
             value = _ordered_panel_sum(heap)
             raise QuadratureError(
                 "adaptive quadrature did not reach tolerance %.3e within %d "
@@ -355,11 +481,10 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant=None,
         total_err += neg_err  # neg_err is -err of the popped panel
         mid = 0.5 * (lo + hi)
         for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            fine, err = _panel_rules(f, sub_lo, sub_hi)
+            value, err = _kronrod_panel(f, sub_lo, sub_hi)
             counter += 1
-            heapq.heappush(heap, (-err, counter, sub_lo, sub_hi, fine))
+            heapq.heappush(heap, (-err, counter, sub_lo, sub_hi, value))
             total_err += err
-        n_panels += 1
 
     return _ordered_panel_sum(heap)
 

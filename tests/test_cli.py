@@ -207,19 +207,6 @@ def test_structured_output_parses(tmp_path, capsys):
     assert basis.shape == (2, 1)
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    path = write_system(tmp_path, np.diag([0.0, -1.0]))
-    monkeypatch.setenv("SEMIGRAM_THREADS", "abc")
-    code, out, err = run(capsys, ["analyze", path])
-    assert code == 2
-    monkeypatch.setenv("SEMIGRAM_THREADS", "0")
-    code, out, err = run(capsys, ["analyze", path])
-    assert code == 2
-    monkeypatch.setenv("SEMIGRAM_THREADS", "4")
-    code, out, err = run(capsys, ["analyze", path])
-    assert code == 0
-
-
 def test_runconfig_validation():
     config = RunConfig()
     assert config.quadrature_tol == 1e-9

@@ -129,6 +129,14 @@ def test_run_benchmark_small_exact():
     assert report.h2_norm == pytest.approx(np.sqrt(expected), abs=1e-8)
 
 
+def test_run_benchmark_stiff_dropped_modes():
+    # the slowest dropped mode decays at 2 pi^2 21^2 ~ 8.7e3, far faster
+    # than the certified rate 2 pi^2: the quadrature must still see it
+    report = run_benchmark(20, 60)
+    assert report.trace_analytic > 1e-3
+    assert report.trace_quadrature == pytest.approx(report.trace_analytic, abs=1e-8)
+
+
 def test_run_benchmark_validation():
     with pytest.raises(ValueError):
         run_benchmark(5, 5)

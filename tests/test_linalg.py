@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from semigram import (
     DimensionError,
@@ -8,8 +9,16 @@ from semigram import (
     matrix_exponential,
     numerical_kernel,
     numerical_rank,
+    propagator,
 )
-from semigram.linalg import as_operator, default_rank_tol, opnorm
+from semigram.linalg import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
+    as_operator,
+    default_rank_tol,
+    opnorm,
+)
 
 
 def test_exponential_of_zero_is_identity():
@@ -128,7 +137,8 @@ def test_default_rank_tol_scaling():
 
 def test_quadrature_scalar_exponential():
     out = integrate_operator_valued(
-        lambda t: np.exp(-t) * np.eye(2), 1.0, 1e-10
+        lambda t: np.exp(-t) * np.eye(2), 1.0, 1e-10,
+        bound_constant=1.0, fast_rate=1.0,
     )
     assert np.abs(out - np.eye(2)).max() <= 1e-10
 
@@ -136,14 +146,25 @@ def test_quadrature_scalar_exponential():
 def test_quadrature_heat_modal_term():
     rate = 2 * np.pi**2
     out = integrate_operator_valued(
-        lambda t: np.array([[np.exp(-rate * t)]]), rate, 1e-12
+        lambda t: np.array([[np.exp(-rate * t)]]), rate, 1e-12,
+        bound_constant=1.0, fast_rate=rate,
     )
     assert abs(out[0, 0] - 1.0 / rate) <= 1e-12
 
 
+def test_quadrature_stiff_start():
+    # decays 1e4 times faster than certified: a single panel [0, T] puts
+    # its first node where the integrand is already e^-1400 and loses it all
+    out = integrate_operator_valued(
+        lambda t: np.array([[np.exp(-1e4 * t)]]), 1.0, 1e-12,
+        bound_constant=1.0, fast_rate=1e4,
+    )
+    assert abs(out[0, 0] - 1e-4) <= 1e-12
+
+
 def test_quadrature_zero_integrand():
     out = integrate_operator_valued(
-        lambda t: np.zeros((3, 2)), 1.0, 1e-10, bound_constant=1.0
+        lambda t: np.zeros((3, 2)), 1.0, 1e-10, bound_constant=1.0, fast_rate=1.0
     )
     assert np.array_equal(out, np.zeros((3, 2)))
 
@@ -153,7 +174,8 @@ def test_quadrature_matches_matrix_closed_form():
     m = rng.normal(size=(3, 3))
     for rate in (0.5, 2.0):
         out = integrate_operator_valued(
-            lambda t: np.exp(-rate * t) * m, rate, 1e-11
+            lambda t: np.exp(-rate * t) * m, rate, 1e-11,
+            bound_constant=np.abs(m).max(), fast_rate=rate,
         )
         assert np.abs(out - m / rate).max() <= 1e-11
 
@@ -162,9 +184,10 @@ def test_quadrature_deterministic():
     def f(t):
         return np.array([[np.exp(-t) * np.cos(3 * t)]])
 
-    a = integrate_operator_valued(f, 1.0, 1e-11)
-    b = integrate_operator_valued(f, 1.0, 1e-11)
+    a = integrate_operator_valued(f, 1.0, 1e-11, bound_constant=1.0, fast_rate=4.0)
+    b = integrate_operator_valued(f, 1.0, 1e-11, bound_constant=1.0, fast_rate=4.0)
     assert np.array_equal(a, b)
+    assert abs(a[0, 0] - 0.1) <= 1e-11  # Re 1 / (1 - 3i)
 
 
 def test_quadrature_budget_exhaustion_carries_estimate():
@@ -173,15 +196,61 @@ def test_quadrature_budget_exhaustion_carries_estimate():
         return np.array([[np.cos(200.0 * t * t) ** 2 * np.exp(-t)]])
 
     with pytest.raises(QuadratureError) as excinfo:
-        integrate_operator_valued(f, 1.0, 1e-13, max_panels=4)
+        integrate_operator_valued(
+            f, 1.0, 1e-13, bound_constant=1.0, fast_rate=1.0, max_panels=4
+        )
     err = excinfo.value
     assert err.estimate is not None
     assert err.achieved_tol is not None and err.achieved_tol > 1e-13
 
 
+def test_quadrature_unreachable_tolerance_fails_before_evaluating():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.eye(1) * np.exp(-t)
+
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        integrate_operator_valued(f, 1.0, 1e-300, bound_constant=1.0, fast_rate=1.0)
+    # the floor scales with K / rate: 1e-13 is reachable at K = 1 but not at K = 1e4
+    with pytest.raises(QuadratureError):
+        integrate_operator_valued(f, 1.0, 1e-13, bound_constant=1e4, fast_rate=1.0)
+    assert calls == []
+
+
 def test_quadrature_rejects_bad_arguments():
     f = lambda t: np.eye(1)
     with pytest.raises(ValueError):
-        integrate_operator_valued(f, -1.0, 1e-9)
+        integrate_operator_valued(f, -1.0, 1e-9, bound_constant=1.0, fast_rate=1.0)
     with pytest.raises(ValueError):
-        integrate_operator_valued(f, 1.0, 0.0)
+        integrate_operator_valued(f, 1.0, 0.0, bound_constant=1.0, fast_rate=1.0)
+    with pytest.raises(ValueError):
+        integrate_operator_valued(f, 1.0, 1e-9, bound_constant=0.0, fast_rate=1.0)
+    with pytest.raises(ValueError):
+        integrate_operator_valued(f, 1.0, 1e-9, bound_constant=1.0, fast_rate=np.inf)
+
+
+def test_kronrod_rule_nests_gauss_and_is_exact_to_degree_22():
+    nodes = np.array(_KRONROD_NODES)
+    gauss = np.array(_GAUSS_WEIGHTS)
+    g_nodes, g_weights = roots_legendre(7)
+    assert np.allclose(nodes[gauss != 0], g_nodes, rtol=0, atol=1e-15)
+    assert np.allclose(gauss[gauss != 0], g_weights, rtol=0, atol=1e-15)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(_KRONROD_WEIGHTS, nodes**k) - exact) <= 1e-15
+
+
+def test_propagator_validates_once_and_matches_exponential():
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=(3, 2))
+    for a in (np.diag([0.0, -1.0, -4.0]), rng.normal(size=(3, 3))):
+        response = propagator(a, b)
+        for t in (0.0, 0.3, 2.0):
+            expected = matrix_exponential(a, t) @ b
+            assert np.allclose(response(t), expected, rtol=1e-13, atol=1e-14)
+    with pytest.raises(DimensionError):
+        propagator(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        propagator(np.eye(3), b)(-1.0)
