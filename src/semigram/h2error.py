@@ -136,14 +136,19 @@ def h2_error_quadrature(sys, red, abs_tol):
         d = residual_map @ (response(t) - s_inf_b)
         return np.array([[np.vdot(d, d).real]])
 
+    # the integrand is ||d||_F^2 <= rank(d) ||d||_2^2, and rank(d) is at
+    # most min(p, m)
     bound = (
-        opnorm(residual_map) ** 2
+        min(residual_map.shape[0], sys.b.shape[1])
+        * opnorm(residual_map) ** 2
         * report.overshoot_m**2
         * opnorm(sys.b) ** 2
     )
-    # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A)
+    # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A), and
+    # norm(A)^2 <= norm(A, 1) norm(A, inf) bounds it without an SVD
+    norm_a_bound = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
     value = integrate_operator_valued(
         integrand, 2.0 * report.mu, abs_tol,
-        bound_constant=max(bound, EPS), fast_rate=2.0 * opnorm(a),
+        bound_constant=max(bound, EPS), fast_rate=2.0 * norm_a_bound,
     )
     return _finish(float(value[0, 0]), "impulse_quadrature", abs_tol)

@@ -14,13 +14,14 @@ is one evaluation of it.
 decaying integrand over [0, inf):
 
 - the truncation point comes from the caller's proven tail constant K and
-  rate; a tolerance below the float64 rounding floor 64 eps K / rate of the
-  sum raises :class:`QuadratureError` before the integrand is called;
+  rate;
 - each panel uses the nested Gauss-Kronrod 7/15 pair (15 evaluations, error
   estimate |K15 - G7|);
 - the adaptive pass starts from a dyadic mesh T 2^-j that reaches down to
   the integrand's fastest time scale, which the caller passes as a rate, so
-  a stiff start is never skipped;
+  a stiff start is never skipped; a tolerance below the float64 rounding
+  floor of the sum (64 eps times the largest entry of the summed start-mesh
+  panels) raises :class:`QuadratureError` before any refinement;
 - panel values are summed in order of their left endpoints, so results are
   reproducible bit for bit.
 """
@@ -418,11 +419,11 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
     Raises
     ------
     QuadratureError
-        If ``abs_tol`` is below the float64 rounding floor
-        ``64 eps K / decay_rate`` of the sum (raised before ``f`` is ever
-        called), or if the panel budget is exhausted first; in the latter
-        case the error carries the best estimate and the tolerance
-        actually achieved.
+        If ``abs_tol`` is below the float64 rounding floor of the sum,
+        64 eps times the largest entry of the summed absolute panel values
+        on the start mesh (raised before any refinement), or if the panel
+        budget is exhausted first. Either way the error carries the best
+        estimate and the tolerance actually achieved.
     """
     decay_rate = float(decay_rate)
     abs_tol = float(abs_tol)
@@ -436,16 +437,6 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
         raise ValueError("bound_constant must be a finite positive real")
     if not np.isfinite(fast_rate) or fast_rate <= 0:
         raise ValueError("fast_rate must be a finite positive real")
-
-    # entries of the integral are up to K / rate; float64 cannot resolve a
-    # sum of that size much below eps times it
-    floor = 64.0 * EPS * bound_constant / decay_rate
-    if abs_tol < floor:
-        raise QuadratureError(
-            "tolerance %.3e is below the rounding floor %.3e of the sum "
-            "(64 eps K / rate with K = %.3e, rate = %.3e)"
-            % (abs_tol, floor, bound_constant, decay_rate)
-        )
 
     # tail: integral_T^inf K e^{-mu t} dt = K e^{-mu T} / mu <= abs_tol / 2
     t_end = np.log(max(2.0 * bound_constant / (decay_rate * abs_tol), 2.0)) / decay_rate
@@ -467,6 +458,19 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
         total_err += err
     heapq.heapify(heap)
     counter = len(heap)
+
+    # float64 cannot resolve a sum of panel values much below eps times
+    # their size; K / rate can exceed that size by orders of magnitude, so
+    # the floor is taken from the start mesh, before any refinement
+    size = sum(np.abs(item[4]) for item in heap)
+    floor = 64.0 * EPS * float(np.max(size, initial=0.0))
+    if abs_tol < floor:
+        raise QuadratureError(
+            "tolerance %.3e is below the rounding floor %.3e of the sum "
+            "(64 eps times its largest entry)" % (abs_tol, floor),
+            estimate=_ordered_panel_sum(heap),
+            achieved_tol=max(total_err, floor) + abs_tol / 2.0,
+        )
 
     while total_err > panel_budget:
         if len(heap) >= max_panels:

@@ -10,7 +10,9 @@ from semigram import (
     h2_error_gramian,
     h2_error_quadrature,
     limit_projector,
+    lyapunov_rhs,
     mode_truncation,
+    solve_semistability_lyapunov,
     spectral_data,
 )
 
@@ -71,6 +73,23 @@ def test_methods_agree_random():
         g = h2_error_gramian(sys, red, p_inf)
         q = h2_error_quadrature(sys, red, abs_tol)
         assert abs(g.trace_value - q.trace_value) <= 10 * abs_tol
+
+
+def test_quadrature_reaches_tolerance_below_certificate_scale():
+    # strongly non-normal: the tail constant K = min(p, m) |R|^2 M^2 |B|^2
+    # is about 6e10, so 64 eps K / rate is 4e-4, but the error is 1.55e5
+    # and 1e-6 is within reach of float64
+    a = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 50.0], [0.0, 0.0, -1.2]])
+    b = np.ones((3, 2))
+    sys = StateSpaceSystem(a, b=b, c=np.ones((3, 3)))
+    spectral, report, s_inf = semistability_bundle(a)
+    red = mode_truncation(sys, spectral, 2)
+    p_inf = solve_semistability_lyapunov(a, lyapunov_rhs(b, s_inf), s_inf, spectral)
+    assert p_inf.method == "lyapunov_split"
+    g = h2_error_gramian(sys, red, p_inf)
+    q = h2_error_quadrature(sys, red, 1e-6)
+    assert g.trace_value == pytest.approx(155002.5, abs=1e-6)
+    assert abs(g.trace_value - q.trace_value) <= 1e-6
 
 
 def test_nested_selections_monotone():

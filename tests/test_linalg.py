@@ -204,19 +204,29 @@ def test_quadrature_budget_exhaustion_carries_estimate():
     assert err.achieved_tol is not None and err.achieved_tol > 1e-13
 
 
-def test_quadrature_unreachable_tolerance_fails_before_evaluating():
+def test_quadrature_unreachable_tolerance_fails_without_refinement():
     calls = []
 
     def f(t):
         calls.append(t)
         return np.eye(1) * np.exp(-t)
 
-    with pytest.raises(QuadratureError, match="rounding floor"):
+    with pytest.raises(QuadratureError, match="rounding floor") as excinfo:
         integrate_operator_valued(f, 1.0, 1e-300, bound_constant=1.0, fast_rate=1.0)
-    # the floor scales with K / rate: 1e-13 is reachable at K = 1 but not at K = 1e4
-    with pytest.raises(QuadratureError):
-        integrate_operator_valued(f, 1.0, 1e-13, bound_constant=1e4, fast_rate=1.0)
-    assert calls == []
+    # T = ln 2e300 = 691.5 halves 10 times to 0.675 < 1: 11 start panels,
+    # each evaluated once and none split
+    assert len(calls) == 11 * 15
+    assert abs(excinfo.value.estimate[0, 0] - 1.0) <= 1e-10
+    assert excinfo.value.achieved_tol > 1e-300
+
+
+def test_quadrature_large_certificate_small_integral():
+    # the floor follows the integral (1), not the certificate K / rate (1e6)
+    out = integrate_operator_valued(
+        lambda t: np.array([[np.exp(-t)]]), 1.0, 1e-9,
+        bound_constant=1e6, fast_rate=1.0,
+    )
+    assert abs(out[0, 0] - 1.0) <= 1e-9
 
 
 def test_quadrature_rejects_bad_arguments():
