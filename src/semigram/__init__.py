@@ -71,7 +71,6 @@ from .semistability import (
     SEMISTABLE,
     STABLE,
     LimitProjector,
-    SemistabilityReport,
     SpectralData,
     classify,
     decay_defect,
@@ -106,7 +105,6 @@ __all__ = [
     "SEMISTABLE",
     "NOT_SEMISTABLE",
     "SpectralData",
-    "SemistabilityReport",
     "LimitProjector",
     "spectral_data",
     "classify",

@@ -37,12 +37,7 @@ from .heatbench import benchmark_csv, benchmark_text, run_benchmark
 from .linalg import opnorm
 from .matio import format_matrix, read_system, write_matrix
 from .reduction import check_preservation, mode_truncation
-from .semistability import (
-    NOT_SEMISTABLE,
-    _report_from_spectral,
-    limit_projector,
-    spectral_data,
-)
+from .semistability import NOT_SEMISTABLE, limit_projector, spectral_data
 
 __all__ = ["RunConfig", "main"]
 
@@ -119,19 +114,6 @@ def _emit(pairs, config, matrices=None, stream=None):
             stream.write("%s:\n%s" % (k, format_matrix(m)))
 
 
-def _failure_detail(spectral):
-    lam = spectral.eigenvalues
-    tol = spectral.zero_tol
-    if np.any(lam.real > tol):
-        return "eigenvalue with positive real part"
-    near_axis = np.abs(lam.real) <= tol
-    if np.any(near_axis & (np.abs(lam.imag) > tol)):
-        return "nonreal eigenvalue on the imaginary axis"
-    if not spectral.zero_eig_semisimple:
-        return "zero eigenvalue defective"
-    return "eigenvalue criterion failed"
-
-
 def _ensure_outdir(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -140,13 +122,12 @@ def _ensure_outdir(path):
 def cmd_analyze(args, config):
     system, _ = read_system(args.system)
     spectral = spectral_data(system.a, rank_tol=config.rank_tol)
-    report = _report_from_spectral(system.a, spectral)
-    if report.verdict == NOT_SEMISTABLE:
+    if spectral.verdict == NOT_SEMISTABLE:
         _emit(
             [
-                ("verdict", report.verdict),
-                ("detail", _failure_detail(spectral)),
-                ("kernel_dim", spectral.zero_eig_geometric_multiplicity),
+                ("verdict", spectral.verdict),
+                ("detail", spectral.failure_reason),
+                ("kernel_dim", spectral.kernel_dim),
                 ("zero_tol", spectral.zero_tol),
             ],
             config,
@@ -155,10 +136,10 @@ def cmd_analyze(args, config):
     s_inf = limit_projector(system.a, spectral)
     _emit(
         [
-            ("verdict", report.verdict),
-            ("mu", report.mu),
-            ("kernel_dim", report.kernel_dim),
-            ("overshoot_m", report.overshoot_m),
+            ("verdict", spectral.verdict),
+            ("mu", spectral.mu),
+            ("kernel_dim", spectral.kernel_dim),
+            ("overshoot_m", spectral.overshoot_m),
             ("s_inf_idempotency_defect", s_inf.idempotency_defect),
             ("s_inf_annihilation_defect", s_inf.annihilation_defect),
             ("zero_tol", spectral.zero_tol),
@@ -172,24 +153,16 @@ def cmd_analyze(args, config):
 def _compute_gramian(system, spectral, config):
     """Gramian via the configured method; auto falls back to quadrature."""
     s_inf = limit_projector(system.a, spectral)
-    q = lyapunov_rhs(system.b, s_inf)
-
-    def by_quadrature():
-        report = _report_from_spectral(system.a, spectral)
-        return gramian_by_quadrature(
-            system.a, system.b, s_inf, report, config.quadrature_tol
-        )
-
-    if config.gramian_method == "quadrature":
-        return by_quadrature()
-    if config.gramian_method == "lyapunov":
-        return solve_semistability_lyapunov(system.a, q, s_inf, spectral)
-    try:
-        return solve_semistability_lyapunov(
-            system.a, q, s_inf, spectral, strategy="split"
-        )
-    except (ConditioningError, InconsistencyError):
-        return by_quadrature()
+    if config.gramian_method != "quadrature":
+        q = lyapunov_rhs(system.b, s_inf)
+        try:
+            return solve_semistability_lyapunov(system.a, q, s_inf, spectral)
+        except (ConditioningError, InconsistencyError):
+            if config.gramian_method == "lyapunov":
+                raise
+    return gramian_by_quadrature(
+        system.a, system.b, s_inf, spectral, config.quadrature_tol
+    )
 
 
 def cmd_gramian(args, config):

@@ -39,7 +39,7 @@ from .linalg import (
     propagator,
     real_part,
 )
-from .semistability import NOT_SEMISTABLE, LimitProjector, _verdict
+from .semistability import NOT_SEMISTABLE, LimitProjector
 
 __all__ = [
     "SemistabilityGramian",
@@ -139,7 +139,7 @@ def gramian_by_quadrature(a, b, s_inf, report, abs_tol):
 
     This is the oracle route: nothing is assumed beyond the decay
     certificate norm(S(t) - S_inf) <= M exp(-mu t) taken from the
-    classification report. Each quadrature node evaluates the exact
+    generator's analysis record. Each quadrature node evaluates the exact
     integrand, so structural identities (self-adjointness, S_inf P = 0)
     hold at every node and survive summation to roundoff even when
     ``abs_tol`` is coarse.
@@ -150,8 +150,9 @@ def gramian_by_quadrature(a, b, s_inf, report, abs_tol):
         Generator and input matrix.
     s_inf : LimitProjector
         Limit operator of the semigroup generated by ``a``.
-    report : SemistabilityReport
-        Classification carrying the decay rate ``mu`` and overshoot ``M``.
+    report : SpectralData
+        Analysis record of ``a``, carrying the verdict, the decay rate
+        ``mu`` and the overshoot ``overshoot_m``.
     abs_tol : float
         Entrywise absolute tolerance for the integral.
     """
@@ -272,32 +273,7 @@ def _solve_split(a, q, spectral):
     return m @ p_t @ m.conj().T
 
 
-def _solve_lstsq(a, q, s):
-    """Minimum-norm solution of the vectorized equation, then constrained.
-
-    The vectorized operator acts on row-major vec(P):
-    vec(A P + P A*) = (kron(A, I) + kron(I, conj(A))) vec(P). The
-    least-squares solution is SOME solution of the singular equation; the
-    congruence by (I - S_inf) moves it to the constrained one without
-    changing the residual (exactly, in exact arithmetic).
-    """
-    n = a.shape[0]
-    if n > 64:
-        raise ConditioningError(
-            "least-squares fallback is limited to small systems "
-            "(n = %d)" % n
-        )
-    eye = np.eye(n)
-    lhs = np.kron(a, eye) + np.kron(eye, a.conj())
-    rhs = -q.reshape(-1)
-    vec_p, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    p = vec_p.reshape(n, n)
-    p = _hermitize(p)
-    proj = eye - s
-    return proj @ p @ proj.conj().T
-
-
-def solve_semistability_lyapunov(a, q, s_inf, spectral, strategy=None):
+def solve_semistability_lyapunov(a, q, s_inf, spectral):
     """Solve A P + P A* = -Q subject to S_inf P = 0.
 
     The equation is singular whenever ker A is nontrivial; the constraint
@@ -312,24 +288,23 @@ def solve_semistability_lyapunov(a, q, s_inf, spectral, strategy=None):
     s_inf : LimitProjector
         Limit operator of the semigroup.
     spectral : SpectralData
-        Eigenstructure of ``a`` (supplies the kernel dimension and the
-        self-adjointness flag).
-    strategy : str, optional
-        ``"split"`` changes coordinates so the generator is
-        block-diagonal with a stable block and solves a standard Lyapunov
-        equation there; ``"lstsq"`` solves the vectorized system in the
-        minimum-norm sense and applies the annihilation correction. The
-        default tries the split and falls back to least squares.
+        Analysis record of ``a`` (supplies the verdict, the kernel
+        dimension and the self-adjointness flag).
 
     Returns
     -------
     SemistabilityGramian
+
+    Raises
+    ------
+    ConditioningError, InconsistencyError
+        If the block split fails or the solution fails its certificates.
     """
     a = as_operator(a, "generator", square=True)
     q = as_operator(q, "right-hand side", square=True)
     if q.shape[0] != a.shape[0]:
         raise DimensionError("right-hand side size must match the generator")
-    if _verdict(spectral) == NOT_SEMISTABLE:
+    if spectral.verdict == NOT_SEMISTABLE:
         raise NotSemistableError(
             "the semistability Lyapunov equation requires a semistable "
             "generator"
@@ -338,26 +313,7 @@ def solve_semistability_lyapunov(a, q, s_inf, spectral, strategy=None):
     if herm_q > 1e-8 * max(opnorm(q), EPS):
         raise PreconditionError("right-hand side must be self-adjoint")
     s = _extract_s_inf(s_inf)
-
-    if strategy not in (None, "split", "lstsq"):
-        raise ValueError("strategy must be 'split' or 'lstsq'")
-    attempts = []
-    if strategy in (None, "split"):
-        attempts.append("lyapunov_split")
-    if strategy in (None, "lstsq"):
-        attempts.append("lyapunov_lstsq")
-
-    last_exc = None
-    for method in attempts:
-        try:
-            if method == "lyapunov_split":
-                p = _solve_split(a, q, spectral)
-            else:
-                p = _solve_lstsq(a, q, s)
-            return _certify(a, p, q, s, method)
-        except (ConditioningError, InconsistencyError) as exc:
-            last_exc = exc
-    raise last_exc
+    return _certify(a, _solve_split(a, q, spectral), q, s, "lyapunov_split")
 
 
 def verify_solution_structure(a, p1, p2, s_inf):

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, NotSemistableError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .gramian import SemistabilityGramian
 from .linalg import EPS, integrate_operator_valued, opnorm, propagator
-from .semistability import (
-    NOT_SEMISTABLE,
-    _report_from_spectral,
-    limit_projector,
-    spectral_data,
-)
+from .semistability import limit_projector
 
 __all__ = ["H2ErrorResult", "h2_error_gramian", "h2_error_quadrature"]
 
@@ -110,7 +105,8 @@ def h2_error_quadrature(sys, red, abs_tol):
     Integrates trace(d(t) d(t)*) for d(t) = h(t) - h_hat(t), the difference
     of the full and reduced impulse responses. Internally d is evaluated as
     C (I - sigma pi) (S(t) - S_inf) B, whose exponential decay at the
-    spectral-gap rate provides the quadrature truncation certificate.
+    spectral-gap rate provides the quadrature truncation certificate; its
+    inputs (mu, the overshoot and S_inf) come from ``red.spectral``.
     """
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
@@ -120,13 +116,10 @@ def h2_error_quadrature(sys, red, abs_tol):
             "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
         )
     a = sys.a
-    spectral = spectral_data(a)
-    report = _report_from_spectral(a, spectral)
-    if report.verdict == NOT_SEMISTABLE:
-        raise NotSemistableError("H2 error requires a semistable system")
-    if not np.isfinite(report.mu):
-        return _finish(0.0, "impulse_quadrature", abs_tol)
+    spectral = red.spectral
     s_inf = limit_projector(a, spectral).s_inf
+    if not np.isfinite(spectral.mu):
+        return _finish(0.0, "impulse_quadrature", abs_tol)
 
     residual_map = sys.c - (sys.c @ red.sigma) @ red.pi
     s_inf_b = s_inf @ sys.b
@@ -141,14 +134,14 @@ def h2_error_quadrature(sys, red, abs_tol):
     bound = (
         min(residual_map.shape[0], sys.b.shape[1])
         * opnorm(residual_map) ** 2
-        * report.overshoot_m**2
+        * spectral.overshoot_m**2
         * opnorm(sys.b) ** 2
     )
     # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A), and
     # norm(A)^2 <= norm(A, 1) norm(A, inf) bounds it without an SVD
     norm_a_bound = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
     value = integrate_operator_valued(
-        integrand, 2.0 * report.mu, abs_tol,
+        integrand, 2.0 * spectral.mu, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * norm_a_bound,
     )
     return _finish(float(value[0, 0]), "impulse_quadrature", abs_tol)

@@ -24,19 +24,19 @@ from .errors import (
 from .linalg import (
     EPS,
     as_operator,
-    matrix_exponential,
     numerical_rank,
     opnorm,
+    propagator,
     real_part,
 )
 from .semistability import (
-    _COND_LIMIT,
+    COND_LIMIT,
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
-    _verdict,
-    classify,
+    SpectralData,
     default_zero_tol,
+    spectral_data,
 )
 
 __all__ = [
@@ -102,6 +102,8 @@ class Reduction:
     the propagators follows from it being (numerically) zero.
     ``kernel_identity_defect`` is norm((sigma pi - I) K) for an orthonormal
     kernel basis K; it certifies that equilibria survive the reduction.
+    ``spectral`` is the analysis record of the full generator, which the
+    preservation check and the H2 oracle read instead of recomputing it.
     """
 
     pi: np.ndarray
@@ -112,6 +114,7 @@ class Reduction:
     commutativity_defect: float
     kernel_identity_defect: float
     kept_modes: tuple
+    spectral: SpectralData
 
     @property
     def order(self):
@@ -142,6 +145,24 @@ class PreservationReport:
 
 
 _STRENGTH = {NOT_SEMISTABLE: 0, SEMISTABLE: 1, STABLE: 2}
+
+
+def _eigenbasis(spectral):
+    """Right eigenvectors, with a real kernel block for real generators.
+
+    eig can return a repeated semisimple zero of a real non-normal
+    generator as a +-i eps pair with complex eigenvectors, which no real
+    reduction can keep. Any basis of the kernel is an eigenbasis of that
+    cluster, and the SVD one is real; the kernel modes of a semistable
+    generator come first in the canonical order.
+    """
+    v = spectral.right_eigenvectors
+    k = spectral.zero_eig_algebraic_multiplicity
+    if (np.isrealobj(spectral.a) and k == spectral.kernel_dim
+            and np.any(spectral.eigenvalues[:k].imag)):
+        v = v.copy()
+        v[:, :k] = spectral.kernel_basis
+    return v
 
 
 def _resolve_selection(spectral, keep):
@@ -223,7 +244,8 @@ def mode_truncation(sys, spectral, keep, real=None):
     sys : StateSpaceSystem
         Semistable system to reduce.
     spectral : SpectralData
-        Eigenstructure of ``sys.a`` in canonical (slowest-first) order.
+        Analysis record of ``sys.a``, modes in canonical (slowest-first)
+        order; the returned reduction carries it.
     keep : int or sequence of int
         Either the number of slowest modes to keep or an explicit set of
         mode indices into the canonical order. Equilibrium modes must be
@@ -250,9 +272,11 @@ def mode_truncation(sys, spectral, keep, real=None):
     """
     a = sys.a
     n = sys.n
-    if spectral.n != n:
-        raise DimensionError("spectral data does not match the system order")
-    if _verdict(spectral) == NOT_SEMISTABLE:
+    if not np.array_equal(spectral.a, a):
+        raise DimensionError(
+            "spectral data was computed for a different generator"
+        )
+    if spectral.verdict == NOT_SEMISTABLE:
         raise NotSemistableError(
             "mode truncation requires a semistable generator"
         )
@@ -269,14 +293,14 @@ def mode_truncation(sys, spectral, keep, real=None):
     sel = _resolve_selection(spectral, keep)
     r = len(sel)
     lam = spectral.eigenvalues
-    v = spectral.right_eigenvectors
 
     if spectral.hermitian:
-        sigma = v[:, sel].copy()
+        sigma = spectral.right_eigenvectors[:, sel].copy()
         pi = sigma.conj().T.copy()
     else:
+        v = _eigenbasis(spectral)
         cond_v = np.linalg.cond(v) if n else 1.0
-        if not np.isfinite(cond_v) or cond_v > _COND_LIMIT:
+        if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
             raise ConditioningError(
                 "eigenvector basis condition number %.3e exceeds the "
                 "mode-truncation limit" % cond_v
@@ -348,6 +372,7 @@ def mode_truncation(sys, spectral, keep, real=None):
         commutativity_defect=float(commut),
         kernel_identity_defect=float(kernel_defect),
         kept_modes=tuple(sel),
+        spectral=spectral,
     )
 
 
@@ -367,11 +392,11 @@ def check_invariance(sys, red, times):
     times = tuple(float(t) for t in times)
     if not times:
         raise ValueError("times must be nonempty")
+    full_at = propagator(a)
+    reduced_at = propagator(red.a_hat)
     defects = []
     for t in times:
-        full = matrix_exponential(a, t)
-        reduced = matrix_exponential(red.a_hat, t)
-        defects.append(opnorm(red.pi @ full - reduced @ red.pi))
+        defects.append(opnorm(red.pi @ full_at(t) - reduced_at(t) @ red.pi))
     defects = np.array(defects)
     return InvarianceReport(
         times=times, defects=defects, max_defect=float(defects.max())
@@ -410,21 +435,22 @@ def check_preservation(sys, red):
     """Verify the reduced model keeps the stability class and controllability.
 
     Violations are reported in the returned flags, not raised: a flagged
-    report signals a defective reduction for the caller to inspect.
+    report signals a defective reduction for the caller to inspect. The
+    original verdict is read from the record ``red`` carries; the reduced
+    generator is classified from its eigenvalues alone.
     """
-    original = classify(sys.a)
+    original = red.spectral.verdict
     # a_hat = pi A sigma carries roundoff at the parent scale; a reduced
     # generator that is numerically zero must not be judged on its own norm
     carried = opnorm(sys.a) * max(opnorm(red.pi), 1.0) * max(opnorm(red.sigma), 1.0)
-    reduced = classify(
-        red.a_hat, zero_tol=default_zero_tol(sys.n, carried)
-    ) if red.order else classify(red.a_hat)
-    semistability_ok = _STRENGTH[reduced.verdict] >= _STRENGTH[original.verdict]
+    zero_tol = default_zero_tol(sys.n, carried) if red.order else None
+    reduced = spectral_data(red.a_hat, zero_tol).verdict
+    semistability_ok = _STRENGTH[reduced] >= _STRENGTH[original]
     orig_ctrb = is_controllable(sys.a, sys.b)
     red_ctrb = is_controllable(red.a_hat, red.b_hat)
     return PreservationReport(
-        original_verdict=original.verdict,
-        reduced_verdict=reduced.verdict,
+        original_verdict=original,
+        reduced_verdict=reduced,
         semistability_preserved=bool(semistability_ok),
         original_controllable=bool(orig_ctrb),
         reduced_controllable=bool(red_ctrb),
@@ -457,9 +483,11 @@ def trajectory_sync_defect(sys, red, x0, times):
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
     z0 = red.pi @ x0
+    full_at = propagator(a)
+    reduced_at = propagator(red.a_hat)
     defects = []
     for t in times:
-        full = matrix_exponential(a, t) @ x0
-        lifted = red.sigma @ (matrix_exponential(red.a_hat, t) @ z0)
+        full = full_at(t) @ x0
+        lifted = red.sigma @ (reduced_at(t) @ z0)
         defects.append(float(np.linalg.norm(full - lifted)))
     return np.array(defects)

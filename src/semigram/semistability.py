@@ -11,6 +11,7 @@ general.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .linalg import (
     _svd_split,
     as_operator,
     default_rank_tol,
-    matrix_exponential,
     opnorm,
+    propagator,
     real_part,
 )
 
@@ -30,7 +31,6 @@ __all__ = [
     "SEMISTABLE",
     "NOT_SEMISTABLE",
     "SpectralData",
-    "SemistabilityReport",
     "LimitProjector",
     "spectral_data",
     "classify",
@@ -47,7 +47,7 @@ HERMITIAN_RTOL = 1e-10
 
 # eigenvector-basis condition number beyond which the oblique-projector
 # construction switches to the kernel-pair fallback
-_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 
 
 def default_zero_tol(n, norm_a):
@@ -68,14 +68,17 @@ def is_hermitian(a, rtol=HERMITIAN_RTOL):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenstructure of a generator in canonical slowest-first mode order.
+    """Analysis record of one generator, built once by :func:`spectral_data`.
 
-    ``eigenvalues[i]`` corresponds to column i of ``right_eigenvectors``;
-    modes are sorted by descending real part (kernel modes first), then by
-    ascending imaginary magnitude, so that conjugate pairs are adjacent and
-    mode indices are stable across runs.
+    ``a`` is the validated, read-only generator. ``eigenvalues[i]``
+    corresponds to column i of ``right_eigenvectors``; modes are sorted by
+    descending real part (kernel modes first), then by ascending imaginary
+    magnitude, so that conjugate pairs are adjacent and mode indices are
+    stable across runs. The certified limit operator ``projector`` and the
+    sampled ``overshoot_m`` are computed on first use and cached.
     """
 
+    a: np.ndarray
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     kernel_basis: np.ndarray
@@ -89,22 +92,81 @@ class SpectralData:
     def n(self):
         return self.right_eigenvectors.shape[0]
 
+    @property
+    def kernel_dim(self):
+        return self.zero_eig_geometric_multiplicity
 
-@dataclass(frozen=True)
-class SemistabilityReport:
-    """Classification verdict plus the uniform decay constants.
+    @property
+    def failure_reason(self):
+        """Why the semistability criterion fails, or None when it holds."""
+        lam = self.eigenvalues
+        tol = self.zero_tol
+        if np.any(lam.real > tol):
+            return "eigenvalue with positive real part"
+        if np.all(lam.real < -tol):
+            return None
+        near_axis = np.abs(lam.real) <= tol
+        if np.any(near_axis & (np.abs(lam.imag) > tol)):
+            return "nonreal eigenvalue on the imaginary axis"
+        if not self.zero_eig_semisimple:
+            return "zero eigenvalue defective"
+        return None
 
-    ``mu`` is the spectral gap (smallest decay rate of the non-kernel
-    modes, ``inf`` when every mode is an equilibrium). ``overshoot_m`` is a
-    sampled estimate of the transient amplification sup_t of
-    ``norm(exp(A t) - S_inf) * exp(mu t)``; it is an estimate, not a
-    certificate, and is None for non-semistable inputs.
-    """
+    @property
+    def verdict(self):
+        if self.failure_reason is not None:
+            return NOT_SEMISTABLE
+        if np.all(self.eigenvalues.real < -self.zero_tol):
+            return STABLE
+        return SEMISTABLE
 
-    verdict: str
-    mu: float
-    overshoot_m: float | None
-    kernel_dim: int
+    @property
+    def mu(self):
+        """Slowest decay rate of the non-kernel modes (inf if there are none)."""
+        real = self.eigenvalues.real
+        decaying = real[real < -self.zero_tol]
+        return float(-decaying.max()) if decaying.size else float("inf")
+
+    @cached_property
+    def projector(self):
+        """The certified limit operator; see :func:`limit_projector`."""
+        if self.verdict == NOT_SEMISTABLE:
+            raise NotSemistableError(
+                "limit operator requires a semistable generator (eigenvalue "
+                "criterion failed at zero_tol=%.3e)" % self.zero_tol
+            )
+        a = self.a
+        s = _projector_matrix(a, self)
+        norm_s = opnorm(s)
+        idem = opnorm(s @ s - s)
+        annih = max(opnorm(s @ a), opnorm(a @ s))
+        if idem > 1e-8 * norm_s + 1e-30:
+            raise ConditioningError(
+                "limit operator failed its idempotency certificate "
+                "(defect %.3e, norm %.3e)" % (idem, norm_s)
+            )
+        if annih > 1e-8 * opnorm(a) * norm_s + 1e-30:
+            raise ConditioningError(
+                "limit operator failed its annihilation certificate "
+                "(defect %.3e)" % annih
+            )
+        # every caller shares this array
+        s.flags.writeable = False
+        return LimitProjector(
+            s_inf=s, idempotency_defect=idem, annihilation_defect=annih
+        )
+
+    @cached_property
+    def overshoot_m(self):
+        """Sampled sup of norm(exp(A t) - S_inf) * exp(mu t).
+
+        An estimate, not a certificate; None for non-semistable generators.
+        """
+        if self.verdict == NOT_SEMISTABLE:
+            return None
+        if not np.isfinite(self.mu):
+            return 1.0
+        return _estimate_overshoot(self.a, self.projector.s_inf, self.mu)
 
 
 @dataclass(frozen=True)
@@ -117,7 +179,7 @@ class LimitProjector:
 
 
 def spectral_data(a, zero_tol=None, rank_tol=None):
-    """Compute eigenvalues, eigenvectors and kernel data of a generator.
+    """Compute the analysis record of a generator.
 
     Parameters
     ----------
@@ -129,8 +191,13 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         Singular-value threshold for the kernel basis. Defaults to the
         larger of the standard rank tolerance and ``zero_tol`` so the
         eigenvalue and kernel notions of "zero" stay consistent.
+
+    Returns
+    -------
+    SpectralData
     """
     a = as_operator(a, "generator", square=True)
+    a.flags.writeable = False  # the record caches what it derives from a
     n = a.shape[0]
     norm_a = opnorm(a)
     if zero_tol is None:
@@ -177,6 +244,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         semisimple = rank_a2 == decision.numerical_rank
 
     return SpectralData(
+        a=a,
         eigenvalues=eigenvalues,
         right_eigenvectors=v,
         kernel_basis=kernel,
@@ -186,28 +254,6 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         zero_eig_semisimple=bool(semisimple),
         hermitian=hermitian,
     )
-
-
-def _verdict(spectral):
-    lam = spectral.eigenvalues
-    tol = spectral.zero_tol
-    if np.any(lam.real > tol):
-        return NOT_SEMISTABLE
-    if np.all(lam.real < -tol):
-        return STABLE
-    near_axis = np.abs(lam.real) <= tol
-    if np.any(near_axis & (np.abs(lam.imag) > tol)):
-        return NOT_SEMISTABLE
-    if not spectral.zero_eig_semisimple:
-        return NOT_SEMISTABLE
-    return SEMISTABLE
-
-
-def _spectral_gap(spectral):
-    decaying = spectral.eigenvalues.real[spectral.eigenvalues.real < -spectral.zero_tol]
-    if decaying.size == 0:
-        return float("inf")
-    return float(-decaying.max())
 
 
 def classify(a, zero_tol=None):
@@ -221,25 +267,10 @@ def classify(a, zero_tol=None):
 
     Returns
     -------
-    SemistabilityReport
+    SpectralData
+        The analysis record, carrying the verdict and its failure reason.
     """
-    spectral = spectral_data(a, zero_tol)
-    return _report_from_spectral(as_operator(a, "generator", square=True), spectral)
-
-
-def _report_from_spectral(a, spectral):
-    verdict = _verdict(spectral)
-    mu = _spectral_gap(spectral)
-    overshoot = None
-    if verdict != NOT_SEMISTABLE:
-        s_inf = _projector_matrix(a, spectral)
-        overshoot = _estimate_overshoot(a, s_inf, mu)
-    return SemistabilityReport(
-        verdict=verdict,
-        mu=mu,
-        overshoot_m=overshoot,
-        kernel_dim=spectral.zero_eig_geometric_multiplicity,
-    )
+    return spectral_data(a, zero_tol)
 
 
 def _estimate_overshoot(a, s_inf, mu):
@@ -248,12 +279,11 @@ def _estimate_overshoot(a, s_inf, mu):
     The grid stops at 15/mu: beyond that, exp(mu t) amplifies rounding in
     the decayed propagator rather than measuring a transient.
     """
-    if not np.isfinite(mu):
-        return 1.0
+    at = propagator(a)
     times = np.concatenate(([0.0], np.geomspace(0.01 / mu, 15.0 / mu, 25)))
     est = 0.0
     for t in times:
-        est = max(est, opnorm(matrix_exponential(a, t) - s_inf) * np.exp(mu * t))
+        est = max(est, opnorm(at(t) - s_inf) * np.exp(mu * t))
     return max(est, EPS)
 
 
@@ -273,7 +303,7 @@ def _kernel_pair_projector(a, spectral):
             % (l_basis.shape[1], k.shape[1])
         )
     gram = l_basis.conj().T @ k
-    if k.shape[1] and np.linalg.cond(gram) > _COND_LIMIT:
+    if k.shape[1] and np.linalg.cond(gram) > COND_LIMIT:
         raise ConditioningError(
             "kernel-pair projector is numerically singular; the zero "
             "eigenvalue may not be semisimple at this tolerance"
@@ -302,7 +332,7 @@ def _projector_matrix(a, spectral):
     v = spectral.right_eigenvectors
     indicator = (spectral.eigenvalues.real > -spectral.zero_tol).astype(np.float64)
     s = None
-    if np.isfinite(np.linalg.cond(v)) and np.linalg.cond(v) <= _COND_LIMIT:
+    if np.isfinite(np.linalg.cond(v)) and np.linalg.cond(v) <= COND_LIMIT:
         s = v @ (indicator[:, None] * np.linalg.inv(v))
     if s is None or _projector_quality(a, s) > 1e-11:
         try:
@@ -319,12 +349,13 @@ def _projector_matrix(a, spectral):
 
 
 def limit_projector(a, spectral):
-    """Construct S_inf = lim exp(A t) with certified defects.
+    """The certified limit operator S_inf = lim exp(A t) of a generator.
 
     For self-adjoint A this is the orthogonal projector K K* onto the
     kernel; for general semistable A it is the spectral projector
     V diag(kernel indicator) V^{-1}, with a kernel-pair fallback when the
-    eigenvector basis is too ill-conditioned to invert.
+    eigenvector basis is too ill-conditioned to invert. It is built once
+    per record, on first use, and cached there.
 
     Parameters
     ----------
@@ -338,34 +369,15 @@ def limit_projector(a, spectral):
     NotSemistableError
         If the spectral data does not support a (semi)stable verdict.
     ConditioningError
-        If no numerically trustworthy projector can be formed.
+        If the record belongs to another generator, or if no numerically
+        trustworthy projector can be formed.
     """
     a = as_operator(a, "generator", square=True)
-    if a.shape[0] != spectral.n:
-        raise ConditioningError("spectral data does not match the generator size")
-    verdict = _verdict(spectral)
-    if verdict == NOT_SEMISTABLE:
-        raise NotSemistableError(
-            "limit operator requires a semistable generator (eigenvalue "
-            "criterion failed at zero_tol=%.3e)" % spectral.zero_tol
-        )
-    s = _projector_matrix(a, spectral)
-    norm_s = opnorm(s)
-    idem = opnorm(s @ s - s)
-    annih = max(opnorm(s @ a), opnorm(a @ s))
-    if idem > 1e-8 * norm_s + 1e-30:
+    if not np.array_equal(a, spectral.a):
         raise ConditioningError(
-            "limit operator failed its idempotency certificate "
-            "(defect %.3e, norm %.3e)" % (idem, norm_s)
+            "spectral data was computed for a different generator"
         )
-    if annih > 1e-8 * opnorm(a) * norm_s + 1e-30:
-        raise ConditioningError(
-            "limit operator failed its annihilation certificate "
-            "(defect %.3e)" % annih
-        )
-    return LimitProjector(
-        s_inf=s, idempotency_defect=idem, annihilation_defect=annih
-    )
+    return spectral.projector
 
 
 def decay_defect(a, s_inf, times):
@@ -374,11 +386,11 @@ def decay_defect(a, s_inf, times):
     Semistability is equivalent to these defects decaying like
     ``L * exp(-mu t)``; tests sample this directly.
     """
-    a = as_operator(a, "generator", square=True)
+    at = propagator(a)
     s = s_inf.s_inf if isinstance(s_inf, LimitProjector) else as_operator(s_inf)
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must be nonempty")
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    return np.array([opnorm(matrix_exponential(a, t) - s) for t in times])
+    return np.array([opnorm(at(t) - s) for t in times])

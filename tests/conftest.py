@@ -8,12 +8,7 @@ tolerances.
 
 import numpy as np
 
-from semigram import (
-    classify,
-    is_controllable,
-    limit_projector,
-    spectral_data,
-)
+from semigram import is_controllable, limit_projector, spectral_data
 
 
 def random_selfadjoint_semistable(rng, n, kernel_dim):
@@ -37,8 +32,10 @@ def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
 
 
 def semistability_bundle(a):
-    """(spectral, report, limit projector) for a generator."""
+    """(record, report, limit projector) for a generator.
+
+    One analysis record serves as both the spectral data and the report
+    that the quadrature routes read.
+    """
     spectral = spectral_data(a)
-    report = classify(a)
-    s_inf = limit_projector(a, spectral)
-    return spectral, report, s_inf
+    return spectral, spectral, limit_projector(a, spectral)

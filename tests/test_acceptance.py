@@ -97,9 +97,7 @@ def test_criterion_4_cross_method_agreement(capsys):
     for a, b in gramian_suite_systems(100, 30, seed=101):
         spectral, report, s_inf = semistability_bundle(a)
         q = lyapunov_rhs(b, s_inf)
-        split = solve_semistability_lyapunov(
-            a, q, s_inf, spectral, strategy="split"
-        )
+        split = solve_semistability_lyapunov(a, q, s_inf, spectral)
         quad = gramian_by_quadrature(a, b, s_inf, report, 1e-9)
         dev = opnorm(split.p_inf - quad.p_inf)
         worst = max(worst, dev)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semigram import parse_matrix, read_matrix, read_system
+from semigram import parse_matrix, read_matrix, read_system, semistability
 from semigram.cli import RunConfig, main
 
 
@@ -239,3 +239,37 @@ def test_csv_report_format(tmp_path, capsys):
     values = lines[1].split(",")
     assert len(header) == len(values)
     assert "verdict" in header
+
+
+def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch):
+    n = 6
+    a = -(np.diag([1.0] + [2.0] * (n - 2) + [1.0])
+          - np.eye(n, k=1) - np.eye(n, k=-1))
+    path = write_system(tmp_path, a)
+    counts = {"eig": 0, "s_inf": 0, "overshoot": 0}
+
+    def counting(key, fn, full_only=False):
+        def wrapped(*args, **kwargs):
+            if not full_only or np.shape(args[0])[0] == n:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # eigendecompositions of the full generator, S_inf builds, overshoot
+    # samplings
+    monkeypatch.setattr(np.linalg, "eigh", counting("eig", np.linalg.eigh, True))
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, True))
+    monkeypatch.setattr(semistability, "_projector_matrix",
+                        counting("s_inf", semistability._projector_matrix))
+    monkeypatch.setattr(semistability, "_estimate_overshoot",
+                        counting("overshoot", semistability._estimate_overshoot))
+
+    code, out, err = run(capsys, ["reduce", path, "--keep", "3", "--h2", "both",
+                                  "--output", str(tmp_path / "o")])
+    assert code == 0, err
+    assert counts == {"eig": 1, "s_inf": 1, "overshoot": 1}
+
+    counts.update(eig=0, s_inf=0, overshoot=0)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 0, err
+    assert counts == {"eig": 1, "s_inf": 1, "overshoot": 1}

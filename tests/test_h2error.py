@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from semigram import (
     PreconditionError,
-    Reduction,
     StateSpaceSystem,
     classify,
     gramian_by_quadrature,
@@ -148,16 +149,7 @@ def test_rejects_plain_matrix_gramian():
 
 def test_rejects_degraded_reduction():
     sys, red, p_inf = build(np.diag([0.0, -1.0, -2.0]), 2)
-    bad = Reduction(
-        pi=red.pi,
-        sigma=red.sigma,
-        a_hat=red.a_hat,
-        b_hat=red.b_hat,
-        c_hat=red.c_hat,
-        commutativity_defect=red.commutativity_defect,
-        kernel_identity_defect=1e-2,
-        kept_modes=red.kept_modes,
-    )
+    bad = dataclasses.replace(red, kernel_identity_defect=1e-2)
     with pytest.raises(PreconditionError):
         h2_error_gramian(sys, bad, p_inf)
     with pytest.raises(PreconditionError):

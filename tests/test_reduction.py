@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from semigram import (
     check_preservation,
     controllability_matrix,
     is_controllable,
+    limit_projector,
     matrix_exponential,
     mode_truncation,
     spectral_data,
@@ -156,6 +159,29 @@ def test_complex_system_keeps_complex_reduction():
     assert np.allclose(red.a_hat, a, atol=1e-12)
 
 
+def test_repeated_zero_of_nonnormal_generator_gives_real_reduction():
+    # eig returns the double zero as a +-i eps pair with complex
+    # eigenvectors; the real kernel basis must stand in for them
+    v = np.random.default_rng(2).standard_normal((4, 4))
+    a = v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)
+    spectral = spectral_data(a)
+    assert np.any(spectral.eigenvalues[:2].imag != 0.0)
+    sys = StateSpaceSystem(a)
+    red = mode_truncation(sys, spectral, 2)
+    assert not np.iscomplexobj(red.sigma) and not np.iscomplexobj(red.pi)
+    assert opnorm(red.a_hat) <= 1e-12
+    assert red.kernel_identity_defect <= 1e-12
+    assert np.allclose(red.sigma @ red.pi, limit_projector(a, spectral).s_inf,
+                       atol=1e-10)
+    assert check_preservation(sys, red).reduced_verdict == "semistable"
+
+
+def test_truncation_rejects_record_of_another_generator():
+    sys = StateSpaceSystem(np.diag([0.0, -1.0, -2.0]))
+    with pytest.raises(DimensionError):
+        mode_truncation(sys, spectral_data(np.diag([0.0, -1.0, -3.0])), 2)
+
+
 def test_invariance_diagonal_exact():
     a = np.diag([0.0, -1.0, -2.0])
     sys, spectral, red = truncate(a, 2)
@@ -177,16 +203,7 @@ def test_invariance_random_symmetric():
 def test_invariance_rejects_bad_projection():
     a = np.diag([0.0, -1.0, -2.0])
     sys, spectral, red = truncate(a, 2)
-    bad = type(red)(
-        pi=red.pi + 0.1,
-        sigma=red.sigma,
-        a_hat=red.a_hat,
-        b_hat=red.b_hat,
-        c_hat=red.c_hat,
-        commutativity_defect=1.0,
-        kernel_identity_defect=red.kernel_identity_defect,
-        kept_modes=red.kept_modes,
-    )
+    bad = dataclasses.replace(red, pi=red.pi + 0.1, commutativity_defect=1.0)
     with pytest.raises(PreconditionError):
         check_invariance(sys, bad, [0.0, 1.0])
 

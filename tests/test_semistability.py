@@ -178,3 +178,36 @@ def test_spectral_data_mismatched_projector_input():
     spectral = spectral_data(a)
     with pytest.raises(ConditioningError):
         limit_projector(np.diag([0.0, -1.0, -2.0]), spectral)
+
+
+def test_limit_projector_rejects_record_of_another_generator():
+    spectral = spectral_data(np.diag([0.0, -1.0]))
+    with pytest.raises(ConditioningError):
+        limit_projector(np.diag([0.0, -2.0]), spectral)
+
+
+def test_record_builds_limit_operator_and_overshoot_once():
+    a = np.array([[0.0, 1.0], [0.0, -1.0]])
+    record = classify(a)
+    assert record.verdict == SEMISTABLE
+    assert record.failure_reason is None
+    lp = limit_projector(a, record)
+    assert limit_projector(a, record) is lp is record.projector
+    assert record.overshoot_m == pytest.approx(np.sqrt(2.0), rel=1e-6)
+    assert record.overshoot_m is record.overshoot_m
+
+
+def test_record_failure_reasons():
+    cases = (
+        (np.diag([1.0, -1.0]), "eigenvalue with positive real part"),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]),
+         "nonreal eigenvalue on the imaginary axis"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "zero eigenvalue defective"),
+    )
+    for a, reason in cases:
+        record = classify(a)
+        assert record.verdict == NOT_SEMISTABLE
+        assert record.failure_reason == reason
+        assert record.overshoot_m is None
+        with pytest.raises(NotSemistableError):
+            limit_projector(a, record)
