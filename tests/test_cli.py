@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from semigram import parse_matrix, read_matrix, read_system, semistability
+from semigram import (
+    ConditioningError,
+    cli,
+    parse_matrix,
+    read_matrix,
+    read_system,
+    semistability,
+)
 from semigram.cli import RunConfig, main
 
 
@@ -103,6 +110,22 @@ def test_gramian_methods_agree(tmp_path, capsys):
     p1 = read_matrix(str(out_a / "p_inf.mat"))
     p2 = read_matrix(str(out_b / "p_inf.mat"))
     assert np.abs(p1 - p2).max() <= 1e-8
+
+
+def test_gramian_split_failure_routes(tmp_path, capsys, monkeypatch):
+    # lyapunov has no fallback and exits 5; auto falls back to quadrature
+    def failing_split(*args, **kwargs):
+        raise ConditioningError("split refused")
+
+    monkeypatch.setattr(cli, "solve_semistability_lyapunov", failing_split)
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    code, out, err = run(capsys, ["gramian", path, "--method", "lyapunov",
+                                  "--output", str(tmp_path)])
+    assert code == 5
+    assert "split refused" in err
+    code, out, err = run(capsys, ["gramian", path, "--output", str(tmp_path)])
+    assert code == 0
+    assert parse_report(out)["method"] == "quadrature"
 
 
 def test_gramian_impossible_tolerance(tmp_path, capsys):
