@@ -43,9 +43,9 @@ from .linalg import (
     RankDecision,
     integrate_operator_valued,
     matrix_exponential,
-    numerical_kernel,
     numerical_rank,
     propagator,
+    svd_split,
 )
 from .matio import (
     format_matrix,
@@ -72,9 +72,7 @@ from .semistability import (
     STABLE,
     LimitProjector,
     SpectralData,
-    classify,
     decay_defect,
-    limit_projector,
     spectral_data,
 )
 
@@ -93,7 +91,7 @@ __all__ = [
     "RankDecision",
     "matrix_exponential",
     "propagator",
-    "numerical_kernel",
+    "svd_split",
     "numerical_rank",
     "integrate_operator_valued",
     "parse_matrix",
@@ -107,8 +105,6 @@ __all__ = [
     "SpectralData",
     "LimitProjector",
     "spectral_data",
-    "classify",
-    "limit_projector",
     "decay_defect",
     "SemistabilityGramian",
     "StructureReport",

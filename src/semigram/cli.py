@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One subcommand per step of the computational program: ``analyze``
-(classify and expose the kernel), ``gramian`` (solve for the
+(decide semistability and expose the kernel), ``gramian`` (solve for the
 semistability Gramian), ``reduce`` (build an invariant truncation and
 report its exact H2 error), plus the end-to-end ``heat-bench``.
 
@@ -37,7 +37,7 @@ from .heatbench import benchmark_csv, benchmark_text, run_benchmark
 from .linalg import opnorm
 from .matio import format_matrix, read_system, write_matrix
 from .reduction import check_preservation, mode_truncation
-from .semistability import NOT_SEMISTABLE, limit_projector, spectral_data
+from .semistability import NOT_SEMISTABLE, spectral_data
 
 __all__ = ["RunConfig", "main"]
 
@@ -133,7 +133,7 @@ def cmd_analyze(args, config):
             config,
         )
         return EXIT_CLASSIFICATION
-    s_inf = limit_projector(system.a, spectral)
+    s_inf = spectral.projector
     _emit(
         [
             ("verdict", spectral.verdict),
@@ -152,17 +152,14 @@ def cmd_analyze(args, config):
 
 def _compute_gramian(system, spectral, config):
     """Gramian via the configured method; auto falls back to quadrature."""
-    s_inf = limit_projector(system.a, spectral)
     if config.gramian_method != "quadrature":
-        q = lyapunov_rhs(system.b, s_inf)
+        q = lyapunov_rhs(spectral, system.b)
         try:
-            return solve_semistability_lyapunov(system.a, q, s_inf, spectral)
+            return solve_semistability_lyapunov(spectral, q)
         except (ConditioningError, InconsistencyError):
             if config.gramian_method == "lyapunov":
                 raise
-    return gramian_by_quadrature(
-        system.a, system.b, s_inf, spectral, config.quadrature_tol
-    )
+    return gramian_by_quadrature(spectral, system.b, config.quadrature_tol)
 
 
 def cmd_gramian(args, config):
@@ -308,7 +305,8 @@ def _build_parser():
 
     p = sub.add_parser(
         "analyze", parents=[common],
-        help="classify a system and report its kernel and limit operator",
+        help="decide whether a system is semistable and report its kernel "
+        "and limit operator",
     )
     p.add_argument("system", help="system description file")
     p.set_defaults(func=cmd_analyze)

@@ -26,20 +26,18 @@ from .errors import (
     ConditioningError,
     DimensionError,
     InconsistencyError,
-    NotSemistableError,
     PreconditionError,
 )
 from .linalg import (
     EPS,
-    _svd_split,
     as_operator,
     default_rank_tol,
     integrate_operator_valued,
     opnorm,
     propagator,
     real_part,
+    svd_split,
 )
-from .semistability import NOT_SEMISTABLE, LimitProjector
 
 __all__ = [
     "SemistabilityGramian",
@@ -85,18 +83,13 @@ class StructureReport:
     kernel_range_defect: float
 
 
-def _extract_s_inf(s_inf):
-    if isinstance(s_inf, LimitProjector):
-        return s_inf.s_inf
-    return as_operator(s_inf, "limit operator", square=True)
-
-
 def _hermitize(p):
     return 0.5 * (p + p.conj().T)
 
 
-def _certify(a, p, q, s_inf, method, quadrature_tol=None, residual_slack=0.0):
+def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
     """Package a candidate Gramian, enforcing the type's invariants."""
+    a = spectral.a
     norm_p = opnorm(p)
     herm_defect = opnorm(p - p.conj().T)
     if herm_defect > 1e-8 * norm_p + 1e-30:
@@ -113,13 +106,13 @@ def _certify(a, p, q, s_inf, method, quadrature_tol=None, residual_slack=0.0):
             "(min eigenvalue %.3e)" % min_eig
         )
     residual = opnorm(a @ p + p @ a.conj().T + q)
-    scale = opnorm(a) * norm_p + opnorm(q)
+    scale = spectral.norm_a * norm_p + opnorm(q)
     if residual > _RESIDUAL_RTOL * scale + residual_slack + 1e-30:
         raise InconsistencyError(
             "Lyapunov residual %.3e exceeds %.1e * (|A||P| + |Q|)"
             % (residual, _RESIDUAL_RTOL)
         )
-    constraint = opnorm(s_inf @ p)
+    constraint = opnorm(spectral.projector.s_inf @ p)
     if constraint > 1e-8 * norm_p + 1e-30:
         raise InconsistencyError(
             "limit operator does not annihilate the Gramian "
@@ -134,56 +127,55 @@ def _certify(a, p, q, s_inf, method, quadrature_tol=None, residual_slack=0.0):
     )
 
 
-def gramian_by_quadrature(a, b, s_inf, report, abs_tol):
+def gramian_by_quadrature(spectral, b, abs_tol):
     """Evaluate the Gramian's defining integral by adaptive quadrature.
 
     This is the oracle route: nothing is assumed beyond the decay
-    certificate norm(S(t) - S_inf) <= M exp(-mu t) taken from the
-    generator's analysis record. Each quadrature node evaluates the exact
-    integrand, so structural identities (self-adjointness, S_inf P = 0)
-    hold at every node and survive summation to roundoff even when
-    ``abs_tol`` is coarse.
+    certificate norm(S(t) - S_inf) <= M exp(-mu t), whose rate ``mu`` and
+    overshoot ``overshoot_m`` come from the generator's analysis record.
+    Each quadrature node evaluates the exact integrand, so structural
+    identities (self-adjointness, S_inf P = 0) hold at every node and
+    survive summation to roundoff even when ``abs_tol`` is coarse.
 
     Parameters
     ----------
-    a, b : array_like
-        Generator and input matrix.
-    s_inf : LimitProjector
-        Limit operator of the semigroup generated by ``a``.
-    report : SpectralData
-        Analysis record of ``a``, carrying the verdict, the decay rate
-        ``mu`` and the overshoot ``overshoot_m``.
+    spectral : SpectralData
+        Analysis record of the generator.
+    b : array_like
+        Input matrix.
     abs_tol : float
         Entrywise absolute tolerance for the integral.
+
+    Raises
+    ------
+    NotSemistableError
+        If the record fails the semistability criterion.
     """
-    a = as_operator(a, "generator", square=True)
+    a = spectral.a
     b = as_operator(b, "input matrix")
     if b.shape[0] != a.shape[0]:
         raise DimensionError("input matrix row count must match the generator")
-    if report.verdict == NOT_SEMISTABLE:
-        raise NotSemistableError("the Gramian integral requires semistability")
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    s = _extract_s_inf(s_inf)
-    q = lyapunov_rhs(b, s_inf)
+    q = lyapunov_rhs(spectral, b)
 
-    if not np.isfinite(report.mu):
+    if not np.isfinite(spectral.mu):
         # no decaying modes: S(t) = S_inf for all t and the integral is 0
         p = np.zeros((a.shape[0], a.shape[0]))
-        return _certify(a, p, q, s, "quadrature", quadrature_tol=float(abs_tol))
+        return _certify(spectral, p, q, "quadrature", quadrature_tol=float(abs_tol))
 
-    s_inf_b = s @ b
+    s_inf_b = spectral.projector.s_inf @ b
     response = propagator(a, b)
 
     def integrand(t):
         d = response(t) - s_inf_b
         return d @ d.conj().T
 
-    norm_a = opnorm(a)
-    bound = (report.overshoot_m**2) * opnorm(b) ** 2
+    norm_a = spectral.norm_a
+    bound = (spectral.overshoot_m**2) * opnorm(b) ** 2
     # the integrand is quadratic in exp(A t): it varies at rate <= 2 norm(A)
     p = integrate_operator_valued(
-        integrand, 2.0 * report.mu, abs_tol,
+        integrand, 2.0 * spectral.mu, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * norm_a,
     )
     # entrywise quadrature error up to abs_tol feeds the residual linearly
@@ -191,15 +183,19 @@ def gramian_by_quadrature(a, b, s_inf, report, abs_tol):
     # constraint gate needs no slack
     slack = 2.0 * norm_a * a.shape[0] * abs_tol
     return _certify(
-        a, p, q, s, "quadrature", quadrature_tol=float(abs_tol),
+        spectral, p, q, "quadrature", quadrature_tol=float(abs_tol),
         residual_slack=slack,
     )
 
 
-def lyapunov_rhs(b, s_inf):
-    """Right-hand side (I - S_inf) B B* (I - S_inf)* of the Gramian equation."""
+def lyapunov_rhs(spectral, b):
+    """Right-hand side (I - S_inf) B B* (I - S_inf)* of the Gramian equation.
+
+    Raises :class:`NotSemistableError` if the record fails the
+    semistability criterion.
+    """
     b = as_operator(b, "input matrix")
-    s = _extract_s_inf(s_inf)
+    s = spectral.projector.s_inf
     if s.shape[0] != b.shape[0]:
         raise DimensionError("limit operator size must match the input matrix")
     g = b - s @ b
@@ -209,7 +205,7 @@ def lyapunov_rhs(b, s_inf):
     return q
 
 
-def _split_coordinates(a, spectral):
+def _split_coordinates(spectral):
     """Coordinates M with A = M diag(0_k, A2) M^{-1}, A2 stable.
 
     For self-adjoint A the kernel and range are orthogonal complements and
@@ -218,15 +214,12 @@ def _split_coordinates(a, spectral):
     also covers defective stable parts, for which an eigenvector basis
     does not exist.
     """
+    a = spectral.a
     n = a.shape[0]
     tol = spectral.zero_tol
     if spectral.hermitian:
-        range_basis, kernel_basis, _ = _svd_split(
-            a, max(default_rank_tol(a.shape, opnorm(a)), tol)
-        )
-        m = np.hstack([kernel_basis, range_basis])
-        k = kernel_basis.shape[1]
-        return m, m.conj().T, k
+        m = np.hstack([spectral.kernel_basis, spectral.range_basis])
+        return m, m.conj().T, spectral.kernel_dim
 
     t, z, sdim = scipy.linalg.schur(
         a.astype(np.complex128),
@@ -259,8 +252,9 @@ def _split_coordinates(a, spectral):
     return z @ x, x_inv @ z.conj().T, k
 
 
-def _solve_split(a, q, spectral):
-    m, m_inv, k = _split_coordinates(a, spectral)
+def _solve_split(spectral, q):
+    a = spectral.a
+    m, m_inv, k = _split_coordinates(spectral)
     n = a.shape[0]
     if k == n:
         return np.zeros_like(a)
@@ -273,7 +267,7 @@ def _solve_split(a, q, spectral):
     return m @ p_t @ m.conj().T
 
 
-def solve_semistability_lyapunov(a, q, s_inf, spectral):
+def solve_semistability_lyapunov(spectral, q):
     """Solve A P + P A* = -Q subject to S_inf P = 0.
 
     The equation is singular whenever ker A is nontrivial; the constraint
@@ -281,15 +275,11 @@ def solve_semistability_lyapunov(a, q, s_inf, spectral):
 
     Parameters
     ----------
-    a : array_like
-        Semistable generator.
+    spectral : SpectralData
+        Analysis record of the semistable generator A (supplies A, S_inf,
+        the kernel split and the self-adjointness flag).
     q : array_like
         Right-hand side, normally from :func:`lyapunov_rhs`.
-    s_inf : LimitProjector
-        Limit operator of the semigroup.
-    spectral : SpectralData
-        Analysis record of ``a`` (supplies the verdict, the kernel
-        dimension and the self-adjointness flag).
 
     Returns
     -------
@@ -297,33 +287,29 @@ def solve_semistability_lyapunov(a, q, s_inf, spectral):
 
     Raises
     ------
+    NotSemistableError
+        If the record fails the semistability criterion.
     ConditioningError, InconsistencyError
         If the block split fails or the solution fails its certificates.
     """
-    a = as_operator(a, "generator", square=True)
     q = as_operator(q, "right-hand side", square=True)
-    if q.shape[0] != a.shape[0]:
+    if q.shape[0] != spectral.n:
         raise DimensionError("right-hand side size must match the generator")
-    if spectral.verdict == NOT_SEMISTABLE:
-        raise NotSemistableError(
-            "the semistability Lyapunov equation requires a semistable "
-            "generator"
-        )
     herm_q = opnorm(q - q.conj().T)
     if herm_q > 1e-8 * max(opnorm(q), EPS):
         raise PreconditionError("right-hand side must be self-adjoint")
-    s = _extract_s_inf(s_inf)
-    return _certify(a, _solve_split(a, q, spectral), q, s, "lyapunov_split")
+    spectral.projector  # raises NotSemistableError before any solve
+    return _certify(spectral, _solve_split(spectral, q), q, "lyapunov_split")
 
 
-def verify_solution_structure(a, p1, p2, s_inf):
+def verify_solution_structure(spectral, p1, p2):
     """Certify the structure of the difference of two Lyapunov solutions.
 
     Both inputs must be self-adjoint solutions of the same semistability
-    Lyapunov equation; their difference Delta then solves the homogeneous
-    equation, is reproduced by compression with S_inf, and has range
-    inside ker A*. Returns the measured defects; callers compare them
-    against 1e-6 * norm(Delta).
+    Lyapunov equation of the record's generator; their difference Delta
+    then solves the homogeneous equation, is reproduced by compression
+    with S_inf, and has range inside ker A*. Returns the measured
+    defects; callers compare them against 1e-6 * norm(Delta).
 
     Raises
     ------
@@ -331,12 +317,12 @@ def verify_solution_structure(a, p1, p2, s_inf):
         If the inputs are not (numerically) solutions of the same
         equation, detected through the homogeneous residual of Delta.
     """
-    a = as_operator(a, "generator", square=True)
+    a = spectral.a
     p1 = as_operator(p1, "first solution", square=True)
     p2 = as_operator(p2, "second solution", square=True)
     if p1.shape != a.shape or p2.shape != a.shape:
         raise DimensionError("solutions must match the generator size")
-    s = _extract_s_inf(s_inf)
+    s = spectral.projector.s_inf
     for name, p in (("first", p1), ("second", p2)):
         defect = opnorm(p - p.conj().T)
         if defect > 1e-8 * max(opnorm(p), EPS):
@@ -345,7 +331,7 @@ def verify_solution_structure(a, p1, p2, s_inf):
     delta = p2 - p1
     norm_delta = opnorm(delta)
     homogeneous = opnorm(a @ delta + delta @ a.conj().T)
-    scale = opnorm(a) * (opnorm(p1) + opnorm(p2)) + EPS
+    scale = spectral.norm_a * (opnorm(p1) + opnorm(p2)) + EPS
     if homogeneous > 1e-7 * scale:
         raise PreconditionError(
             "inputs do not solve the same equation (homogeneous residual "
@@ -357,7 +343,7 @@ def verify_solution_structure(a, p1, p2, s_inf):
     # not resolvable parts of its range; keep the cut two orders under the
     # 1e-6 * norm(Delta) certification threshold
     range_cut = max(default_rank_tol(delta.shape, norm_delta), 1e-8 * norm_delta)
-    range_basis, _, _ = _svd_split(delta, range_cut)
+    range_basis, _, _ = svd_split(delta, range_cut)
     if range_basis.shape[1]:
         kernel_range = opnorm(a.conj().T @ range_basis)
     else:

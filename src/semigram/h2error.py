@@ -18,7 +18,6 @@ import numpy as np
 from .errors import InconsistencyError, PreconditionError
 from .gramian import SemistabilityGramian
 from .linalg import EPS, integrate_operator_valued, opnorm, propagator
-from .semistability import limit_projector
 
 __all__ = ["H2ErrorResult", "h2_error_gramian", "h2_error_quadrature"]
 
@@ -115,9 +114,9 @@ def h2_error_quadrature(sys, red, abs_tol):
             "reduction does not act as the identity on the kernel "
             "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
         )
-    a = sys.a
     spectral = red.spectral
-    s_inf = limit_projector(a, spectral).s_inf
+    a = spectral.a
+    s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
         return _finish(0.0, "impulse_quadrature", abs_tol)
 

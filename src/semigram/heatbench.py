@@ -23,7 +23,7 @@ from scipy.special import polygamma
 from .gramian import lyapunov_rhs, solve_semistability_lyapunov
 from .h2error import h2_error_gramian, h2_error_quadrature
 from .reduction import StateSpaceSystem, mode_truncation
-from .semistability import limit_projector, spectral_data
+from .semistability import spectral_data
 
 __all__ = [
     "HeatSurrogate",
@@ -147,9 +147,8 @@ def run_benchmark(n, m, abs_tol=1e-9):
     surrogate = build_heat_surrogate(m)
     sys = StateSpaceSystem(surrogate.a, surrogate.b, surrogate.c)
     spectral = spectral_data(surrogate.a)
-    s_inf = limit_projector(surrogate.a, spectral)
-    q = lyapunov_rhs(surrogate.b, s_inf)
-    p_inf = solve_semistability_lyapunov(surrogate.a, q, s_inf, spectral)
+    q = lyapunov_rhs(spectral, surrogate.b)
+    p_inf = solve_semistability_lyapunov(spectral, q)
     red = mode_truncation(sys, spectral, int(n) + 1)
     by_gramian = h2_error_gramian(sys, red, p_inf)
     by_quadrature = h2_error_quadrature(sys, red, abs_tol)

@@ -39,7 +39,7 @@ __all__ = [
     "opnorm",
     "RankDecision",
     "numerical_rank",
-    "numerical_kernel",
+    "svd_split",
     "propagator",
     "matrix_exponential",
     "integrate_operator_valued",
@@ -189,13 +189,15 @@ def numerical_rank(a, rank_tol=None):
     return int(np.sum(s > rank_tol))
 
 
-def _svd_split(a, rank_tol=None):
+def svd_split(a, rank_tol=None):
     """Split C^n into numerical row space and null space of a square matrix.
 
     Returns ``(range_basis, kernel_basis, decision)`` where the columns of
     ``kernel_basis`` span the numerical null space, the columns of
     ``range_basis`` span its orthogonal complement, and both sets are
-    orthonormal (right singular vectors of ``a``).
+    orthonormal (right singular vectors of ``a``; both are views of one
+    array). ``rank_tol`` is the absolute singular-value threshold, see
+    :func:`numerical_rank`; ``decision`` records the rank decision.
     """
     a = as_operator(a, "matrix", square=True)
     n = a.shape[0]
@@ -210,28 +212,6 @@ def _svd_split(a, rank_tol=None):
     rank = int(np.sum(s > rank_tol))
     v = vh.conj().T
     return v[:, :rank], v[:, rank:], RankDecision(rank, s, rank_tol)
-
-
-def numerical_kernel(a, rank_tol=None):
-    """Orthonormal basis of the numerical null space of a square matrix.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix.
-    rank_tol : float, optional
-        Absolute singular-value threshold; see :func:`numerical_rank`.
-
-    Returns
-    -------
-    basis : ndarray
-        n x k matrix with orthonormal columns spanning the null space
-        (k = 0 for a numerically nonsingular input).
-    decision : RankDecision
-        The rank decision that determined k.
-    """
-    _, kernel, decision = _svd_split(a, rank_tol)
-    return kernel, decision
 
 
 def _is_diagonal(a):

@@ -272,6 +272,7 @@ def mode_truncation(sys, spectral, keep, real=None):
     """
     a = sys.a
     n = sys.n
+    norm_a = spectral.norm_a
     if not np.array_equal(spectral.a, a):
         raise DimensionError(
             "spectral data was computed for a different generator"
@@ -299,7 +300,8 @@ def mode_truncation(sys, spectral, keep, real=None):
         pi = sigma.conj().T.copy()
     else:
         v = _eigenbasis(spectral)
-        cond_v = np.linalg.cond(v) if n else 1.0
+        cond_v = (spectral.cond_v if v is spectral.right_eigenvectors
+                  else np.linalg.cond(v))
         if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
             raise ConditioningError(
                 "eigenvector basis condition number %.3e exceeds the "
@@ -307,7 +309,7 @@ def mode_truncation(sys, spectral, keep, real=None):
             )
         # splitting a cluster of (numerically) equal eigenvalues would cut
         # through a Jordan chain; whole clusters travel together
-        cluster_tol = max(spectral.zero_tol, np.sqrt(n * EPS) * max(opnorm(a), 1.0))
+        cluster_tol = max(spectral.zero_tol, np.sqrt(n * EPS) * max(norm_a, 1.0))
         dropped = [i for i in range(n) if i not in set(sel)]
         for i in sel:
             for j in dropped:
@@ -337,7 +339,6 @@ def mode_truncation(sys, spectral, keep, real=None):
     b_hat = pi @ sys.b
     c_hat = sys.c @ sigma
 
-    norm_a = opnorm(a)
     norm_pi = opnorm(pi)
     biorth = opnorm(pi @ sigma - np.eye(r))
     if biorth > 1e-10 * max(1.0, norm_pi):
@@ -383,7 +384,7 @@ def check_invariance(sys, red, times):
     operator-norm discrepancy over the sample times.
     """
     a = sys.a
-    norm_scale = max(opnorm(a) * opnorm(red.pi), EPS)
+    norm_scale = max(red.spectral.norm_a * opnorm(red.pi), EPS)
     if red.commutativity_defect > 1e-6 * norm_scale:
         raise PreconditionError(
             "reduction commutativity defect is too large for the "
@@ -410,11 +411,15 @@ def controllability_matrix(a, b):
     the rank unchanged while keeping entries at unit scale.
     """
     a = as_operator(a, "state matrix", square=True)
+    return _scaled_krylov(a, b, opnorm(a))
+
+
+def _scaled_krylov(a, b, norm_a):
     b = as_operator(b, "input matrix")
     if b.shape[0] != a.shape[0]:
         raise DimensionError("input matrix row count must match the state size")
     n = a.shape[0]
-    scale = max(opnorm(a), 1.0)
+    scale = max(norm_a, 1.0)
     blocks = [b]
     x = b
     for _ in range(n - 1):
@@ -442,11 +447,12 @@ def check_preservation(sys, red):
     original = red.spectral.verdict
     # a_hat = pi A sigma carries roundoff at the parent scale; a reduced
     # generator that is numerically zero must not be judged on its own norm
-    carried = opnorm(sys.a) * max(opnorm(red.pi), 1.0) * max(opnorm(red.sigma), 1.0)
+    norm_a = red.spectral.norm_a
+    carried = norm_a * max(opnorm(red.pi), 1.0) * max(opnorm(red.sigma), 1.0)
     zero_tol = default_zero_tol(sys.n, carried) if red.order else None
     reduced = spectral_data(red.a_hat, zero_tol).verdict
     semistability_ok = _STRENGTH[reduced] >= _STRENGTH[original]
-    orig_ctrb = is_controllable(sys.a, sys.b)
+    orig_ctrb = numerical_rank(_scaled_krylov(sys.a, sys.b, norm_a)) == sys.n
     red_ctrb = is_controllable(red.a_hat, red.b_hat)
     return PreservationReport(
         original_verdict=original,

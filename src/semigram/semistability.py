@@ -15,15 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConditioningError, NotSemistableError
+from .errors import ConditioningError, DimensionError, NotSemistableError
 from .linalg import (
     EPS,
-    _svd_split,
     as_operator,
     default_rank_tol,
     opnorm,
     propagator,
     real_part,
+    svd_split,
 )
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "SpectralData",
     "LimitProjector",
     "spectral_data",
-    "classify",
-    "limit_projector",
     "decay_defect",
 ]
 
@@ -61,27 +59,32 @@ def default_zero_tol(n, norm_a):
     return 1e3 * max(n, 1) * EPS * max(norm_a, EPS)
 
 
-def is_hermitian(a, rtol=HERMITIAN_RTOL):
+def is_hermitian(a, norm_a, rtol=HERMITIAN_RTOL):
     defect = opnorm(a - a.conj().T)
-    return defect <= rtol * max(opnorm(a), EPS)
+    return defect <= rtol * max(norm_a, EPS)
 
 
 @dataclass(frozen=True)
 class SpectralData:
     """Analysis record of one generator, built once by :func:`spectral_data`.
 
-    ``a`` is the validated, read-only generator. ``eigenvalues[i]``
-    corresponds to column i of ``right_eigenvectors``; modes are sorted by
-    descending real part (kernel modes first), then by ascending imaginary
-    magnitude, so that conjugate pairs are adjacent and mode indices are
-    stable across runs. The certified limit operator ``projector`` and the
-    sampled ``overshoot_m`` are computed on first use and cached.
+    ``a`` is the validated, read-only generator and ``norm_a`` its
+    spectral norm. ``eigenvalues[i]`` corresponds to column i of
+    ``right_eigenvectors``; modes are sorted by descending real part
+    (kernel modes first), then by ascending imaginary magnitude, so that
+    conjugate pairs are adjacent and mode indices are stable across runs.
+    ``kernel_basis`` and ``range_basis`` are the two halves of one SVD
+    split of ``a``. The certified limit operator ``projector``, the
+    sampled ``overshoot_m`` and the eigenvector condition number
+    ``cond_v`` are computed on first use and cached.
     """
 
     a: np.ndarray
+    norm_a: float
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     kernel_basis: np.ndarray
+    range_basis: np.ndarray
     zero_eig_algebraic_multiplicity: int
     zero_eig_geometric_multiplicity: int
     zero_tol: float
@@ -103,13 +106,15 @@ class SpectralData:
         tol = self.zero_tol
         if np.any(lam.real > tol):
             return "eigenvalue with positive real part"
-        if np.all(lam.real < -tol):
-            return None
         near_axis = np.abs(lam.real) <= tol
         if np.any(near_axis & (np.abs(lam.imag) > tol)):
             return "nonreal eigenvalue on the imaginary axis"
         if not self.zero_eig_semisimple:
             return "zero eigenvalue defective"
+        if self.kernel_dim != self.zero_eig_algebraic_multiplicity:
+            # the rank and eigenvalue tolerances disagree on what is zero
+            return "kernel dimension %d differs from zero-eigenvalue count %d" % (
+                self.kernel_dim, self.zero_eig_algebraic_multiplicity)
         return None
 
     @property
@@ -128,24 +133,38 @@ class SpectralData:
         return float(-decaying.max()) if decaying.size else float("inf")
 
     @cached_property
+    def cond_v(self):
+        """Condition number of the eigenvector basis (inf if singular)."""
+        return float(np.linalg.cond(self.right_eigenvectors)) if self.n else 1.0
+
+    @cached_property
     def projector(self):
-        """The certified limit operator; see :func:`limit_projector`."""
+        """The certified limit operator S_inf = lim exp(A t).
+
+        For self-adjoint A this is the orthogonal projector K K* onto the
+        kernel; for general semistable A it is the spectral projector
+        V diag(kernel indicator) V^{-1}, with a kernel-pair fallback when
+        the eigenvector basis is too ill-conditioned to invert.
+
+        Raises
+        ------
+        NotSemistableError
+            If the record fails the semistability criterion.
+        ConditioningError
+            If no numerically trustworthy projector can be formed.
+        """
         if self.verdict == NOT_SEMISTABLE:
             raise NotSemistableError(
                 "limit operator requires a semistable generator (eigenvalue "
                 "criterion failed at zero_tol=%.3e)" % self.zero_tol
             )
-        a = self.a
-        s = _projector_matrix(a, self)
-        norm_s = opnorm(s)
-        idem = opnorm(s @ s - s)
-        annih = max(opnorm(s @ a), opnorm(a @ s))
+        s, norm_s, idem, annih = _projector_matrix(self)
         if idem > 1e-8 * norm_s + 1e-30:
             raise ConditioningError(
                 "limit operator failed its idempotency certificate "
                 "(defect %.3e, norm %.3e)" % (idem, norm_s)
             )
-        if annih > 1e-8 * opnorm(a) * norm_s + 1e-30:
+        if annih > 1e-8 * self.norm_a * norm_s + 1e-30:
             raise ConditioningError(
                 "limit operator failed its annihilation certificate "
                 "(defect %.3e)" % annih
@@ -158,13 +177,14 @@ class SpectralData:
 
     @cached_property
     def overshoot_m(self):
-        """Sampled sup of norm(exp(A t) - S_inf) * exp(mu t).
+        """sup of norm(exp(A t) - S_inf) * exp(mu t); None if not semistable.
 
-        An estimate, not a certificate; None for non-semistable generators.
+        Exactly 1 for self-adjoint A, where norm(exp(A t) - S_inf) is
+        exp(-mu t). Otherwise sampled: an estimate, not a certificate.
         """
         if self.verdict == NOT_SEMISTABLE:
             return None
-        if not np.isfinite(self.mu):
+        if self.hermitian or not np.isfinite(self.mu):
             return 1.0
         return _estimate_overshoot(self.a, self.projector.s_inf, self.mu)
 
@@ -181,6 +201,13 @@ class LimitProjector:
 def spectral_data(a, zero_tol=None, rank_tol=None):
     """Compute the analysis record of a generator.
 
+    The record's verdict follows the eigenvalue criterion for exponential
+    semistability in finite dimensions: all real parts nonpositive, any
+    eigenvalue on the axis real and semisimple (semisimplicity decided by
+    comparing the numerical ranks of A and A^2, which avoids a fragile
+    Jordan computation), and as many zero eigenvalues as kernel
+    dimensions.
+
     Parameters
     ----------
     a : array_like
@@ -190,7 +217,8 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     rank_tol : float, optional
         Singular-value threshold for the kernel basis. Defaults to the
         larger of the standard rank tolerance and ``zero_tol`` so the
-        eigenvalue and kernel notions of "zero" stay consistent.
+        eigenvalue and kernel notions of "zero" stay consistent; a value
+        under which they disagree makes the record not semistable.
 
     Returns
     -------
@@ -205,7 +233,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     elif zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
 
-    hermitian = is_hermitian(a)
+    hermitian = is_hermitian(a, norm_a)
     if hermitian:
         w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
         eigenvalues = w.astype(np.complex128)
@@ -222,7 +250,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
 
     if rank_tol is None:
         rank_tol = max(default_rank_tol((n, n), norm_a), zero_tol)
-    _, kernel, decision = _svd_split(a, rank_tol)
+    range_basis, kernel, decision = svd_split(a, rank_tol)
     geometric = kernel.shape[1]
     algebraic = int(
         np.sum(
@@ -245,32 +273,17 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
 
     return SpectralData(
         a=a,
+        norm_a=norm_a,
         eigenvalues=eigenvalues,
         right_eigenvectors=v,
         kernel_basis=kernel,
+        range_basis=range_basis,
         zero_eig_algebraic_multiplicity=algebraic,
         zero_eig_geometric_multiplicity=geometric,
         zero_tol=float(zero_tol),
         zero_eig_semisimple=bool(semisimple),
         hermitian=hermitian,
     )
-
-
-def classify(a, zero_tol=None):
-    """Classify a generator as stable, semistable, or neither.
-
-    The verdict follows the eigenvalue criterion for exponential
-    semistability in finite dimensions: all real parts nonpositive, any
-    eigenvalue on the axis real and semisimple (semisimplicity decided by
-    comparing the numerical ranks of A and A^2, which avoids a fragile
-    Jordan computation).
-
-    Returns
-    -------
-    SpectralData
-        The analysis record, carrying the verdict and its failure reason.
-    """
-    return spectral_data(a, zero_tol)
 
 
 def _estimate_overshoot(a, s_inf, mu):
@@ -287,16 +300,17 @@ def _estimate_overshoot(a, s_inf, mu):
     return max(est, EPS)
 
 
-def _kernel_pair_projector(a, spectral):
+def _kernel_pair_projector(spectral):
     """Oblique projector onto ker A along range A from right/left kernels.
 
     Valid whenever the zero eigenvalue is semisimple, including generators
     whose nonzero part is defective (where the eigenvector basis is
     singular and the primary construction is unavailable).
     """
+    a = spectral.a
     k = spectral.kernel_basis
-    _, l_basis, _ = _svd_split(a.conj().T, max(
-        default_rank_tol(a.shape, opnorm(a)), spectral.zero_tol))
+    _, l_basis, _ = svd_split(a.conj().T, max(
+        default_rank_tol(a.shape, spectral.norm_a), spectral.zero_tol))
     if l_basis.shape[1] != k.shape[1]:
         raise ConditioningError(
             "left and right kernel dimensions disagree (%d vs %d)"
@@ -311,83 +325,63 @@ def _kernel_pair_projector(a, spectral):
     return k @ np.linalg.solve(gram, l_basis.conj().T)
 
 
-def _projector_quality(a, s):
-    norm_s = opnorm(s)
-    idem = opnorm(s @ s - s) / max(norm_s, EPS)
-    annih = max(opnorm(s @ a), opnorm(a @ s)) / max(opnorm(a) * norm_s, EPS)
-    return max(idem, annih)
+def _measured(spectral, s):
+    """A candidate S_inf, real for a real generator, with its norm and its
+    idempotency and annihilation defects."""
+    a = spectral.a
+    if np.isrealobj(a):
+        s = real_part(s, "limit operator")
+    return s, opnorm(s), opnorm(s @ s - s), max(opnorm(s @ a), opnorm(a @ s))
 
 
-def _projector_matrix(a, spectral):
-    n = spectral.n
+def _quality(candidate, norm_a):
+    _, norm_s, idem, annih = candidate
+    return max(idem / max(norm_s, EPS), annih / max(norm_a * norm_s, EPS))
+
+
+def _projector_matrix(spectral):
+    """The limit operator and its measured defects, as ``_measured`` returns.
+
+    Each candidate is measured once; the chosen one's measurement is the
+    certificate :attr:`SpectralData.projector` checks.
+    """
     k = spectral.kernel_basis
     if k.shape[1] == 0:
-        return np.zeros((n, n)) if np.isrealobj(a) else np.zeros((n, n), complex)
+        return _measured(spectral, np.zeros_like(spectral.a))
     if spectral.hermitian:
-        s = k @ k.conj().T
-        return real_part(s, "limit operator") if np.isrealobj(a) else s
+        return _measured(spectral, k @ k.conj().T)
     # primary: spectral projector in the eigenvector basis; a nearly
     # defective stable part degrades it quietly, so the measured defects
     # decide whether the kernel-pair construction should take over
     v = spectral.right_eigenvectors
     indicator = (spectral.eigenvalues.real > -spectral.zero_tol).astype(np.float64)
-    s = None
-    if np.isfinite(np.linalg.cond(v)) and np.linalg.cond(v) <= COND_LIMIT:
-        s = v @ (indicator[:, None] * np.linalg.inv(v))
-    if s is None or _projector_quality(a, s) > 1e-11:
+    best = None
+    if spectral.cond_v <= COND_LIMIT:
         try:
-            fallback = _kernel_pair_projector(a, spectral)
+            best = _measured(spectral, v @ (indicator[:, None] * np.linalg.inv(v)))
+        except DimensionError:
+            pass  # complex beyond rounding: the fallback takes over
+    norm_a = spectral.norm_a
+    if best is None or _quality(best, norm_a) > 1e-11:
+        try:
+            fallback = _measured(spectral, _kernel_pair_projector(spectral))
         except ConditioningError:
-            if s is None:
+            if best is None:
                 raise
         else:
-            if s is None or _projector_quality(a, fallback) < _projector_quality(a, s):
-                s = fallback
-    if np.isrealobj(a):
-        s = real_part(s, "limit operator")
-    return s
+            if best is None or _quality(fallback, norm_a) < _quality(best, norm_a):
+                best = fallback
+    return best
 
 
-def limit_projector(a, spectral):
-    """The certified limit operator S_inf = lim exp(A t) of a generator.
-
-    For self-adjoint A this is the orthogonal projector K K* onto the
-    kernel; for general semistable A it is the spectral projector
-    V diag(kernel indicator) V^{-1}, with a kernel-pair fallback when the
-    eigenvector basis is too ill-conditioned to invert. It is built once
-    per record, on first use, and cached there.
-
-    Parameters
-    ----------
-    a : array_like
-        Square generator, previously classified stable or semistable.
-    spectral : SpectralData
-        Output of :func:`spectral_data` for the same matrix.
-
-    Raises
-    ------
-    NotSemistableError
-        If the spectral data does not support a (semi)stable verdict.
-    ConditioningError
-        If the record belongs to another generator, or if no numerically
-        trustworthy projector can be formed.
-    """
-    a = as_operator(a, "generator", square=True)
-    if not np.array_equal(a, spectral.a):
-        raise ConditioningError(
-            "spectral data was computed for a different generator"
-        )
-    return spectral.projector
-
-
-def decay_defect(a, s_inf, times):
-    """norm(exp(A t) - S_inf) at each sample time.
+def decay_defect(spectral, times):
+    """norm(exp(A t) - S_inf) at each sample time, for the record's generator.
 
     Semistability is equivalent to these defects decaying like
     ``L * exp(-mu t)``; tests sample this directly.
     """
-    at = propagator(a)
-    s = s_inf.s_inf if isinstance(s_inf, LimitProjector) else as_operator(s_inf)
+    at = propagator(spectral.a)
+    s = spectral.projector.s_inf
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must be nonempty")

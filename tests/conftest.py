@@ -8,7 +8,7 @@ tolerances.
 
 import numpy as np
 
-from semigram import is_controllable, limit_projector, spectral_data
+from semigram import is_controllable
 
 
 def random_selfadjoint_semistable(rng, n, kernel_dim):
@@ -30,12 +30,3 @@ def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
             return a, b
     raise AssertionError("failed to draw a controllable pair")
 
-
-def semistability_bundle(a):
-    """(record, report, limit projector) for a generator.
-
-    One analysis record serves as both the spectral data and the report
-    that the quadrature routes read.
-    """
-    spectral = spectral_data(a)
-    return spectral, spectral, limit_projector(a, spectral)

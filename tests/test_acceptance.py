@@ -14,7 +14,6 @@ from semigram import (
     StateSpaceSystem,
     check_invariance,
     check_preservation,
-    classify,
     decay_defect,
     gramian_by_quadrature,
     h2_error_gramian,
@@ -28,11 +27,7 @@ from semigram import (
 )
 from semigram.linalg import opnorm
 
-from conftest import (
-    random_controllable_pair,
-    random_selfadjoint_semistable,
-    semistability_bundle,
-)
+from conftest import random_controllable_pair, random_selfadjoint_semistable
 
 
 def announce(capsys, number, label, ok):
@@ -77,13 +72,13 @@ def test_criterion_2_single_mode_closed_form(capsys):
 def test_criterion_3_lyapunov_residual_suite(capsys):
     ok = True
     for a, b in gramian_suite_systems(100, 30, seed=101):
-        spectral, _, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        gram = solve_semistability_lyapunov(a, q, s_inf, spectral)
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        gram = solve_semistability_lyapunov(spectral, q)
         p = gram.p_inf
         scale = opnorm(a) * opnorm(p) + opnorm(q)
         residual = opnorm(a @ p + p @ a.conj().T + q)
-        constraint = opnorm(s_inf.s_inf @ p)
+        constraint = opnorm(spectral.projector.s_inf @ p)
         if residual > 1e-8 * scale or constraint > 1e-8 * opnorm(p):
             ok = False
             break
@@ -95,10 +90,10 @@ def test_criterion_4_cross_method_agreement(capsys):
     ok = True
     worst = 0.0
     for a, b in gramian_suite_systems(100, 30, seed=101):
-        spectral, report, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        split = solve_semistability_lyapunov(a, q, s_inf, spectral)
-        quad = gramian_by_quadrature(a, b, s_inf, report, 1e-9)
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        split = solve_semistability_lyapunov(spectral, q)
+        quad = gramian_by_quadrature(spectral, b, 1e-9)
         dev = opnorm(split.p_inf - quad.p_inf)
         worst = max(worst, dev)
         if dev > 1e-6:
@@ -111,10 +106,10 @@ def test_criterion_4_cross_method_agreement(capsys):
 def test_criterion_5_constrained_uniqueness(capsys):
     ok = True
     for a, b in gramian_suite_systems(50, 20, seed=211):
-        spectral, _, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        gram = solve_semistability_lyapunov(a, q, s_inf, spectral)
-        s = s_inf.s_inf
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        gram = solve_semistability_lyapunov(spectral, q)
+        s = spectral.projector.s_inf
         norm_p = opnorm(gram.p_inf)
         for kappa in (0.1, 1.0, 10.0):
             shifted = gram.p_inf + kappa * (s @ s.conj().T)
@@ -133,9 +128,9 @@ def test_criterion_5_constrained_uniqueness(capsys):
 
 def test_criterion_6_classification_and_decay(capsys):
     verdicts = (
-        classify(np.diag([-1.0, -2.0])).verdict,
-        classify(np.diag([0.0, -1.0])).verdict,
-        classify(np.array([[0.0, 1.0], [0.0, 0.0]])).verdict,
+        spectral_data(np.diag([-1.0, -2.0])).verdict,
+        spectral_data(np.diag([0.0, -1.0])).verdict,
+        spectral_data(np.array([[0.0, 1.0], [0.0, 0.0]])).verdict,
     )
     ok = verdicts == (STABLE, SEMISTABLE, NOT_SEMISTABLE)
 
@@ -143,8 +138,8 @@ def test_criterion_6_classification_and_decay(capsys):
         np.diag([0.0, -1.0]),
         -np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]),
     ):
-        spectral, report, s_inf = semistability_bundle(a)
-        start, late = decay_defect(a, s_inf, [0.0, 10.0 / report.mu])
+        spectral = spectral_data(a)
+        start, late = decay_defect(spectral, [0.0, 10.0 / spectral.mu])
         if late > 1e-3 * start:
             ok = False
     announce(capsys, 6, "classification fixtures and decay", ok)
@@ -202,8 +197,8 @@ def test_criterion_9_h2_property_suite(capsys):
         a = random_selfadjoint_semistable(rng, n, 1)
         b = rng.normal(size=(n, 2))
         sys = StateSpaceSystem(a, b=b)
-        spectral, report, s_inf = semistability_bundle(a)
-        p_inf = gramian_by_quadrature(a, b, s_inf, report, 1e-11)
+        spectral = spectral_data(a)
+        p_inf = gramian_by_quadrature(spectral, b, 1e-11)
         red = mode_truncation(sys, spectral, n)
         if h2_error_gramian(sys, red, p_inf).trace_value > 1e-10:
             ok = False
@@ -212,8 +207,8 @@ def test_criterion_9_h2_property_suite(capsys):
     a = random_selfadjoint_semistable(rng, 9, 1)
     b = rng.normal(size=(9, 2))
     sys = StateSpaceSystem(a, b=b)
-    spectral, report, s_inf = semistability_bundle(a)
-    p_inf = gramian_by_quadrature(a, b, s_inf, report, 1e-11)
+    spectral = spectral_data(a)
+    p_inf = gramian_by_quadrature(spectral, b, 1e-11)
     traces = [
         h2_error_gramian(sys, mode_truncation(sys, spectral, r), p_inf).trace_value
         for r in (1, 3, 5, 7, 9)

@@ -264,35 +264,84 @@ def test_csv_report_format(tmp_path, capsys):
     assert "verdict" in header
 
 
+def path_laplacian(n):
+    return -(np.diag([1.0] + [2.0] * (n - 2) + [1.0])
+             - np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+def test_rank_tol_that_hides_the_kernel_is_not_semistable(tmp_path, capsys):
+    # one eigenvalue of the path Laplacian is zero, but --rank-tol 0 leaves
+    # its SVD kernel empty; the two notions of zero must agree
+    path = write_system(tmp_path, path_laplacian(6))
+    code, out, err = run(capsys, ["analyze", path, "--rank-tol", "0"])
+    assert code == 3
+    report = parse_report(out)
+    assert report["verdict"] == "not_semistable"
+    assert report["detail"] == (
+        "kernel dimension 0 differs from zero-eigenvalue count 1")
+    assert report["kernel_dim"] == "0"
+    out = str(tmp_path / "o")
+    for argv in (["gramian", path, "--output", out],
+                 ["reduce", path, "--keep", "3", "--output", out]):
+        code, _, err = run(capsys, argv + ["--rank-tol", "0"])
+        assert code == 3, err
+    assert run(capsys, ["analyze", path])[0] == 0
+
+
 def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch):
     n = 6
-    a = -(np.diag([1.0] + [2.0] * (n - 2) + [1.0])
-          - np.eye(n, k=1) - np.eye(n, k=-1))
-    path = write_system(tmp_path, a)
-    counts = {"eig": 0, "s_inf": 0, "overshoot": 0}
+    laplacian = path_laplacian(n)
+    # distinct real eigenvalues 0, -1, ..., -5: semistable, not self-adjoint
+    bidiagonal = np.diag(-np.arange(n, dtype=float)) + np.eye(n, k=1)
+    generator = laplacian
+    counts = dict.fromkeys(("eig", "s_inf", "overshoot", "norm", "svd", "cond"), 0)
 
-    def counting(key, fn, full_only=False):
+    def full(m, *args, **kwargs):
+        return np.shape(m) == (n, n) and np.array_equal(m, generator)
+
+    def counting(key, fn, when=lambda *args, **kwargs: True):
         def wrapped(*args, **kwargs):
-            if not full_only or np.shape(args[0])[0] == n:
+            if when(*args, **kwargs):
                 counts[key] += 1
             return fn(*args, **kwargs)
         return wrapped
 
-    # eigendecompositions of the full generator, S_inf builds, overshoot
+    # eigendecompositions, spectral norms, SVDs and eigenvector-basis
+    # condition numbers of the full generator; S_inf builds; overshoot
     # samplings
-    monkeypatch.setattr(np.linalg, "eigh", counting("eig", np.linalg.eigh, True))
-    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, True))
+    def full_size(m, *args, **kwargs):
+        return np.shape(m)[0] == n
+
+    def full_opnorm(m, *args, **kwargs):
+        return args[:1] == (2,) and full(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eig", np.linalg.eigh, full_size))
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, full_size))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm, full_opnorm))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, full))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, full_size))
     monkeypatch.setattr(semistability, "_projector_matrix",
                         counting("s_inf", semistability._projector_matrix))
     monkeypatch.setattr(semistability, "_estimate_overshoot",
                         counting("overshoot", semistability._estimate_overshoot))
 
-    code, out, err = run(capsys, ["reduce", path, "--keep", "3", "--h2", "both",
-                                  "--output", str(tmp_path / "o")])
-    assert code == 0, err
-    assert counts == {"eig": 1, "s_inf": 1, "overshoot": 1}
-
-    counts.update(eig=0, s_inf=0, overshoot=0)
-    code, out, err = run(capsys, ["analyze", path])
-    assert code == 0, err
-    assert counts == {"eig": 1, "s_inf": 1, "overshoot": 1}
+    out = str(tmp_path / "o")
+    commands = (  # argv after the system file, and whether M is needed
+        (["analyze"], True),
+        (["gramian", "--output", out], False),
+        (["gramian", "--method", "quadrature", "--output", out], True),
+        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True),
+    )
+    # the overshoot M of a self-adjoint generator is exactly 1, not sampled;
+    # only the non-self-adjoint one needs cond(V)
+    for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
+        path = write_system(tmp_path, generator)
+        for argv, needs_m in commands:
+            counts.update(dict.fromkeys(counts, 0))
+            code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
+            assert code == 0, err
+            assert counts == {
+                "eig": 1, "s_inf": 1, "norm": 1, "svd": 1,
+                "overshoot": int(needs_m and not self_adjoint),
+                "cond": int(not self_adjoint),
+            }, argv

@@ -5,9 +5,7 @@ from semigram import (
     InconsistencyError,
     NotSemistableError,
     PreconditionError,
-    classify,
     gramian_by_quadrature,
-    limit_projector,
     lyapunov_rhs,
     solve_semistability_lyapunov,
     spectral_data,
@@ -15,7 +13,7 @@ from semigram import (
 )
 from semigram.linalg import opnorm
 
-from conftest import random_selfadjoint_semistable, semistability_bundle
+from conftest import random_selfadjoint_semistable
 
 
 def heat3():
@@ -32,8 +30,8 @@ def path_laplacian3():
 
 def test_quadrature_scalar():
     a = np.array([[-1.0]])
-    spectral, report, s_inf = semistability_bundle(a)
-    g = gramian_by_quadrature(a, np.eye(1), s_inf, report, 1e-10)
+    spectral = spectral_data(a)
+    g = gramian_by_quadrature(spectral, np.eye(1), 1e-10)
     assert abs(g.p_inf[0, 0] - 0.5) <= 1e-10
     assert g.method == "quadrature"
     assert g.quadrature_tol == 1e-10
@@ -41,15 +39,15 @@ def test_quadrature_scalar():
 
 def test_quadrature_semistable_diagonal():
     a = np.diag([0.0, -1.0])
-    spectral, report, s_inf = semistability_bundle(a)
-    g = gramian_by_quadrature(a, np.eye(2), s_inf, report, 1e-10)
+    spectral = spectral_data(a)
+    g = gramian_by_quadrature(spectral, np.eye(2), 1e-10)
     assert np.abs(g.p_inf - np.diag([0.0, 0.5])).max() <= 1e-10
 
 
 def test_quadrature_heat_modal_integrals():
     a = heat3()
-    spectral, report, s_inf = semistability_bundle(a)
-    g = gramian_by_quadrature(a, np.eye(3), s_inf, report, 1e-11)
+    spectral = spectral_data(a)
+    g = gramian_by_quadrature(spectral, np.eye(3), 1e-11)
     expected = np.diag([0.0, 1.0 / (2 * np.pi**2), 1.0 / (8 * np.pi**2)])
     assert np.abs(g.p_inf - expected).max() <= 1e-11
     assert g.constraint_defect <= 1e-8 * opnorm(g.p_inf)
@@ -57,40 +55,40 @@ def test_quadrature_heat_modal_integrals():
 
 def test_quadrature_rejects_not_semistable():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    report = classify(a)
+    spectral = spectral_data(a)
     with pytest.raises(NotSemistableError):
-        gramian_by_quadrature(a, np.eye(2), np.eye(2), report, 1e-9)
+        gramian_by_quadrature(spectral, np.eye(2), 1e-9)
 
 
 def test_quadrature_zero_generator():
     a = np.zeros((2, 2))
-    spectral, report, s_inf = semistability_bundle(a)
-    g = gramian_by_quadrature(a, np.eye(2), s_inf, report, 1e-9)
+    spectral = spectral_data(a)
+    g = gramian_by_quadrature(spectral, np.eye(2), 1e-9)
     assert np.array_equal(g.p_inf, np.zeros((2, 2)))
 
 
 def test_lyapunov_rhs_examples():
     a = np.diag([-1.0, -2.0])
-    _, _, s_inf = semistability_bundle(a)
-    assert np.allclose(lyapunov_rhs(np.eye(2), s_inf), np.eye(2), atol=1e-14)
+    spectral = spectral_data(a)
+    assert np.allclose(lyapunov_rhs(spectral, np.eye(2)), np.eye(2), atol=1e-14)
 
     a = np.diag([0.0, -1.0])
-    _, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     assert np.allclose(
-        lyapunov_rhs(np.eye(2), s_inf), np.diag([0.0, 1.0]), atol=1e-14
+        lyapunov_rhs(spectral, np.eye(2)), np.diag([0.0, 1.0]), atol=1e-14
     )
 
     # complete-graph Laplacian: averaging projector complement
     a = -(3 * np.eye(3) - np.ones((3, 3)))
-    _, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     expected = np.eye(3) - np.ones((3, 3)) / 3.0
-    assert np.allclose(lyapunov_rhs(np.eye(3), s_inf), expected, atol=1e-12)
+    assert np.allclose(lyapunov_rhs(spectral, np.eye(3)), expected, atol=1e-12)
 
 
 def test_solve_scalar():
     a = np.array([[-1.0]])
-    spectral, _, s_inf = semistability_bundle(a)
-    g = solve_semistability_lyapunov(a, np.eye(1), s_inf, spectral)
+    spectral = spectral_data(a)
+    g = solve_semistability_lyapunov(spectral, np.eye(1))
     assert abs(g.p_inf[0, 0] - 0.5) <= 1e-14
     assert g.method == "lyapunov_split"
     assert g.quadrature_tol is None
@@ -98,18 +96,18 @@ def test_solve_scalar():
 
 def test_solve_matches_modal_integral():
     a = np.diag([0.0, -np.pi**2])
-    spectral, _, s_inf = semistability_bundle(a)
-    q = lyapunov_rhs(np.eye(2), s_inf)
-    g = solve_semistability_lyapunov(a, q, s_inf, spectral)
+    spectral = spectral_data(a)
+    q = lyapunov_rhs(spectral, np.eye(2))
+    g = solve_semistability_lyapunov(spectral, q)
     assert np.abs(g.p_inf - np.diag([0.0, 1.0 / (2 * np.pi**2)])).max() <= 1e-14
 
 
 def test_solve_agrees_with_quadrature_on_path_laplacian():
     a = path_laplacian3()
-    spectral, report, s_inf = semistability_bundle(a)
-    q = lyapunov_rhs(np.eye(3), s_inf)
-    split = solve_semistability_lyapunov(a, q, s_inf, spectral)
-    quad = gramian_by_quadrature(a, np.eye(3), s_inf, report, 1e-10)
+    spectral = spectral_data(a)
+    q = lyapunov_rhs(spectral, np.eye(3))
+    split = solve_semistability_lyapunov(spectral, q)
+    quad = gramian_by_quadrature(spectral, np.eye(3), 1e-10)
     assert opnorm(split.p_inf - quad.p_inf) <= 1e-6
     assert split.lyapunov_residual <= 1e-8 * (
         opnorm(a) * opnorm(split.p_inf) + opnorm(q)
@@ -143,10 +141,10 @@ def test_solve_lstsq_strategy_matches_split():
         k = int(rng.integers(1, min(3, n) + 1))
         a = random_selfadjoint_semistable(rng, n, k)
         b = rng.normal(size=(n, 2))
-        spectral, _, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        split = solve_semistability_lyapunov(a, q, s_inf, spectral)
-        lstsq = _solve_lstsq(a, q, s_inf.s_inf)
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        split = solve_semistability_lyapunov(spectral, q)
+        lstsq = _solve_lstsq(a, q, spectral.projector.s_inf)
         assert split.method == "lyapunov_split"
         assert opnorm(split.p_inf - lstsq) <= 1e-8 * max(
             1.0, opnorm(split.p_inf)
@@ -155,12 +153,12 @@ def test_solve_lstsq_strategy_matches_split():
 
 def test_solve_nonhermitian_oblique():
     a = np.array([[0.0, 1.0], [0.0, -1.0]])
-    spectral, report, s_inf = semistability_bundle(a)
-    q = lyapunov_rhs(np.eye(2), s_inf)
-    g = solve_semistability_lyapunov(a, q, s_inf, spectral)
+    spectral = spectral_data(a)
+    q = lyapunov_rhs(spectral, np.eye(2))
+    g = solve_semistability_lyapunov(spectral, q)
     expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.abs(g.p_inf - expected).max() <= 1e-12
-    quad = gramian_by_quadrature(a, np.eye(2), s_inf, report, 1e-10)
+    quad = gramian_by_quadrature(spectral, np.eye(2), 1e-10)
     assert opnorm(g.p_inf - quad.p_inf) <= 1e-8
 
 
@@ -171,9 +169,9 @@ def test_solve_gramian_invariants_random():
         k = int(rng.integers(1, min(3, n) + 1))
         a = random_selfadjoint_semistable(rng, n, k)
         b = rng.normal(size=(n, int(rng.integers(1, 4))))
-        spectral, _, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        g = solve_semistability_lyapunov(a, q, s_inf, spectral)
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        g = solve_semistability_lyapunov(spectral, q)
         p = g.p_inf
         norm_p = opnorm(p)
         assert opnorm(p - p.conj().T) <= 1e-8 * norm_p + 1e-30
@@ -188,10 +186,10 @@ def test_constraint_correction_uniqueness():
     rng = np.random.default_rng(29)
     a = random_selfadjoint_semistable(rng, 6, 2)
     b = rng.normal(size=(6, 2))
-    spectral, _, s_inf = semistability_bundle(a)
-    q = lyapunov_rhs(b, s_inf)
-    g = solve_semistability_lyapunov(a, q, s_inf, spectral)
-    s = s_inf.s_inf
+    spectral = spectral_data(a)
+    q = lyapunov_rhs(spectral, b)
+    g = solve_semistability_lyapunov(spectral, q)
+    s = spectral.projector.s_inf
     for kappa in (0.1, 1.0, 10.0):
         shifted = g.p_inf + kappa * (s @ s.conj().T)
         residual = opnorm(a @ shifted + shifted @ a.conj().T + q)
@@ -203,30 +201,30 @@ def test_constraint_correction_uniqueness():
 def test_solve_rejects_inconsistent_rhs():
     # rhs with mass on the kernel: no solution exists
     a = np.diag([0.0, -1.0])
-    spectral, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     with pytest.raises(InconsistencyError):
-        solve_semistability_lyapunov(a, np.eye(2), s_inf, spectral)
+        solve_semistability_lyapunov(spectral, np.eye(2))
 
 
 def test_solve_rejects_nonsymmetric_rhs():
     a = np.diag([0.0, -1.0])
-    spectral, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     q = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(PreconditionError):
-        solve_semistability_lyapunov(a, q, s_inf, spectral)
+        solve_semistability_lyapunov(spectral, q)
 
 
 def test_verify_structure_trivial_and_shifted():
     a = np.diag([0.0, -1.0])
-    spectral, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     p1 = np.diag([0.0, 0.5])
-    same = verify_solution_structure(a, p1, p1, s_inf)
+    same = verify_solution_structure(spectral, p1, p1)
     assert same.delta_norm == 0.0
     assert same.compression_defect == 0.0
     assert same.kernel_range_defect == 0.0
 
     p2 = np.diag([3.0, 0.5])
-    shifted = verify_solution_structure(a, p1, p2, s_inf)
+    shifted = verify_solution_structure(spectral, p1, p2)
     assert shifted.delta_norm == pytest.approx(3.0)
     assert shifted.compression_defect <= 1e-6 * shifted.delta_norm
     assert shifted.kernel_range_defect <= 1e-6 * shifted.delta_norm
@@ -234,11 +232,11 @@ def test_verify_structure_trivial_and_shifted():
 
 def test_verify_structure_rejects_non_solution():
     a = np.diag([0.0, -1.0])
-    spectral, _, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     p1 = np.diag([0.0, 0.5])
     bad = p1 + np.array([[0.0, 1e-2], [1e-2, 0.0]])
     with pytest.raises(PreconditionError):
-        verify_solution_structure(a, p1, bad, s_inf)
+        verify_solution_structure(spectral, p1, bad)
 
 
 def test_verify_structure_random_kernel_shifts():
@@ -248,12 +246,12 @@ def test_verify_structure_random_kernel_shifts():
         k = int(rng.integers(1, 3))
         a = random_selfadjoint_semistable(rng, n, k)
         b = rng.normal(size=(n, 2))
-        spectral, _, s_inf = semistability_bundle(a)
-        q = lyapunov_rhs(b, s_inf)
-        g = solve_semistability_lyapunov(a, q, s_inf, spectral)
-        s = s_inf.s_inf
+        spectral = spectral_data(a)
+        q = lyapunov_rhs(spectral, b)
+        g = solve_semistability_lyapunov(spectral, q)
+        s = spectral.projector.s_inf
         w = rng.normal(size=(n, n))
         shift = s @ (0.5 * (w + w.T)) @ s.conj().T
-        report = verify_solution_structure(a, g.p_inf, g.p_inf + shift, s_inf)
+        report = verify_solution_structure(spectral, g.p_inf, g.p_inf + shift)
         assert report.compression_defect <= 1e-6 * max(report.delta_norm, 1e-12)
         assert report.kernel_range_defect <= 1e-6 * max(report.delta_norm, 1e-12)

@@ -6,26 +6,24 @@ import pytest
 from semigram import (
     PreconditionError,
     StateSpaceSystem,
-    classify,
     gramian_by_quadrature,
     h2_error_gramian,
     h2_error_quadrature,
-    limit_projector,
     lyapunov_rhs,
     mode_truncation,
     solve_semistability_lyapunov,
     spectral_data,
 )
 
-from conftest import random_selfadjoint_semistable, semistability_bundle
+from conftest import random_selfadjoint_semistable
 
 
 def build(a, keep, b=None, c=None):
     a = np.asarray(a, dtype=float)
     sys = StateSpaceSystem(a, b, c)
-    spectral, report, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     red = mode_truncation(sys, spectral, keep)
-    p_inf = gramian_by_quadrature(a, sys.b, s_inf, report, 1e-11)
+    p_inf = gramian_by_quadrature(spectral, sys.b, 1e-11)
     return sys, red, p_inf
 
 
@@ -67,10 +65,10 @@ def test_methods_agree_random():
         b = rng.normal(size=(n, 2))
         c = rng.normal(size=(2, n))
         sys = StateSpaceSystem(a, b=b, c=c)
-        spectral, report, s_inf = semistability_bundle(a)
+        spectral = spectral_data(a)
         r = int(rng.integers(1, n + 1))
         red = mode_truncation(sys, spectral, r)
-        p_inf = gramian_by_quadrature(a, b, s_inf, report, abs_tol)
+        p_inf = gramian_by_quadrature(spectral, b, abs_tol)
         g = h2_error_gramian(sys, red, p_inf)
         q = h2_error_quadrature(sys, red, abs_tol)
         assert abs(g.trace_value - q.trace_value) <= 10 * abs_tol
@@ -83,9 +81,9 @@ def test_quadrature_reaches_tolerance_below_certificate_scale():
     a = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 50.0], [0.0, 0.0, -1.2]])
     b = np.ones((3, 2))
     sys = StateSpaceSystem(a, b=b, c=np.ones((3, 3)))
-    spectral, report, s_inf = semistability_bundle(a)
+    spectral = spectral_data(a)
     red = mode_truncation(sys, spectral, 2)
-    p_inf = solve_semistability_lyapunov(a, lyapunov_rhs(b, s_inf), s_inf, spectral)
+    p_inf = solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, b))
     assert p_inf.method == "lyapunov_split"
     g = h2_error_gramian(sys, red, p_inf)
     q = h2_error_quadrature(sys, red, 1e-6)
@@ -98,8 +96,8 @@ def test_nested_selections_monotone():
     a = random_selfadjoint_semistable(rng, 8, 1)
     b = rng.normal(size=(8, 2))
     sys = StateSpaceSystem(a, b=b)
-    spectral, report, s_inf = semistability_bundle(a)
-    p_inf = gramian_by_quadrature(a, b, s_inf, report, 1e-11)
+    spectral = spectral_data(a)
+    p_inf = gramian_by_quadrature(spectral, b, 1e-11)
     traces = []
     for r in (1, 3, 5, 8):
         red = mode_truncation(sys, spectral, r)
@@ -123,8 +121,8 @@ def test_unitary_output_invariance():
     b = rng.normal(size=(6, 2))
     c = rng.normal(size=(3, 6))
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    spectral, report, s_inf = semistability_bundle(a)
-    p_inf = gramian_by_quadrature(a, b, s_inf, report, 1e-11)
+    spectral = spectral_data(a)
+    p_inf = gramian_by_quadrature(spectral, b, 1e-11)
     sys1 = StateSpaceSystem(a, b=b, c=c)
     sys2 = StateSpaceSystem(a, b=b, c=u @ c)
     red1 = mode_truncation(sys1, spectral, 3)

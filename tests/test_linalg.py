@@ -7,9 +7,9 @@ from semigram import (
     QuadratureError,
     integrate_operator_valued,
     matrix_exponential,
-    numerical_kernel,
     numerical_rank,
     propagator,
+    svd_split,
 )
 from semigram.linalg import (
     _GAUSS_WEIGHTS,
@@ -58,7 +58,7 @@ def test_exponential_semigroup_law():
 
 
 def test_kernel_of_diagonal():
-    basis, decision = numerical_kernel(np.diag([0.0, -1.0, -2.0]))
+    _, basis, decision = svd_split(np.diag([0.0, -1.0, -2.0]))
     assert decision.numerical_rank == 2
     assert basis.shape == (3, 1)
     assert abs(abs(basis[0, 0]) - 1.0) < 1e-14
@@ -66,7 +66,7 @@ def test_kernel_of_diagonal():
 
 
 def test_kernel_of_identity_is_empty():
-    basis, decision = numerical_kernel(np.eye(3))
+    _, basis, decision = svd_split(np.eye(3))
     assert basis.shape == (3, 0)
     assert decision.numerical_rank == 3
 
@@ -79,7 +79,7 @@ def test_kernel_of_path_laplacian():
         [0.0, -1.0, 2.0, -1.0],
         [0.0, 0.0, -1.0, 1.0],
     ])
-    basis, decision = numerical_kernel(a)
+    _, basis, decision = svd_split(a)
     assert basis.shape == (4, 1)
     expected = np.full(4, 0.5)
     aligned = basis[:, 0] * np.sign(basis[0, 0])
@@ -95,7 +95,7 @@ def test_kernel_invariants_random():
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         lam = np.concatenate([np.zeros(k), -rng.uniform(0.5, 2.0, n - k)])
         a = (q * lam) @ q.T
-        basis, decision = numerical_kernel(a)
+        _, basis, decision = svd_split(a)
         assert basis.shape[1] == k
         assert opnorm(a @ basis) <= 10 * decision.tolerance_used
         gram = basis.conj().T @ basis
@@ -103,7 +103,7 @@ def test_kernel_invariants_random():
 
 
 def test_rank_decision_fields():
-    basis, decision = numerical_kernel(np.diag([2.0, 1.0, 0.0]))
+    _, basis, decision = svd_split(np.diag([2.0, 1.0, 0.0]))
     assert list(decision.singular_values) == sorted(
         decision.singular_values, reverse=True
     )

@@ -13,7 +13,6 @@ from semigram import (
     check_preservation,
     controllability_matrix,
     is_controllable,
-    limit_projector,
     matrix_exponential,
     mode_truncation,
     spectral_data,
@@ -171,7 +170,7 @@ def test_repeated_zero_of_nonnormal_generator_gives_real_reduction():
     assert not np.iscomplexobj(red.sigma) and not np.iscomplexobj(red.pi)
     assert opnorm(red.a_hat) <= 1e-12
     assert red.kernel_identity_defect <= 1e-12
-    assert np.allclose(red.sigma @ red.pi, limit_projector(a, spectral).s_inf,
+    assert np.allclose(red.sigma @ red.pi, spectral.projector.s_inf,
                        atol=1e-10)
     assert check_preservation(sys, red).reduced_verdict == "semistable"
 
