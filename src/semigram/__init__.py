@@ -61,7 +61,6 @@ from .reduction import (
     StateSpaceSystem,
     check_invariance,
     check_preservation,
-    controllability_matrix,
     is_controllable,
     mode_truncation,
     trajectory_sync_defect,
@@ -120,7 +119,6 @@ __all__ = [
     "check_invariance",
     "check_preservation",
     "trajectory_sync_defect",
-    "controllability_matrix",
     "is_controllable",
     "H2ErrorResult",
     "h2_error_gramian",

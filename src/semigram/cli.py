@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -254,19 +254,7 @@ def cmd_heat_bench(args, config):
     if config.output_format == "csv":
         sys.stdout.write(benchmark_csv(report))
     elif config.output_format == "structured":
-        doc = {
-            "n_kept": report.n_kept,
-            "modes": report.modes,
-            "trace_gramian": report.trace_gramian,
-            "trace_quadrature": report.trace_quadrature,
-            "trace_analytic": report.trace_analytic,
-            "published_constant": report.published_constant,
-            "h2_norm": report.h2_norm,
-            "max_pairwise_deviation": report.max_pairwise_deviation,
-            "surrogate_tail_bound": report.surrogate_tail_bound,
-            "abs_tol": report.abs_tol,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json.dumps(asdict(report), indent=2) + "\n")
     else:
         sys.stdout.write(benchmark_text(report))
     return EXIT_OK

@@ -115,14 +115,13 @@ def h2_error_quadrature(sys, red, abs_tol):
             "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
         )
     spectral = red.spectral
-    a = spectral.a
     s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
         return _finish(0.0, "impulse_quadrature", abs_tol)
 
     residual_map = sys.c - (sys.c @ red.sigma) @ red.pi
     s_inf_b = s_inf @ sys.b
-    response = propagator(a, sys.b)
+    response = propagator(spectral.a, sys.b)
 
     def integrand(t):
         d = residual_map @ (response(t) - s_inf_b)
@@ -136,11 +135,9 @@ def h2_error_quadrature(sys, red, abs_tol):
         * spectral.overshoot_m**2
         * opnorm(sys.b) ** 2
     )
-    # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A), and
-    # norm(A)^2 <= norm(A, 1) norm(A, inf) bounds it without an SVD
-    norm_a_bound = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+    # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A)
     value = integrate_operator_valued(
         integrand, 2.0 * spectral.mu, abs_tol,
-        bound_constant=max(bound, EPS), fast_rate=2.0 * norm_a_bound,
+        bound_constant=max(bound, EPS), fast_rate=2.0 * spectral.norm_a,
     )
     return _finish(float(value[0, 0]), "impulse_quadrature", abs_tol)

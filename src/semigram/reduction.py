@@ -13,6 +13,7 @@ sigma pi to restrict to the identity on ker A.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm
 
 from .errors import (
     ConditioningError,
@@ -48,7 +49,6 @@ __all__ = [
     "check_invariance",
     "check_preservation",
     "trajectory_sync_defect",
-    "controllability_matrix",
     "is_controllable",
 ]
 
@@ -236,7 +236,7 @@ def _pairing_transform(lam_sel, zero_tol):
     return t
 
 
-def mode_truncation(sys, spectral, keep, real=None):
+def mode_truncation(sys, spectral, keep):
     """Build an invariant reduction keeping selected eigenmodes.
 
     Parameters
@@ -250,10 +250,10 @@ def mode_truncation(sys, spectral, keep, real=None):
         Either the number of slowest modes to keep or an explicit set of
         mode indices into the canonical order. Equilibrium modes must be
         included either way.
-    real : bool, optional
-        Request a real-valued reduced model. Defaults to True exactly when
-        all system matrices are real. Complex conjugate mode pairs are then
-        rotated into 2x2 real blocks and must be selected together.
+
+    The reduced model is real exactly when A, B and C are real; complex
+    conjugate mode pairs are then rotated into 2x2 real blocks and must be
+    selected together.
 
     Returns
     -------
@@ -271,8 +271,6 @@ def mode_truncation(sys, spectral, keep, real=None):
         trustworthy projection pair.
     """
     a = sys.a
-    n = sys.n
-    norm_a = spectral.norm_a
     if not np.array_equal(spectral.a, a):
         raise DimensionError(
             "spectral data was computed for a different generator"
@@ -282,14 +280,7 @@ def mode_truncation(sys, spectral, keep, real=None):
             "mode truncation requires a semistable generator"
         )
 
-    if real is None:
-        real = not (
-            np.iscomplexobj(a) or np.iscomplexobj(sys.b) or np.iscomplexobj(sys.c)
-        )
-    elif real and (
-        np.iscomplexobj(a) or np.iscomplexobj(sys.b) or np.iscomplexobj(sys.c)
-    ):
-        raise ValueError("a real reduction requires real system matrices")
+    real = not any(np.iscomplexobj(m) for m in (a, sys.b, sys.c))
 
     sel = _resolve_selection(spectral, keep)
     r = len(sel)
@@ -300,8 +291,8 @@ def mode_truncation(sys, spectral, keep, real=None):
         pi = sigma.conj().T.copy()
     else:
         v = _eigenbasis(spectral)
-        cond_v = (spectral.cond_v if v is spectral.right_eigenvectors
-                  else np.linalg.cond(v))
+        shared = v is spectral.right_eigenvectors
+        cond_v = spectral.cond_v if shared else np.linalg.cond(v)
         if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
             raise ConditioningError(
                 "eigenvector basis condition number %.3e exceeds the "
@@ -309,17 +300,15 @@ def mode_truncation(sys, spectral, keep, real=None):
             )
         # splitting a cluster of (numerically) equal eigenvalues would cut
         # through a Jordan chain; whole clusters travel together
-        cluster_tol = max(spectral.zero_tol, np.sqrt(n * EPS) * max(norm_a, 1.0))
-        dropped = [i for i in range(n) if i not in set(sel)]
-        for i in sel:
-            for j in dropped:
-                if abs(lam[i] - lam[j]) <= cluster_tol:
-                    raise InvalidSelectionError(
-                        "selection splits the eigenvalue cluster near %s; "
-                        "repeated modes must be kept or dropped together"
-                        % lam[i]
-                    )
-        w = np.linalg.inv(v)
+        labels = spectral.clusters
+        split = np.isin(labels[sel], np.delete(labels, sel))
+        if split.any():
+            raise InvalidSelectionError(
+                "selection splits the eigenvalue cluster near %s; "
+                "repeated modes must be kept or dropped together"
+                % lam[sel[np.argmax(split)]]
+            )
+        w = spectral.left_eigenvectors if shared else np.linalg.inv(v)
         sigma = v[:, sel]
         pi = w[sel, :]
         if real and np.iscomplexobj(sigma):
@@ -349,7 +338,7 @@ def mode_truncation(sys, spectral, keep, real=None):
         raise ConditioningError("pi is not surjective onto the reduced space")
 
     commut = opnorm(pi @ a - a_hat @ pi)
-    if commut > 1e-8 * max(norm_a * norm_pi, EPS):
+    if commut > 1e-8 * max(spectral.norm_a * norm_pi, EPS):
         raise ConditioningError(
             "commutativity defect %.3e exceeds 1e-8 * |A| * |pi|" % commut
         )
@@ -404,36 +393,35 @@ def check_invariance(sys, red, times):
     )
 
 
-def controllability_matrix(a, b):
-    """Block matrix [B, AB, ..., A^(n-1) B] with scaled powers.
+def is_controllable(spectral, b):
+    """Popov-Belevitch-Hautus test of (A, B) over the analysis record of A.
 
-    Each block is divided by norm(A)^k; per-block nonzero scaling leaves
-    the rank unchanged while keeping entries at unit scale.
+    (A, B) is controllable iff, for every cluster of numerically equal
+    eigenvalues (:attr:`SpectralData.clusters`), the rows of W B have full
+    row rank, where W holds the cluster's left eigenvectors (Hautus 1969).
+    Raises ConditioningError when the record cannot invert V (cond_v > COND_LIMIT).
     """
-    a = as_operator(a, "state matrix", square=True)
-    return _scaled_krylov(a, b, opnorm(a))
-
-
-def _scaled_krylov(a, b, norm_a):
     b = as_operator(b, "input matrix")
-    if b.shape[0] != a.shape[0]:
+    if b.shape[0] != spectral.n:
         raise DimensionError("input matrix row count must match the state size")
-    n = a.shape[0]
-    scale = max(norm_a, 1.0)
-    blocks = [b]
-    x = b
-    for _ in range(n - 1):
-        x = (a @ x) / scale
-        blocks.append(x)
-    return np.hstack(blocks) if blocks else b
-
-
-def is_controllable(a, b, rank_tol=None):
-    a = as_operator(a, "state matrix", square=True)
-    if a.shape[0] == 0:
-        return True
-    ctrb = controllability_matrix(a, b)
-    return numerical_rank(ctrb, rank_tol) == a.shape[0]
+    w = spectral.left_eigenvectors
+    cond_v = 1.0 if spectral.hermitian else spectral.cond_v
+    # eig is exact for some A + E with |E| ~ n eps |A|. That moves a cluster's
+    # left invariant subspace by at most cond_v |E| / gap, and other clusters
+    # lie more than sqrt(n eps) |A| away, so by at most sqrt(n eps) cond_v;
+    # the singular values of the projected input move by that times |B|
+    tol = np.sqrt(spectral.n * EPS) * cond_v * opnorm(b)
+    labels = spectral.clusters
+    sizes = np.bincount(labels)
+    # a one-mode cluster's W B is one row, of full rank iff it is nonzero
+    single = w[sizes[labels] == 1]
+    if np.any(norm(single @ b, axis=1) <= tol * norm(single, axis=1)):
+        return False
+    for label in np.flatnonzero(sizes > 1):
+        q, _ = np.linalg.qr(w[labels == label].conj().T)
+        if np.linalg.matrix_rank(q.conj().T @ b, tol) < q.shape[1]:
+            return False
+    return True
 
 
 def check_preservation(sys, red):
@@ -441,8 +429,9 @@ def check_preservation(sys, red):
 
     Violations are reported in the returned flags, not raised: a flagged
     report signals a defective reduction for the caller to inspect. The
-    original verdict is read from the record ``red`` carries; the reduced
-    generator is classified from its eigenvalues alone.
+    original verdict and controllability are read from the record ``red``
+    carries; the reduced generator gets a record of its own, from which its
+    verdict and controllability are decided independently.
     """
     original = red.spectral.verdict
     # a_hat = pi A sigma carries roundoff at the parent scale; a reduced
@@ -450,13 +439,13 @@ def check_preservation(sys, red):
     norm_a = red.spectral.norm_a
     carried = norm_a * max(opnorm(red.pi), 1.0) * max(opnorm(red.sigma), 1.0)
     zero_tol = default_zero_tol(sys.n, carried) if red.order else None
-    reduced = spectral_data(red.a_hat, zero_tol).verdict
-    semistability_ok = _STRENGTH[reduced] >= _STRENGTH[original]
-    orig_ctrb = numerical_rank(_scaled_krylov(sys.a, sys.b, norm_a)) == sys.n
-    red_ctrb = is_controllable(red.a_hat, red.b_hat)
+    reduced = spectral_data(red.a_hat, zero_tol)
+    semistability_ok = _STRENGTH[reduced.verdict] >= _STRENGTH[original]
+    orig_ctrb = is_controllable(red.spectral, sys.b)
+    red_ctrb = is_controllable(reduced, red.b_hat)
     return PreservationReport(
         original_verdict=original,
-        reduced_verdict=reduced,
+        reduced_verdict=reduced.verdict,
         semistability_preserved=bool(semistability_ok),
         original_controllable=bool(orig_ctrb),
         reduced_controllable=bool(red_ctrb),

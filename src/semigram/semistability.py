@@ -75,8 +75,8 @@ class SpectralData:
     conjugate pairs are adjacent and mode indices are stable across runs.
     ``kernel_basis`` and ``range_basis`` are the two halves of one SVD
     split of ``a``. The certified limit operator ``projector``, the
-    sampled ``overshoot_m`` and the eigenvector condition number
-    ``cond_v`` are computed on first use and cached.
+    sampled ``overshoot_m``, ``cond_v``, ``left_eigenvectors`` and the
+    eigenvalue ``clusters`` are computed on first use and cached.
     """
 
     a: np.ndarray
@@ -136,6 +136,34 @@ class SpectralData:
     def cond_v(self):
         """Condition number of the eigenvector basis (inf if singular)."""
         return float(np.linalg.cond(self.right_eigenvectors)) if self.n else 1.0
+
+    @cached_property
+    def left_eigenvectors(self):
+        """Rows w_i with w_i v_j = delta_ij: V* for self-adjoint A, else
+        inv(V), refused with ConditioningError when cond_v > COND_LIMIT."""
+        v = self.right_eigenvectors
+        if not (self.hermitian or self.cond_v <= COND_LIMIT):
+            raise ConditioningError(
+                "eigenvector basis condition number %.3e is too large to "
+                "invert" % self.cond_v)
+        w = v.conj().T if self.hermitian else np.linalg.inv(v)
+        w.flags.writeable = False  # every caller shares it
+        return w
+
+    @cached_property
+    def clusters(self):
+        """Per mode, the smallest mode index in its cluster: the connected
+        component of the graph joining eigenvalues within max(zero_tol,
+        sqrt(n eps) max(|A|, 1)), so clusters lie farther apart than that."""
+        lam = self.eigenvalues
+        tol = max(self.zero_tol, np.sqrt(self.n * EPS) * max(self.norm_a, 1.0))
+        close = np.abs(lam[:, None] - lam[None, :]) <= tol
+        labels = np.arange(self.n)
+        while True:  # each mode takes the smallest label among its neighbours
+            joined = np.where(close, labels, self.n).min(axis=1, initial=self.n)
+            if np.array_equal(joined, labels):
+                return labels
+            labels = joined
 
     @cached_property
     def projector(self):
@@ -355,12 +383,11 @@ def _projector_matrix(spectral):
     # decide whether the kernel-pair construction should take over
     v = spectral.right_eigenvectors
     indicator = (spectral.eigenvalues.real > -spectral.zero_tol).astype(np.float64)
-    best = None
-    if spectral.cond_v <= COND_LIMIT:
-        try:
-            best = _measured(spectral, v @ (indicator[:, None] * np.linalg.inv(v)))
-        except DimensionError:
-            pass  # complex beyond rounding: the fallback takes over
+    try:
+        w = spectral.left_eigenvectors
+        best = _measured(spectral, v @ (indicator[:, None] * w))
+    except (ConditioningError, DimensionError):
+        best = None  # V too ill-conditioned, or complex beyond rounding
     norm_a = spectral.norm_a
     if best is None or _quality(best, norm_a) > 1e-11:
         try:

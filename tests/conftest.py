@@ -8,7 +8,7 @@ tolerances.
 
 import numpy as np
 
-from semigram import is_controllable
+from semigram import is_controllable, spectral_data
 
 
 def random_selfadjoint_semistable(rng, n, kernel_dim):
@@ -21,12 +21,28 @@ def random_selfadjoint_semistable(rng, n, kernel_dim):
     return 0.5 * (a + a.T)
 
 
+def random_nonnormal_semistable(rng, n, kernel_dim, cond):
+    """V L V^-1 with L = diag(0, ..., 0, -0.5, ..., -3) and cond(V) = cond.
+
+    The decay rates are evenly spaced, so no two modes form a cluster; V
+    has singular values spaced geometrically from 1 to ``cond`` between
+    two random orthogonal factors.
+    """
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v = (q1 * np.geomspace(1.0, cond, n)) @ q2.T
+    lam = np.concatenate(
+        [np.zeros(kernel_dim), -np.linspace(0.5, 3.0, n - kernel_dim)]
+    )
+    return (v * lam) @ np.linalg.inv(v)
+
+
 def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
     """(A, B) with A symmetric semistable and (A, B) controllable."""
     a = random_selfadjoint_semistable(rng, n, kernel_dim)
     for _ in range(50):
         b = rng.normal(size=(n, n_inputs))
-        if is_controllable(a, b):
+        if is_controllable(spectral_data(a), b):
             return a, b
     raise AssertionError("failed to draw a controllable pair")
 

@@ -165,7 +165,7 @@ def test_criterion_7_invariance_preservation_suite(capsys):
         preservation = check_preservation(sys, red)
         if preservation.reduced_verdict not in (STABLE, SEMISTABLE):
             ok = False
-        if not is_controllable(red.a_hat, red.b_hat):
+        if not is_controllable(spectral_data(red.a_hat), red.b_hat):
             ok = False
         if not ok:
             break

@@ -13,6 +13,8 @@ from semigram import (
 )
 from semigram.cli import RunConfig, main
 
+from conftest import random_nonnormal_semistable
+
 
 def write_system(tmp_path, a, b=None, c=None, name="sys.json"):
     doc = {"A": np.asarray(a).tolist()}
@@ -288,13 +290,26 @@ def test_rank_tol_that_hides_the_kernel_is_not_semistable(tmp_path, capsys):
     assert run(capsys, ["analyze", path])[0] == 0
 
 
+def test_reduce_reports_nonnormal_pair_controllable(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    a = random_nonnormal_semistable(rng, 50, 1, 30.0)
+    path = write_system(tmp_path, a, b=rng.normal(size=(50, 2)))
+    code, out, err = run(capsys, ["reduce", path, "--keep", "13", "--h2", "none",
+                                  "--output", str(tmp_path / "o")])
+    assert code == 0, err
+    report = parse_report(out)
+    assert report["original_controllable"] == "true"
+    assert report["reduced_controllable"] == "true"
+
+
 def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch):
     n = 6
     laplacian = path_laplacian(n)
     # distinct real eigenvalues 0, -1, ..., -5: semistable, not self-adjoint
     bidiagonal = np.diag(-np.arange(n, dtype=float)) + np.eye(n, k=1)
     generator = laplacian
-    counts = dict.fromkeys(("eig", "s_inf", "overshoot", "norm", "svd", "cond"), 0)
+    counts = dict.fromkeys(
+        ("eig", "s_inf", "overshoot", "norm", "svd", "cond", "inv"), 0)
 
     def full(m, *args, **kwargs):
         return np.shape(m) == (n, n) and np.array_equal(m, generator)
@@ -306,9 +321,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             return fn(*args, **kwargs)
         return wrapped
 
-    # eigendecompositions, spectral norms, SVDs and eigenvector-basis
-    # condition numbers of the full generator; S_inf builds; overshoot
-    # samplings
+    # eigendecompositions, spectral norms, SVDs, eigenvector-basis
+    # condition numbers and inverses of the full generator; S_inf builds;
+    # overshoot samplings
     def full_size(m, *args, **kwargs):
         return np.shape(m)[0] == n
 
@@ -320,6 +335,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm, full_opnorm))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, full))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, full_size))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, full_size))
     monkeypatch.setattr(semistability, "_projector_matrix",
                         counting("s_inf", semistability._projector_matrix))
     monkeypatch.setattr(semistability, "_estimate_overshoot",
@@ -333,7 +349,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
         (["reduce", "--keep", "3", "--h2", "both", "--output", out], True),
     )
     # the overshoot M of a self-adjoint generator is exactly 1, not sampled;
-    # only the non-self-adjoint one needs cond(V)
+    # only the non-self-adjoint one needs cond(V) and inv(V), which S_inf,
+    # the truncation and the controllability test share
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
         for argv, needs_m in commands:
@@ -344,4 +361,5 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                 "eig": 1, "s_inf": 1, "norm": 1, "svd": 1,
                 "overshoot": int(needs_m and not self_adjoint),
                 "cond": int(not self_adjoint),
+                "inv": int(not self_adjoint),
             }, argv

@@ -11,7 +11,6 @@ from semigram import (
     StateSpaceSystem,
     check_invariance,
     check_preservation,
-    controllability_matrix,
     is_controllable,
     matrix_exponential,
     mode_truncation,
@@ -20,7 +19,11 @@ from semigram import (
 )
 from semigram.linalg import opnorm
 
-from conftest import random_controllable_pair, random_selfadjoint_semistable
+from conftest import (
+    random_controllable_pair,
+    random_nonnormal_semistable,
+    random_selfadjoint_semistable,
+)
 
 
 def truncate(a, keep, b=None, c=None):
@@ -208,15 +211,83 @@ def test_invariance_rejects_bad_projection():
 
 
 def test_controllability_matrix_and_rank():
-    a = np.diag([0.0, -1.0])
-    b = np.array([[1.0], [1.0]])
-    k = controllability_matrix(a, b)
-    assert k.shape == (2, 2)
-    assert is_controllable(a, b)
-    # second column is A b scaled; direction check only
-    assert np.linalg.matrix_rank(k) == 2
-    b_bad = np.array([[1.0], [0.0]])
-    assert not is_controllable(a, b_bad)
+    spectral = spectral_data(np.diag([0.0, -1.0]))
+    assert is_controllable(spectral, np.array([[1.0], [1.0]]))
+    # b misses the mode at -1
+    assert not is_controllable(spectral, np.array([[1.0], [0.0]]))
+    with pytest.raises(DimensionError):
+        is_controllable(spectral, np.ones((3, 1)))
+    # a repeated eigenvalue needs as many independent inputs as its
+    # multiplicity
+    repeated = spectral_data(np.diag([-1.0, -1.0, -2.0]))
+    assert not is_controllable(repeated, np.ones((3, 1)))
+    assert is_controllable(repeated, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    # no trustworthy left eigenvectors for a nearly defective generator
+    nearly_defective = spectral_data(np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-14]]))
+    with pytest.raises(ConditioningError):
+        is_controllable(nearly_defective, np.ones((2, 1)))
+
+
+def test_selection_must_keep_eigenvalue_clusters_whole():
+    v = np.triu(np.ones((4, 4)))
+    a = v @ np.diag([0.0, -1.0, -1.0, -2.0]) @ np.linalg.inv(v)
+    sys = StateSpaceSystem(a)
+    spectral = spectral_data(a)
+    assert list(spectral.clusters) == [0, 1, 1, 3]
+    with pytest.raises(InvalidSelectionError):
+        mode_truncation(sys, spectral, 2)
+    assert mode_truncation(sys, spectral, 3).order == 3
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_heat_surrogate_is_controllable(m):
+    # distinct eigenvalues, each excited by the input
+    a = np.diag(-(np.pi * np.arange(m)) ** 2)
+    assert is_controllable(spectral_data(a), np.ones((m, 1)))
+
+
+def test_nonnormal_pair_is_controllable():
+    rng = np.random.default_rng(5)
+    a = random_nonnormal_semistable(rng, 50, 1, 30.0)
+    assert is_controllable(spectral_data(a), rng.normal(size=(50, 2)))
+
+
+def consensus_generator(rng, sizes):
+    """Negated Laplacian of a graph with one component per entry of sizes.
+
+    Each component is a random spanning tree plus as many random chords as
+    it has nodes, with edge weights uniform in [0.5, 2].
+    """
+    n = sum(sizes)
+    w = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        nodes = np.arange(start, start + size)
+        for i in range(1, size):
+            j = nodes[rng.integers(0, i)]
+            w[nodes[i], j] = w[j, nodes[i]] = rng.uniform(0.5, 2.0)
+        for _ in range(size):
+            i, j = rng.choice(nodes, 2, replace=False)
+            w[i, j] = w[j, i] = rng.uniform(0.5, 2.0)
+        start += size
+    return w - np.diag(w.sum(axis=1))
+
+
+def test_leaderless_consensus_component_is_uncontrollable():
+    rng = np.random.default_rng(11)
+    a = consensus_generator(rng, (30, 30))
+    spectral = spectral_data(a)
+    nodes = np.eye(60)
+    # one leader in each component reaches every mode
+    assert is_controllable(spectral, nodes[:, [0, 45]])
+    # both leaders in the first component: the second one's mean is unreachable
+    b = nodes[:, [0, 5]]
+    assert not is_controllable(spectral, b)
+    sys = StateSpaceSystem(a, b)
+    report = check_preservation(sys, mode_truncation(sys, spectral, 10))
+    assert not report.original_controllable
+    assert not report.reduced_controllable
+    assert report.controllability_preserved
 
 
 def test_preservation_spec_example():
