@@ -42,7 +42,6 @@ from .heatbench import (
 from .linalg import (
     RankDecision,
     integrate_operator_valued,
-    matrix_exponential,
     numerical_rank,
     propagator,
     svd_split,
@@ -88,7 +87,6 @@ __all__ = [
     "InconsistencyError",
     "QuadratureError",
     "RankDecision",
-    "matrix_exponential",
     "propagator",
     "svd_split",
     "numerical_rank",

@@ -34,7 +34,6 @@ from .gramian import (
 )
 from .h2error import h2_error_gramian, h2_error_quadrature
 from .heatbench import benchmark_csv, benchmark_text, run_benchmark
-from .linalg import opnorm
 from .matio import format_matrix, read_system, write_matrix
 from .reduction import check_preservation, mode_truncation
 from .semistability import NOT_SEMISTABLE, spectral_data
@@ -171,7 +170,7 @@ def cmd_gramian(args, config):
     write_matrix(target, gram.p_inf)
     pairs = [
         ("method", gram.method),
-        ("norm_p_inf", opnorm(gram.p_inf)),
+        ("norm_p_inf", gram.norm_p_inf),
         ("lyapunov_residual", gram.lyapunov_residual),
         ("constraint_defect", gram.constraint_defect),
     ]

@@ -34,6 +34,7 @@ from .linalg import (
     default_rank_tol,
     integrate_operator_valued,
     opnorm,
+    opnorm_lower_bound,
     propagator,
     real_part,
     svd_split,
@@ -56,13 +57,16 @@ _RESIDUAL_RTOL = 1e-6
 class SemistabilityGramian:
     """Computed Gramian with its certificates.
 
-    ``lyapunov_residual`` is norm(A P + P A* + Q); ``constraint_defect`` is
-    norm(S_inf P), which the exact Gramian annihilates.
-    ``quadrature_tol`` is set only on the quadrature route.
+    ``norm_p_inf`` is the spectral norm of ``p_inf``, its largest
+    eigenvalue. ``lyapunov_residual`` is the Frobenius norm of
+    A P + P A* + Q; ``constraint_defect`` is the Frobenius norm of
+    S_inf P, which the exact Gramian annihilates. ``quadrature_tol`` is
+    set only on the quadrature route.
     """
 
     p_inf: np.ndarray
     method: str
+    norm_p_inf: float
     lyapunov_residual: float
     constraint_defect: float
     quadrature_tol: float | None = None
@@ -88,31 +92,36 @@ def _hermitize(p):
 
 
 def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
-    """Package a candidate Gramian, enforcing the type's invariants."""
+    """Package a candidate Gramian, enforcing the type's invariants.
+
+    Defects are Frobenius norms, at least the spectral ones, so each gate
+    is at least as strict as with the 2-norm; every scale they are compared
+    against is a 2-norm or a proven lower bound of one.
+    """
     a = spectral.a
-    norm_p = opnorm(p)
-    herm_defect = opnorm(p - p.conj().T)
-    if herm_defect > 1e-8 * norm_p + 1e-30:
+    herm_defect = float(np.linalg.norm(p - p.conj().T))
+    if herm_defect > 1e-8 * opnorm_lower_bound(p) + 1e-30:
         raise InconsistencyError(
             "computed Gramian is not self-adjoint (defect %.3e)" % herm_defect
         )
     p = _hermitize(p)
     if np.isrealobj(a) and np.iscomplexobj(p):
         p = real_part(p, "gramian", rtol=1e-7)
-    min_eig = float(np.linalg.eigvalsh(p).min()) if p.size else 0.0
-    if min_eig < -1e-8 * norm_p - 1e-30:
+    eigs = np.linalg.eigvalsh(p) if p.size else np.zeros(1)
+    norm_p = float(np.abs(eigs[[0, -1]]).max())
+    if eigs[0] < -1e-8 * norm_p - 1e-30:
         raise InconsistencyError(
             "computed Gramian is not positive semidefinite "
-            "(min eigenvalue %.3e)" % min_eig
+            "(min eigenvalue %.3e)" % eigs[0]
         )
-    residual = opnorm(a @ p + p @ a.conj().T + q)
-    scale = spectral.norm_a * norm_p + opnorm(q)
+    residual = float(np.linalg.norm(a @ p + p @ a.conj().T + q))
+    scale = spectral.norm_a * norm_p + opnorm_lower_bound(q)
     if residual > _RESIDUAL_RTOL * scale + residual_slack + 1e-30:
         raise InconsistencyError(
             "Lyapunov residual %.3e exceeds %.1e * (|A||P| + |Q|)"
             % (residual, _RESIDUAL_RTOL)
         )
-    constraint = opnorm(spectral.projector.s_inf @ p)
+    constraint = float(np.linalg.norm(spectral.projector.s_inf @ p))
     if constraint > 1e-8 * norm_p + 1e-30:
         raise InconsistencyError(
             "limit operator does not annihilate the Gramian "
@@ -121,8 +130,9 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
     return SemistabilityGramian(
         p_inf=p,
         method=method,
-        lyapunov_residual=float(residual),
-        constraint_defect=float(constraint),
+        norm_p_inf=norm_p,
+        lyapunov_residual=residual,
+        constraint_defect=constraint,
         quadrature_tol=quadrature_tol,
     )
 
@@ -208,19 +218,13 @@ def lyapunov_rhs(spectral, b):
 def _split_coordinates(spectral):
     """Coordinates M with A = M diag(0_k, A2) M^{-1}, A2 stable.
 
-    For self-adjoint A the kernel and range are orthogonal complements and
-    M is unitary. In general an ordered Schur form puts the kernel cluster
-    first and a Sylvester solve decouples the off-diagonal block; this
-    also covers defective stable parts, for which an eigenvector basis
-    does not exist.
+    An ordered Schur form puts the kernel cluster first and a Sylvester
+    solve decouples the off-diagonal block; this also covers defective
+    stable parts, for which an eigenvector basis does not exist.
     """
     a = spectral.a
     n = a.shape[0]
     tol = spectral.zero_tol
-    if spectral.hermitian:
-        m = np.hstack([spectral.kernel_basis, spectral.range_basis])
-        return m, m.conj().T, spectral.kernel_dim
-
     t, z, sdim = scipy.linalg.schur(
         a.astype(np.complex128),
         output="complex",
@@ -253,6 +257,15 @@ def _split_coordinates(spectral):
 
 
 def _solve_split(spectral, q):
+    if spectral.hermitian:
+        # A = V diag(lambda) V* with the k kernel modes first: in the
+        # eigenbasis the stable block's equation is diagonal,
+        # P_ij = (V* Q V)_ij / -(lambda_i + lambda_j) over stable i, j
+        k = spectral.kernel_dim
+        v = spectral.right_eigenvectors[:, k:]
+        lam = spectral.eigenvalues.real[k:]
+        core = _hermitize(v.conj().T @ q @ v) / -(lam[:, None] + lam[None, :])
+        return v @ core @ v.conj().T
     a = spectral.a
     m, m_inv, k = _split_coordinates(spectral)
     n = a.shape[0]
@@ -273,11 +286,15 @@ def solve_semistability_lyapunov(spectral, q):
     The equation is singular whenever ker A is nontrivial; the constraint
     picks the Gramian out of the solution family.
 
+    A self-adjoint A is solved in the record's eigenbasis by elementwise
+    division over the stable modes; any other A in ordered Schur
+    coordinates, with a Lyapunov solve on the stable block.
+
     Parameters
     ----------
     spectral : SpectralData
         Analysis record of the semistable generator A (supplies A, S_inf,
-        the kernel split and the self-adjointness flag).
+        the kernel split, the eigendata and the self-adjointness flag).
     q : array_like
         Right-hand side, normally from :func:`lyapunov_rhs`.
 
@@ -295,8 +312,8 @@ def solve_semistability_lyapunov(spectral, q):
     q = as_operator(q, "right-hand side", square=True)
     if q.shape[0] != spectral.n:
         raise DimensionError("right-hand side size must match the generator")
-    herm_q = opnorm(q - q.conj().T)
-    if herm_q > 1e-8 * max(opnorm(q), EPS):
+    herm_q = np.linalg.norm(q - q.conj().T)
+    if herm_q > 1e-8 * max(opnorm_lower_bound(q), EPS):
         raise PreconditionError("right-hand side must be self-adjoint")
     spectral.projector  # raises NotSemistableError before any solve
     return _certify(spectral, _solve_split(spectral, q), q, "lyapunov_split")

@@ -1,5 +1,5 @@
 """Dense numeric substrate: validated operators, SVD rank decisions, the
-matrix exponential, and adaptive quadrature of operator-valued integrands.
+propagator, and adaptive quadrature of operator-valued integrands.
 
 All operators are plain numpy arrays (float64 or complex128) that have been
 validated by :func:`as_operator`; every public function treats its inputs as
@@ -7,8 +7,9 @@ immutable and returns fresh arrays, so the whole module is safe to use from
 multiple threads.
 
 :func:`propagator` validates a generator once and returns t -> exp(A t) B,
-so quadrature integrands cost one product per node; :func:`matrix_exponential`
-is one evaluation of it.
+so quadrature integrands cost one product per node; :func:`is_diagonal` is
+the one test that decides whether a generator takes the exact elementwise
+path.
 
 :func:`integrate_operator_valued` integrates a certified exponentially
 decaying integrand over [0, inf):
@@ -37,11 +38,12 @@ __all__ = [
     "as_operator",
     "real_part",
     "opnorm",
+    "opnorm_lower_bound",
     "RankDecision",
     "numerical_rank",
     "svd_split",
+    "is_diagonal",
     "propagator",
-    "matrix_exponential",
     "integrate_operator_valued",
 ]
 
@@ -124,6 +126,25 @@ def opnorm(m):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def opnorm_lower_bound(m):
+    """A proven lower bound on the spectral norm, without an SVD.
+
+    For the longest column y = M e_j, |M* y| / |y| <= |M*| = |M|_2, and by
+    Cauchy-Schwarz it is at least |y|, the largest column norm. It costs
+    two passes over M and is exact for nonzero orthogonal projectors and
+    whenever e_j is a top right singular vector (the identity, selections
+    of its rows or columns). The empty or zero matrix maps to 0.
+    """
+    m = np.atleast_2d(np.asarray(m))
+    if m.size == 0:
+        return 0.0
+    y = m[:, np.argmax(np.linalg.norm(m, axis=0))]
+    norm_y = float(np.linalg.norm(y))
+    if norm_y == 0.0:
+        return 0.0
+    return float(np.linalg.norm(m.conj().T @ y)) / norm_y
 
 
 class RankDecision:
@@ -214,7 +235,8 @@ def svd_split(a, rank_tol=None):
     return v[:, :rank], v[:, rank:], RankDecision(rank, s, rank_tol)
 
 
-def _is_diagonal(a):
+def is_diagonal(a):
+    """Whether every off-diagonal entry of the square matrix ``a`` is zero."""
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
 
 
@@ -222,10 +244,14 @@ def propagator(a, b=None):
     """The map t -> exp(a*t) b of a constant-coefficient system.
 
     ``a`` (and ``b``) are validated, and ``a`` is tested for being exactly
-    diagonal, once, here; the returned map does no per-call checks beyond
-    the time argument, so an integrand that evaluates it at many nodes pays
-    for neither. A diagonal ``a`` takes an exact elementwise path (a row
-    scaling of ``b``); any other ``a`` uses scaling-and-squaring with Pade
+    diagonal by :func:`is_diagonal`, once, here; the returned map does no
+    per-call checks beyond the time argument, so an integrand that
+    evaluates it at many nodes pays for neither. A diagonal ``a`` takes an
+    exact elementwise path: exp(a*t) is diag(exp(lambda t)) with lambda the
+    diagonal of ``a``, and applying it is a row scaling of ``b``, O(n m) per
+    call. Integrands that only need a quadratic form in exp(lambda t) (the
+    H2 error oracle) make the same :func:`is_diagonal` decision and skip
+    even that. Any other ``a`` uses scaling-and-squaring with Pade
     approximation (scipy's ``expm``), around 1e-12 relative accuracy for
     well-conditioned inputs, followed by one product with ``b``.
 
@@ -250,7 +276,7 @@ def propagator(a, b=None):
             raise DimensionError(
                 "input matrix row count must match the generator"
             )
-    diagonal = np.diagonal(a).copy() if _is_diagonal(a) else None
+    diagonal = np.diagonal(a).copy() if is_diagonal(a) else None
 
     def at(t):
         t = float(t)
@@ -265,26 +291,6 @@ def propagator(a, b=None):
         return e if b is None else e @ b
 
     return at
-
-
-def matrix_exponential(a, t):
-    """Evaluate the propagator exp(a*t) of a constant-coefficient system.
-
-    One evaluation of :func:`propagator`; see there for the method.
-
-    Parameters
-    ----------
-    a : array_like
-        Square generator matrix.
-    t : float
-        Nonnegative time.
-
-    Returns
-    -------
-    ndarray
-        exp(a*t), real if ``a`` is real.
-    """
-    return propagator(a)(t)
 
 
 # Kronrod 15-point rule on [-1, 1] with its embedded 7-point Gauss rule

@@ -148,21 +148,48 @@ _STRENGTH = {NOT_SEMISTABLE: 0, SEMISTABLE: 1, STABLE: 2}
 
 
 def _eigenbasis(spectral):
-    """Right eigenvectors, with a real kernel block for real generators.
+    """Right eigenvectors V, left eigenvectors W = V^-1 and a bound on
+    cond(V), with a real kernel block for real generators.
 
     eig can return a repeated semisimple zero of a real non-normal
     generator as a +-i eps pair with complex eigenvectors, which no real
-    reduction can keep. Any basis of the kernel is an eigenbasis of that
+    reduction can keep. Any basis K of the kernel is an eigenbasis of that
     cluster, and the SVD one is real; the kernel modes of a semistable
-    generator come first in the canonical order.
+    generator come first in the canonical order. With [G; E] = W K, the
+    swapped basis is V T for T = [[G, 0], [E, I]], so its inverse keeps
+    the record's rows outside the kernel block and has G^-1 W_k inside,
+    and cond(V T) <= cond(V) |T| |T^-1| with |T| <= max(|G|, 1) + |E| and
+    |T^-1| <= max(|G^-1|, 1) + |E| |G^-1|: no second inverse or SVD of an
+    n x n matrix.
+
+    Raises ConditioningError when the bound exceeds COND_LIMIT.
     """
     v = spectral.right_eigenvectors
+    cond_v = spectral.cond_v
     k = spectral.zero_eig_algebraic_multiplicity
-    if (np.isrealobj(spectral.a) and k == spectral.kernel_dim
-            and np.any(spectral.eigenvalues[:k].imag)):
+    swap = (np.isrealobj(spectral.a) and k == spectral.kernel_dim
+            and np.any(spectral.eigenvalues[:k].imag))
+    if swap and cond_v <= COND_LIMIT:
+        x = spectral.left_eigenvectors @ spectral.kernel_basis
+        sv = np.linalg.svd(x[:k], compute_uv=False)
+        e_norm = float(norm(x[k:]))  # Frobenius, at least the 2-norm
+        if sv[-1] > 0:
+            cond_v *= ((max(sv[0], 1.0) + e_norm)
+                       * (max(1.0 / sv[-1], 1.0) + e_norm / sv[-1]))
+        else:
+            cond_v = np.inf
+    if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
+        raise ConditioningError(
+            "eigenvector basis condition number %.3e exceeds the "
+            "mode-truncation limit" % cond_v
+        )
+    w = spectral.left_eigenvectors
+    if swap:
         v = v.copy()
         v[:, :k] = spectral.kernel_basis
-    return v
+        w = w.copy()
+        w[:k] = np.linalg.solve(x[:k], w[:k])
+    return v, w, cond_v
 
 
 def _resolve_selection(spectral, keep):
@@ -290,14 +317,7 @@ def mode_truncation(sys, spectral, keep):
         sigma = spectral.right_eigenvectors[:, sel].copy()
         pi = sigma.conj().T.copy()
     else:
-        v = _eigenbasis(spectral)
-        shared = v is spectral.right_eigenvectors
-        cond_v = spectral.cond_v if shared else np.linalg.cond(v)
-        if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
-            raise ConditioningError(
-                "eigenvector basis condition number %.3e exceeds the "
-                "mode-truncation limit" % cond_v
-            )
+        v, w, cond_v = _eigenbasis(spectral)
         # splitting a cluster of (numerically) equal eigenvalues would cut
         # through a Jordan chain; whole clusters travel together
         labels = spectral.clusters
@@ -308,15 +328,14 @@ def mode_truncation(sys, spectral, keep):
                 "repeated modes must be kept or dropped together"
                 % lam[sel[np.argmax(split)]]
             )
-        w = spectral.left_eigenvectors if shared else np.linalg.inv(v)
         sigma = v[:, sel]
         pi = w[sel, :]
         if real and np.iscomplexobj(sigma):
             t = _pairing_transform([lam[i] for i in sel], spectral.zero_tol)
             sigma = sigma @ t
             pi = t.conj().T @ pi
-        # one refinement step pins pi sigma to the identity, which inv()
-        # alone only achieves up to eps * cond(v)
+        # one refinement step pins pi sigma to the identity, which the
+        # computed inverse alone only achieves up to eps * cond(v)
         gram = pi @ sigma
         pi = np.linalg.solve(gram, pi)
         if real:

@@ -21,6 +21,7 @@ from .linalg import (
     as_operator,
     default_rank_tol,
     opnorm,
+    opnorm_lower_bound,
     propagator,
     real_part,
     svd_split,
@@ -60,7 +61,12 @@ def default_zero_tol(n, norm_a):
 
 
 def is_hermitian(a, norm_a, rtol=HERMITIAN_RTOL):
-    defect = opnorm(a - a.conj().T)
+    """Whether the Frobenius norm of A - A* is within ``rtol`` of norm(A).
+
+    The Frobenius norm is at least the spectral one, so no SVD is needed
+    and the test is at least as strict as with the 2-norm.
+    """
+    defect = np.linalg.norm(a - a.conj().T)
     return defect <= rtol * max(norm_a, EPS)
 
 
@@ -219,7 +225,11 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class LimitProjector:
-    """The limit operator of the semigroup with its certificate defects."""
+    """The limit operator of the semigroup with its certificate defects.
+
+    ``idempotency_defect`` is the Frobenius norm of S_inf^2 - S_inf and
+    ``annihilation_defect`` the larger Frobenius norm of S_inf A and A S_inf.
+    """
 
     s_inf: np.ndarray
     idempotency_defect: float
@@ -289,8 +299,9 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
 
     # zero is semisimple iff squaring does not deepen the null space; the
     # rank of A^2 is taken relative to norm(A)^2 so that rounding noise in
-    # the computed square (~eps * norm^2) cannot masquerade as rank
-    if geometric == 0:
+    # the computed square (~eps * norm^2) cannot masquerade as rank. A
+    # self-adjoint A is diagonalisable, so its zero is always semisimple
+    if geometric == 0 or hermitian:
         semisimple = True
     else:
         a2 = a @ a
@@ -354,12 +365,16 @@ def _kernel_pair_projector(spectral):
 
 
 def _measured(spectral, s):
-    """A candidate S_inf, real for a real generator, with its norm and its
-    idempotency and annihilation defects."""
+    """A candidate S_inf, real for a real generator, with a proven lower
+    bound on its spectral norm and the Frobenius norms of its idempotency
+    and annihilation defects (at least the spectral norms, so the gates
+    they feed are at least as strict)."""
     a = spectral.a
     if np.isrealobj(a):
         s = real_part(s, "limit operator")
-    return s, opnorm(s), opnorm(s @ s - s), max(opnorm(s @ a), opnorm(a @ s))
+    frob = np.linalg.norm
+    return (s, opnorm_lower_bound(s), float(frob(s @ s - s)),
+            float(max(frob(s @ a), frob(a @ s))))
 
 
 def _quality(candidate, norm_a):

@@ -363,3 +363,34 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                 "cond": int(not self_adjoint),
                 "inv": int(not self_adjoint),
             }, argv
+
+
+def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, monkeypatch):
+    # at this seed eig returns the double zero as a +-i eps pair, so the
+    # truncation swaps the real SVD kernel basis into V; its left vectors
+    # come from the record's inverse, not from a second inv and cond
+    n = 50
+    rng = np.random.default_rng(4)
+    a = random_nonnormal_semistable(rng, n, 2, 30.0)
+    assert np.any(semistability.spectral_data(a).eigenvalues[:2].imag)
+    path = write_system(tmp_path, a, b=rng.normal(size=(n, 2)),
+                        c=rng.normal(size=(3, n)))
+    counts = {"inv": 0, "cond": 0}
+
+    def counting(key, fn):
+        def wrapped(m, *args, **kwargs):
+            if np.shape(m) == (n, n):
+                counts[key] += 1
+            return fn(m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+    code, out, err = run(capsys, ["reduce", path, "--keep", "12", "--h2", "both",
+                                  "--output", str(tmp_path / "o")])
+    assert code == 0, err
+    assert counts == {"inv": 1, "cond": 1}
+    report = parse_report(out)
+    assert float(report["kernel_identity_defect"]) <= 1e-12
+    assert float(report["h2_trace_gramian"]) == pytest.approx(
+        float(report["h2_trace_quadrature"]), rel=1e-8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semigram import (
     InconsistencyError,
@@ -255,3 +256,38 @@ def test_verify_structure_random_kernel_shifts():
         report = verify_solution_structure(spectral, g.p_inf, g.p_inf + shift)
         assert report.compression_defect <= 1e-6 * max(report.delta_norm, 1e-12)
         assert report.kernel_range_defect <= 1e-6 * max(report.delta_norm, 1e-12)
+
+
+def complete_graph_laplacian(n):
+    """Negated Laplacian of K_n: eigenvalue 0 once and -n with multiplicity n - 1."""
+    return np.ones((n, n)) - n * np.eye(n)
+
+
+def three_component_laplacian():
+    """Negated Laplacian of a 2-path, a weighted 3-path and a triangle."""
+    blocks = (
+        -np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        -np.array([[0.5, -0.5, 0.0], [-0.5, 2.5, -2.0], [0.0, -2.0, 2.0]]),
+        complete_graph_laplacian(3),
+    )
+    return scipy.linalg.block_diag(*blocks)
+
+
+@pytest.mark.parametrize("a", [complete_graph_laplacian(6), three_component_laplacian()],
+                         ids=["complete-6", "three-components"])
+def test_eigenbasis_solve_matches_lstsq_on_laplacians(a, monkeypatch):
+    def no_schur_solver(*args, **kwargs):
+        raise AssertionError("self-adjoint A went through the Schur solver")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", no_schur_solver)
+    rng = np.random.default_rng(31)
+    n = a.shape[0]
+    for b in (np.eye(n), rng.normal(size=(n, 2))):
+        spectral = spectral_data(a)
+        assert spectral.hermitian
+        q = lyapunov_rhs(spectral, b)
+        g = solve_semistability_lyapunov(spectral, q)
+        ref = _solve_lstsq(a, q, spectral.projector.s_inf)
+        assert opnorm(g.p_inf - ref) <= 1e-10 * max(1.0, opnorm(ref))
+        assert g.norm_p_inf == pytest.approx(opnorm(g.p_inf), rel=1e-12)
+        assert g.constraint_defect <= 1e-12 * g.norm_p_inf

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from semigram import h2error
 from semigram import (
     PreconditionError,
     StateSpaceSystem,
@@ -14,6 +16,8 @@ from semigram import (
     solve_semistability_lyapunov,
     spectral_data,
 )
+
+from semigram.h2error import _defect_energy
 
 from conftest import random_selfadjoint_semistable
 
@@ -159,3 +163,41 @@ def test_size_mismatch_rejected():
     sys_big, red_big, p_big = build(np.diag([0.0, -1.0, -2.0]), 3)
     with pytest.raises(Exception):
         h2_error_gramian(sys_big, red_big, p_small)
+
+
+def test_diagonal_defect_energy_matches_dense_formula(monkeypatch):
+    # complex diagonal A with a 2-dimensional kernel; B (6 x 3) and C (4 x 6)
+    # are neither square nor the identity. The quadratic form must not touch
+    # the propagator
+    rng = np.random.default_rng(8)
+    lam = np.array([0.0, 0.0, -0.5 + 1.0j, -1.3 - 0.7j, -2.0 + 0.5j, -4.0 - 3.0j])
+    a = np.diag(lam)
+    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    c = rng.normal(size=(4, 6))
+    sys = StateSpaceSystem(a, b, c)
+    spectral = spectral_data(a)
+    assert spectral.kernel_dim == 2
+    red = mode_truncation(sys, spectral, 4)
+    s_inf = spectral.projector.s_inf
+
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("the diagonal integrand formed exp(A t)")
+
+    monkeypatch.setattr(h2error, "propagator", no_propagator)
+    # a generic R exercises the linear and constant terms, which cancel to
+    # rounding of their size |R S_inf B|_F^2 as t grows; the reduction's
+    # R = C (I - sigma pi), the one the oracle integrates, has R S_inf B = 0
+    # here, so its nodes must agree to relative rounding
+    for r in (c, c - (c @ red.sigma) @ red.pi):
+        energy = _defect_energy(a, r, s_inf, b)
+        cancelled = np.linalg.norm(r @ s_inf @ b) ** 2
+        for t in (0.0, 0.01, 0.2, 1.0, 4.0, 30.0):
+            d = r @ (expm(a * t) @ b - s_inf @ b)
+            expected = np.vdot(d, d).real
+            assert energy(t) == pytest.approx(expected, rel=1e-12, abs=1e-13 * cancelled)
+    monkeypatch.undo()
+
+    by_quadrature = h2_error_quadrature(sys, red, 1e-11)
+    by_gramian = h2_error_gramian(
+        sys, red, solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, b)))
+    assert by_quadrature.trace_value == pytest.approx(by_gramian.trace_value, rel=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import polygamma
 
 from semigram import (
@@ -7,7 +8,7 @@ from semigram import (
     benchmark_csv,
     benchmark_text,
     build_heat_surrogate,
-    matrix_exponential,
+    propagator,
     run_benchmark,
 )
 from semigram.heatbench import CSV_HEADER
@@ -110,7 +111,7 @@ def test_squared_transfer_trace_identity():
     # trace of exp(A t) exp(A t)^T equals 1 + sum exp(-2 n^2 pi^2 t)
     s = build_heat_surrogate(6)
     for t in (0.01, 0.05, 0.2):
-        e = matrix_exponential(s.a, t)
+        e = propagator(s.a)(t)
         lhs = np.trace(e @ e.T)
         rhs = 1.0 + sum(
             np.exp(-2.0 * n**2 * np.pi**2 * t) for n in range(1, 6)
@@ -164,3 +165,41 @@ def test_text_output_deterministic():
     body = benchmark_text(r1)
     assert "published_constant" in body
     assert "reported, not" in body and "asserted" in body
+
+
+def test_run_benchmark_takes_two_full_svds_and_no_schur_solve(monkeypatch):
+    # the spectral norm of A and its SVD kernel split are the only n x n
+    # SVDs; the Gramian is solved in the eigenbasis and every certificate
+    # reads a Frobenius norm, an eigenvalue or a proven lower bound
+    m = 60
+    counts = {"svd": 0, "lyapunov": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+    lyapunov = scipy.linalg.solve_continuous_lyapunov
+
+    def counting_svd(x, *args, **kwargs):
+        counts["svd"] += np.shape(x) == (m, m)
+        return svd(x, *args, **kwargs)
+
+    def counting_norm(x, *args, **kwargs):
+        ord_ = args[0] if args else kwargs.get("ord")
+        counts["svd"] += ord_ in (2, -2, "nuc") and np.shape(x) == (m, m)
+        return norm(x, *args, **kwargs)
+
+    def counting_lyapunov(*args, **kwargs):
+        counts["lyapunov"] += 1
+        return lyapunov(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: pytest.fail("cond"))
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counting_lyapunov)
+    report = run_benchmark(10, m)
+    assert counts == {"svd": 2, "lyapunov": 0}
+    assert report.max_pairwise_deviation <= 1e-9
+
+
+def test_run_benchmark_at_cli_scale():
+    report = run_benchmark(10, 1000)
+    modal = analytic_truncation_error(10, 1000).derived_trace
+    assert abs(report.trace_gramian - modal) <= 1e-9
+    assert abs(report.trace_quadrature - modal) <= 1e-9
