@@ -215,47 +215,6 @@ def lyapunov_rhs(spectral, b):
     return q
 
 
-def _split_coordinates(spectral):
-    """Coordinates M with A = M diag(0_k, A2) M^{-1}, A2 stable.
-
-    An ordered Schur form puts the kernel cluster first and a Sylvester
-    solve decouples the off-diagonal block; this also covers defective
-    stable parts, for which an eigenvector basis does not exist.
-    """
-    a = spectral.a
-    n = a.shape[0]
-    tol = spectral.zero_tol
-    t, z, sdim = scipy.linalg.schur(
-        a.astype(np.complex128),
-        output="complex",
-        sort=lambda lam: lam.real > -tol,
-    )
-    k = int(sdim)
-    if k != spectral.zero_eig_algebraic_multiplicity:
-        raise ConditioningError(
-            "Schur reordering found %d kernel modes, spectral data found %d"
-            % (k, spectral.zero_eig_algebraic_multiplicity)
-        )
-    if k in (0, n):
-        return z, z.conj().T, k
-    t11 = t[:k, :k]
-    t12 = t[:k, k:]
-    t22 = t[k:, k:]
-    # X^{-1} T X with X = [[I, R], [0, I]] is block diagonal exactly when
-    # T11 R - R T22 = -T12
-    try:
-        r = scipy.linalg.solve_sylvester(t11, -t22, -t12)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            "failed to decouple the kernel block: %s" % exc
-        ) from exc
-    x = np.eye(n, dtype=np.complex128)
-    x[:k, k:] = r
-    x_inv = np.eye(n, dtype=np.complex128)
-    x_inv[:k, k:] = -r
-    return z @ x, x_inv @ z.conj().T, k
-
-
 def _solve_split(spectral, q):
     if spectral.hermitian:
         # A = V diag(lambda) V* with the k kernel modes first: in the
@@ -266,18 +225,25 @@ def _solve_split(spectral, q):
         lam = spectral.eigenvalues.real[k:]
         core = _hermitize(v.conj().T @ q @ v) / -(lam[:, None] + lam[None, :])
         return v @ core @ v.conj().T
-    a = spectral.a
-    m, m_inv, k = _split_coordinates(spectral)
-    n = a.shape[0]
-    if k == n:
-        return np.zeros_like(a)
-    q_t = m_inv @ q @ m_inv.conj().T
-    q22 = _hermitize(q_t[k:, k:])
-    a22 = (m_inv @ a @ m)[k:, k:]
-    p22 = scipy.linalg.solve_continuous_lyapunov(a22, -q22)
-    p_t = np.zeros((n, n), dtype=np.complex128)
-    p_t[k:, k:] = _hermitize(p22)
-    return m @ p_t @ m.conj().T
+    t, z, r = spectral.split
+    k = r.shape[0]
+    if k == spectral.n:
+        return np.zeros_like(spectral.a)
+    # with M = Z [[I, R], [0, I]], M^{-1} A M = diag(T11, T22) and the
+    # constrained solution is M diag(0, P22) M*: the last n - k columns of
+    # M are W = Z_k R + Z_r and the last n - k rows of M^{-1} are Z_r*, so
+    # T22 P22 + P22 T22* = -Z_r* Q Z_r
+    z_r = z[:, k:]
+    t22 = t[k:, k:]
+    q22 = _hermitize(z_r.conj().T @ q @ z_r)
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t22, q22))
+    p22, scale, info = trsyl(t22, t22, -q22, tranb="C")
+    if info:
+        raise ConditioningError(
+            "failed to solve the stable block's Lyapunov equation "
+            "(?trsyl info %d)" % info)
+    w = z[:, :k] @ r + z_r
+    return w @ _hermitize(p22 / scale) @ w.conj().T
 
 
 def solve_semistability_lyapunov(spectral, q):
@@ -287,14 +253,16 @@ def solve_semistability_lyapunov(spectral, q):
     picks the Gramian out of the solution family.
 
     A self-adjoint A is solved in the record's eigenbasis by elementwise
-    division over the stable modes; any other A in ordered Schur
-    coordinates, with a Lyapunov solve on the stable block.
+    division over the stable modes. Any other A is solved in the
+    coordinates of the record's ordered Schur :attr:`~SpectralData.split`,
+    by one LAPACK ``?trsyl`` back substitution on the stable triangular
+    block T22 (the second half of Bartels & Stewart's method).
 
     Parameters
     ----------
     spectral : SpectralData
         Analysis record of the semistable generator A (supplies A, S_inf,
-        the kernel split, the eigendata and the self-adjointness flag).
+        the eigendata or the Schur split, and the self-adjointness flag).
     q : array_like
         Right-hand side, normally from :func:`lyapunov_rhs`.
 
@@ -307,7 +275,8 @@ def solve_semistability_lyapunov(spectral, q):
     NotSemistableError
         If the record fails the semistability criterion.
     ConditioningError, InconsistencyError
-        If the block split fails or the solution fails its certificates.
+        If the Schur split or the block solve fails, or the solution fails
+        its certificates.
     """
     q = as_operator(q, "right-hand side", square=True)
     if q.shape[0] != spectral.n:

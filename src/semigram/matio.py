@@ -55,9 +55,11 @@ def parse_matrix(text, name="matrix"):
         raise ParseError("%s: non-integer dimensions in header" % name) from exc
     if rows < 0 or cols < 0:
         raise ParseError("%s: negative dimensions in header" % name)
-    if len(lines) - 1 != rows:
+    # the rows of a matrix with no columns are blank lines, dropped above
+    expected = rows if cols else 0
+    if len(lines) - 1 != expected:
         raise ParseError(
-            "%s: expected %d data rows, found %d" % (name, rows, len(lines) - 1)
+            "%s: expected %d data rows, found %d" % (name, expected, len(lines) - 1)
         )
     data = np.zeros((rows, cols), dtype=np.complex128)
     for i, line in enumerate(lines[1:]):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConditioningError, DimensionError, NotSemistableError
+from .errors import ConditioningError, NotSemistableError
 from .linalg import (
     EPS,
     as_operator,
@@ -44,8 +45,8 @@ NOT_SEMISTABLE = "not_semistable"
 # relative symmetry defect below which a generator is treated as self-adjoint
 HERMITIAN_RTOL = 1e-10
 
-# eigenvector-basis condition number beyond which the oblique-projector
-# construction switches to the kernel-pair fallback
+# eigenvector-basis condition number beyond which left_eigenvectors refuses
+# to invert V; the mode truncation and the controllability test need inv(V)
 COND_LIMIT = 1e12
 
 
@@ -81,8 +82,9 @@ class SpectralData:
     conjugate pairs are adjacent and mode indices are stable across runs.
     ``kernel_basis`` and ``range_basis`` are the two halves of one SVD
     split of ``a``. The certified limit operator ``projector``, the
-    sampled ``overshoot_m``, ``cond_v``, ``left_eigenvectors`` and the
-    eigenvalue ``clusters`` are computed on first use and cached.
+    sampled ``overshoot_m``, the ordered Schur ``split``, ``cond_v``,
+    ``left_eigenvectors`` and the eigenvalue ``clusters`` are computed on
+    first use and cached.
     """
 
     a: np.ndarray
@@ -172,13 +174,56 @@ class SpectralData:
             labels = joined
 
     @cached_property
+    def split(self):
+        """Ordered Schur split ``(T, Z, R)`` of A that decouples the kernel.
+
+        A = Z T Z* with T = [[T11, T12], [0, T22]] (real Schur form for a
+        real A, complex otherwise) and the k zero eigenvalues in T11, and
+        T11 R - R T22 = -T12, so that M = Z [[I, R], [0, I]] satisfies
+        M^{-1} A M = diag(T11, T22). The Sylvester equation is solved by
+        LAPACK ``?trsyl`` on the triangular blocks, which also covers a
+        defective stable part, where no eigenvector basis exists.
+
+        Raises
+        ------
+        ConditioningError
+            If the Schur form counts a different number of zero
+            eigenvalues than the record, or ``?trsyl`` reports the blocks
+            too close to decouple.
+        """
+        a, tol = self.a, self.zero_tol
+        if np.isrealobj(a):
+            t, z, k = scipy.linalg.schur(
+                a, output="real", sort=lambda re, im: re > -tol)
+        else:
+            t, z, k = scipy.linalg.schur(
+                a, output="complex", sort=lambda lam: lam.real > -tol)
+        if k != self.zero_eig_algebraic_multiplicity:
+            raise ConditioningError(
+                "Schur reordering found %d kernel modes, spectral data found %d"
+                % (k, self.zero_eig_algebraic_multiplicity)
+            )
+        if k in (0, self.n):  # ?trsyl rejects empty blocks
+            r = np.zeros((k, self.n - k), dtype=t.dtype)
+        else:
+            trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t,))
+            r, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+            if info:
+                raise ConditioningError(
+                    "failed to decouple the kernel block (?trsyl info %d)" % info)
+            r /= scale
+        for m in (t, z, r):
+            m.flags.writeable = False  # every caller shares them
+        return t, z, r
+
+    @cached_property
     def projector(self):
         """The certified limit operator S_inf = lim exp(A t).
 
         For self-adjoint A this is the orthogonal projector K K* onto the
         kernel; for general semistable A it is the spectral projector
-        V diag(kernel indicator) V^{-1}, with a kernel-pair fallback when
-        the eigenvector basis is too ill-conditioned to invert.
+        Z_k (Z_k* - R Z_r*) read from the ordered Schur :attr:`split`,
+        where Z_k and Z_r are the first k and the remaining columns of Z.
 
         Raises
         ------
@@ -339,81 +384,24 @@ def _estimate_overshoot(a, s_inf, mu):
     return max(est, EPS)
 
 
-def _kernel_pair_projector(spectral):
-    """Oblique projector onto ker A along range A from right/left kernels.
-
-    Valid whenever the zero eigenvalue is semisimple, including generators
-    whose nonzero part is defective (where the eigenvector basis is
-    singular and the primary construction is unavailable).
-    """
-    a = spectral.a
-    k = spectral.kernel_basis
-    _, l_basis, _ = svd_split(a.conj().T, max(
-        default_rank_tol(a.shape, spectral.norm_a), spectral.zero_tol))
-    if l_basis.shape[1] != k.shape[1]:
-        raise ConditioningError(
-            "left and right kernel dimensions disagree (%d vs %d)"
-            % (l_basis.shape[1], k.shape[1])
-        )
-    gram = l_basis.conj().T @ k
-    if k.shape[1] and np.linalg.cond(gram) > COND_LIMIT:
-        raise ConditioningError(
-            "kernel-pair projector is numerically singular; the zero "
-            "eigenvalue may not be semisimple at this tolerance"
-        )
-    return k @ np.linalg.solve(gram, l_basis.conj().T)
-
-
-def _measured(spectral, s):
-    """A candidate S_inf, real for a real generator, with a proven lower
-    bound on its spectral norm and the Frobenius norms of its idempotency
-    and annihilation defects (at least the spectral norms, so the gates
-    they feed are at least as strict)."""
-    a = spectral.a
-    if np.isrealobj(a):
-        s = real_part(s, "limit operator")
+def _projector_matrix(spectral):
+    """S_inf with a proven lower bound on its spectral norm and the
+    Frobenius norms of its idempotency and annihilation defects (at least
+    the spectral norms, so the gates they feed are at least as strict);
+    the measurement is the certificate :attr:`SpectralData.projector`
+    checks."""
+    a, k = spectral.a, spectral.kernel_dim
+    if k == 0:
+        s = np.zeros_like(a)
+    elif spectral.hermitian:
+        s = spectral.kernel_basis @ spectral.kernel_basis.conj().T
+    else:
+        _, z, r = spectral.split
+        z_k, z_r = z[:, :k], z[:, k:]
+        s = z_k @ (z_k.conj().T - r @ z_r.conj().T)
     frob = np.linalg.norm
     return (s, opnorm_lower_bound(s), float(frob(s @ s - s)),
             float(max(frob(s @ a), frob(a @ s))))
-
-
-def _quality(candidate, norm_a):
-    _, norm_s, idem, annih = candidate
-    return max(idem / max(norm_s, EPS), annih / max(norm_a * norm_s, EPS))
-
-
-def _projector_matrix(spectral):
-    """The limit operator and its measured defects, as ``_measured`` returns.
-
-    Each candidate is measured once; the chosen one's measurement is the
-    certificate :attr:`SpectralData.projector` checks.
-    """
-    k = spectral.kernel_basis
-    if k.shape[1] == 0:
-        return _measured(spectral, np.zeros_like(spectral.a))
-    if spectral.hermitian:
-        return _measured(spectral, k @ k.conj().T)
-    # primary: spectral projector in the eigenvector basis; a nearly
-    # defective stable part degrades it quietly, so the measured defects
-    # decide whether the kernel-pair construction should take over
-    v = spectral.right_eigenvectors
-    indicator = (spectral.eigenvalues.real > -spectral.zero_tol).astype(np.float64)
-    try:
-        w = spectral.left_eigenvectors
-        best = _measured(spectral, v @ (indicator[:, None] * w))
-    except (ConditioningError, DimensionError):
-        best = None  # V too ill-conditioned, or complex beyond rounding
-    norm_a = spectral.norm_a
-    if best is None or _quality(best, norm_a) > 1e-11:
-        try:
-            fallback = _measured(spectral, _kernel_pair_projector(spectral))
-        except ConditioningError:
-            if best is None:
-                raise
-        else:
-            if best is None or _quality(fallback, norm_a) < _quality(best, norm_a):
-                best = fallback
-    return best
 
 
 def decay_defect(spectral, times):

@@ -21,12 +21,10 @@ def random_selfadjoint_semistable(rng, n, kernel_dim):
     return 0.5 * (a + a.T)
 
 
-def random_nonnormal_semistable(rng, n, kernel_dim, cond):
-    """V L V^-1 with L = diag(0, ..., 0, -0.5, ..., -3) and cond(V) = cond.
+def nonnormal_semistable_factors(rng, n, kernel_dim, cond):
+    """V, diag(L) and V^-1 of :func:`random_nonnormal_semistable`.
 
-    The decay rates are evenly spaced, so no two modes form a cluster; V
-    has singular values spaced geometrically from 1 to ``cond`` between
-    two random orthogonal factors.
+    The exact limit operator is V[:, :kernel_dim] @ V^-1[:kernel_dim].
     """
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -34,7 +32,18 @@ def random_nonnormal_semistable(rng, n, kernel_dim, cond):
     lam = np.concatenate(
         [np.zeros(kernel_dim), -np.linspace(0.5, 3.0, n - kernel_dim)]
     )
-    return (v * lam) @ np.linalg.inv(v)
+    return v, lam, np.linalg.inv(v)
+
+
+def random_nonnormal_semistable(rng, n, kernel_dim, cond):
+    """V L V^-1 with L = diag(0, ..., 0, -0.5, ..., -3) and cond(V) = cond.
+
+    The decay rates are evenly spaced, so no two modes form a cluster; V
+    has singular values spaced geometrically from 1 to ``cond`` between
+    two random orthogonal factors.
+    """
+    v, lam, v_inv = nonnormal_semistable_factors(rng, n, kernel_dim, cond)
+    return (v * lam) @ v_inv
 
 
 def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):

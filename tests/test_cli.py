@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semigram import (
     ConditioningError,
@@ -163,6 +164,20 @@ def test_reduce_roundtrip(tmp_path, capsys):
     )
 
 
+def test_reduce_to_order_zero_reads_back(tmp_path, capsys):
+    # the reduced C is 1 x 0, written as one blank row
+    path = write_system(tmp_path, [[-1.0, 1.0], [0.0, -2.0]], b=[[1.0], [0.0]],
+                        c=[[1.0, 1.0]])
+    outdir = tmp_path / "red"
+    code, _, err = run(capsys, ["reduce", path, "--keep", "0", "--output", str(outdir)])
+    assert code == 0, err
+    reduced, _ = read_system(str(outdir / "reduced_system.json"))
+    assert (reduced.a.shape, reduced.b.shape, reduced.c.shape) == ((0, 0), (0, 1), (1, 0))
+    code, out, err = run(capsys, ["analyze", str(outdir / "reduced_system.json")])
+    assert code == 0, err
+    assert parse_report(out)["verdict"] == "stable"
+
+
 def test_reduce_explicit_indices_and_h2_both(tmp_path, capsys):
     path = write_system(tmp_path, np.diag([0.0, -np.pi**2, -4 * np.pi**2]))
     code, out, err = run(
@@ -309,7 +324,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     bidiagonal = np.diag(-np.arange(n, dtype=float)) + np.eye(n, k=1)
     generator = laplacian
     counts = dict.fromkeys(
-        ("eig", "s_inf", "overshoot", "norm", "svd", "cond", "inv"), 0)
+        ("eig", "s_inf", "overshoot", "norm", "svd", "schur", "cond", "inv"), 0)
 
     def full(m, *args, **kwargs):
         return np.shape(m) == (n, n) and np.array_equal(m, generator)
@@ -321,9 +336,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             return fn(*args, **kwargs)
         return wrapped
 
-    # eigendecompositions, spectral norms, SVDs, eigenvector-basis
-    # condition numbers and inverses of the full generator; S_inf builds;
-    # overshoot samplings
+    # eigendecompositions, spectral norms, SVDs, Schur forms,
+    # eigenvector-basis condition numbers and inverses of the full
+    # generator; S_inf builds; overshoot samplings
     def full_size(m, *args, **kwargs):
         return np.shape(m)[0] == n
 
@@ -334,6 +349,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, full_size))
     monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm, full_opnorm))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, full))
+    monkeypatch.setattr(scipy.linalg, "schur", counting("schur", scipy.linalg.schur, full))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, full_size))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, full_size))
     monkeypatch.setattr(semistability, "_projector_matrix",
@@ -342,26 +358,28 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                         counting("overshoot", semistability._estimate_overshoot))
 
     out = str(tmp_path / "o")
-    commands = (  # argv after the system file, and whether M is needed
-        (["analyze"], True),
-        (["gramian", "--output", out], False),
-        (["gramian", "--method", "quadrature", "--output", out], True),
-        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True),
+    commands = (  # argv after the system file; whether M and inv(V) are needed
+        (["analyze"], True, False),
+        (["gramian", "--output", out], False, False),
+        (["gramian", "--method", "quadrature", "--output", out], True, False),
+        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True),
     )
     # the overshoot M of a self-adjoint generator is exactly 1, not sampled;
-    # only the non-self-adjoint one needs cond(V) and inv(V), which S_inf,
-    # the truncation and the controllability test share
+    # the non-self-adjoint one takes S_inf and the split Gramian from one
+    # Schur form, and only the truncation and the controllability test
+    # need cond(V) and inv(V), which they share
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
-        for argv, needs_m in commands:
+        for argv, needs_m, needs_inv in commands:
             counts.update(dict.fromkeys(counts, 0))
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
             assert counts == {
                 "eig": 1, "s_inf": 1, "norm": 1, "svd": 1,
                 "overshoot": int(needs_m and not self_adjoint),
-                "cond": int(not self_adjoint),
-                "inv": int(not self_adjoint),
+                "schur": int(not self_adjoint),
+                "cond": int(needs_inv and not self_adjoint),
+                "inv": int(needs_inv and not self_adjoint),
             }, argv
 
 

@@ -14,7 +14,7 @@ from semigram import (
 )
 from semigram.linalg import opnorm
 
-from conftest import random_selfadjoint_semistable
+from conftest import nonnormal_semistable_factors, random_selfadjoint_semistable
 
 
 def heat3():
@@ -152,7 +152,31 @@ def test_solve_lstsq_strategy_matches_split():
         )
 
 
-def test_solve_nonhermitian_oblique():
+def nonhermitian_cases():
+    """Non-self-adjoint semistable generators A with exact limit-operator
+    factors V_k, W_k (S_inf = V_k W_k)."""
+    e1 = np.eye(3)[:, :1]
+    yield "oblique", np.array([[0.0, 1.0], [0.0, -1.0]]), np.eye(2)[:, :1], np.ones((1, 2))
+    yield "jordan-stable", np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]), e1, e1.T
+    yield "coupling", np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 50.0], [0.0, 0.0, -1.2]]), e1, e1.T
+    rng = np.random.default_rng(37)
+    for k in (1, 2, 3):
+        v, lam, v_inv = nonnormal_semistable_factors(rng, int(rng.integers(k + 2, 12)), k, 30.0)
+        yield "nonnormal-k%d" % k, (v * lam) @ v_inv, v[:, :k], v_inv[:k]
+    v = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    v_inv = np.linalg.inv(v)
+    yield "complex", (v * np.array([0.0, -1.0 + 2.0j, -0.5 - 1.0j, -2.0])) @ v_inv, v[:, :1], v_inv[:1]
+    # eig returns this double zero as a +-i eps pair
+    v, lam, v_inv = nonnormal_semistable_factors(np.random.default_rng(4), 50, 2, 30.0)
+    yield "eig-pair-50", (v * lam) @ v_inv, v[:, :2], v_inv[:2]
+
+
+def test_solve_nonhermitian_oblique(monkeypatch):
+    def no_dense_solver(*args, **kwargs):
+        raise AssertionError("the split route called a dense Schur solver")
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", no_dense_solver)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", no_dense_solver)
     a = np.array([[0.0, 1.0], [0.0, -1.0]])
     spectral = spectral_data(a)
     q = lyapunov_rhs(spectral, np.eye(2))
@@ -161,6 +185,18 @@ def test_solve_nonhermitian_oblique():
     assert np.abs(g.p_inf - expected).max() <= 1e-12
     quad = gramian_by_quadrature(spectral, np.eye(2), 1e-10)
     assert opnorm(g.p_inf - quad.p_inf) <= 1e-8
+
+    rng = np.random.default_rng(41)
+    for name, a, v_k, w_k in nonhermitian_cases():
+        spectral = spectral_data(a)
+        assert not spectral.hermitian, name
+        s = spectral.projector.s_inf
+        assert np.iscomplexobj(s) == np.iscomplexobj(a), name
+        assert opnorm(s - v_k @ w_k) <= 1e-10 * opnorm(v_k @ w_k), name
+        q = lyapunov_rhs(spectral, rng.normal(size=(a.shape[0], 2)))
+        g = solve_semistability_lyapunov(spectral, q)
+        ref = _solve_lstsq(a, q, v_k @ w_k)
+        assert opnorm(g.p_inf - ref) <= 1e-8 * max(1.0, opnorm(ref)), name
 
 
 def test_solve_gramian_invariants_random():

@@ -1,4 +1,5 @@
-"""Modules of the package use each other only through public names."""
+"""Modules of the package use each other only through public names, and
+import only what they use."""
 
 import ast
 import pathlib
@@ -6,10 +7,14 @@ import pathlib
 import semigram
 
 
+def parsed_modules():
+    for path in sorted(pathlib.Path(semigram.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_module_imports_another_modules_private_names():
     offences = []
-    for path in sorted(pathlib.Path(semigram.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in parsed_modules():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -21,3 +26,20 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_")
             ]
     assert offences == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path, tree in parsed_modules():
+        if path.name == "__init__.py":  # imports its names to re-export them
+            continue
+        # an attribute chain such as scipy.linalg.schur uses its root name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            "%s:%d imports %s" % (path.name, alias.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used
+        ]
+    assert unused == []

@@ -38,6 +38,16 @@ def test_roundtrip_complex_exact():
     assert np.array_equal(parse_matrix(format_matrix(m)), m)
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
+def test_roundtrip_empty(shape):
+    # a p x 0 matrix is written as p blank rows after its header
+    text = format_matrix(np.zeros(shape))
+    assert text == "%d %d\n" % shape + "\n" * shape[0]
+    m = parse_matrix(text)
+    assert m.shape == shape
+    assert m.dtype == np.float64
+
+
 def test_roundtrip_through_files(tmp_path):
     target = tmp_path / "m.mat"
     m = np.array([[0.0, 0.5], [-1.25, 3.0]])

@@ -120,8 +120,8 @@ def test_limit_projector_rejects_not_semistable():
 
 
 def test_limit_projector_defective_stable_part():
-    # stable block is a Jordan pair: eigenbasis singular, kernel-pair
-    # fallback must still produce a certified projector
+    # stable block is a Jordan pair: the eigenbasis is singular, but the
+    # ordered Schur split needs none and must still give a certified projector
     rng = np.random.default_rng(11)
     blk = np.array([
         [0.0, 0.0, 0.0],
@@ -140,9 +140,9 @@ def test_limit_projector_defective_stable_part():
 
 
 def test_limit_projector_nearly_defective_complex_pair():
-    # the stable pair -1 +- 1e-10 i is nearly defective: the eigenvector
-    # projector comes out complex far beyond rounding, and the kernel-pair
-    # construction must take over instead of failing on that residue
+    # the stable pair -1 +- 1e-10 i is nearly defective: a projector built
+    # from its eigenvectors comes out complex far beyond rounding, while the
+    # real Schur split of the real generator gives a real, certified one
     rng = np.random.default_rng(0)
     blk = np.zeros((3, 3))
     blk[1:, 1:] = [[-1.0, 1.0], [-1e-20, -1.0]]
