@@ -105,7 +105,7 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
             "computed Gramian is not self-adjoint (defect %.3e)" % herm_defect
         )
     p = _hermitize(p)
-    if np.isrealobj(a) and np.iscomplexobj(p):
+    if np.isrealobj(a) and np.isrealobj(q) and np.iscomplexobj(p):
         p = real_part(p, "gramian", rtol=1e-7)
     eigs = np.linalg.eigvalsh(p) if p.size else np.zeros(1)
     norm_p = float(np.abs(eigs[[0, -1]]).max())

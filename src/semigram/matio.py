@@ -25,24 +25,37 @@ __all__ = [
 ]
 
 
-def _parse_token(token, where):
-    text = token.strip()
-    if not text:
-        raise ParseError("empty matrix entry %s" % where)
+def _parse_token(token, name, row, col):
     try:
-        if text.endswith("i") or text.endswith("I"):
-            value = complex(text[:-1].replace(" ", "") + "j")
+        if token.endswith("i") or token.endswith("I"):
+            value = complex(token[:-1] + "j")
         else:
-            value = complex(float(text))
+            value = complex(float(token))
     except ValueError as exc:
-        raise ParseError("cannot parse matrix entry %r %s" % (token, where)) from exc
+        raise ParseError(
+            "cannot parse matrix entry %r at row %d col %d of %s"
+            % (token, row, col, name)
+        ) from exc
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise ParseError("non-finite matrix entry %r %s" % (token, where))
+        raise ParseError(
+            "non-finite matrix entry %r at row %d col %d of %s"
+            % (token, row, col, name)
+        )
     return value
 
 
 def parse_matrix(text, name="matrix"):
-    """Parse matrix-format text into a float64 or complex128 array."""
+    """Parse matrix-format text into a float64 or complex128 array.
+
+    Each row is converted with one ``map(float, ...)``. A row takes the
+    per-token branch instead when that conversion raises (a complex
+    ``a+bi`` token, which ``float`` never accepts, or a malformed one) or
+    yields a non-finite value; that branch builds the complex values or
+    the ``ParseError`` for the first bad token. Either way the accepted
+    syntax is Python's ``float`` for real tokens and ``complex`` (with
+    ``i`` for ``j``) for complex ones. The result is complex only if some
+    entry has a nonzero imaginary part.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("%s: empty matrix text" % name)
@@ -61,7 +74,7 @@ def parse_matrix(text, name="matrix"):
         raise ParseError(
             "%s: expected %d data rows, found %d" % (name, expected, len(lines) - 1)
         )
-    data = np.zeros((rows, cols), dtype=np.complex128)
+    data = np.empty((rows, cols))
     for i, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != cols:
@@ -69,27 +82,42 @@ def parse_matrix(text, name="matrix"):
                 "%s: row %d has %d entries, expected %d"
                 % (name, i, len(tokens), cols)
             )
-        for j, token in enumerate(tokens):
-            data[i, j] = _parse_token(token, "at row %d col %d of %s" % (i, j, name))
-    if rows and cols and not np.any(data.imag):
+        try:
+            data[i] = list(map(float, tokens))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data[i]).all():
+                continue
+        values = [_parse_token(token, name, i, j) for j, token in enumerate(tokens)]
+        # only a row with a complex token gets here without raising
+        if not np.iscomplexobj(data):
+            data = data.astype(np.complex128)
+        data[i] = values
+    if np.iscomplexobj(data) and not data.imag.any():
         return np.ascontiguousarray(data.real)
-    if not (rows and cols):
-        return np.zeros((rows, cols))
     return data
 
 
-def _format_entry(value):
-    if np.iscomplexobj(np.asarray(value)):
-        return "%.17g%+.17gi" % (value.real, value.imag)
-    return "%.17g" % value
-
-
 def format_matrix(a):
-    """Render a matrix in the text interchange format (round-trip exact)."""
+    """Render a matrix in the text interchange format (round-trip exact).
+
+    Every entry is written with ``%.17g``, a complex one as ``%.17g%+.17gi``
+    from its real and imaginary parts, so Python's ``float`` and
+    ``complex`` read each back exactly; one format string covers a row.
+    """
     a = as_operator(a, "matrix")
-    lines = ["%d %d" % a.shape]
-    for row in a:
-        lines.append(" ".join(_format_entry(v) for v in row))
+    rows, cols = a.shape
+    entry = "%.17g"
+    if np.iscomplexobj(a):
+        # interleaved (real, imag) pairs, two float64 per entry; a view
+        # needs rows laid out contiguously, which a transpose is not
+        entry, a = "%.17g%+.17gi", np.ascontiguousarray(a).view(np.float64)
+    fmt = " ".join([entry] * cols)
+    lines = ["%d %d" % (rows, cols)]
+    # row by row: one tolist() of the whole matrix would hold every entry
+    # as a Python float at once
+    lines.extend([fmt % tuple(row.tolist()) for row in a])
     return "\n".join(lines) + "\n"
 
 
@@ -99,7 +127,7 @@ def read_matrix(path, name=None):
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read matrix file %s: %s" % (path, exc)) from exc
     return parse_matrix(text, name=name)
 
@@ -137,7 +165,7 @@ def read_system(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read system file %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("system file %s is not valid JSON: %s" % (path, exc)) from exc

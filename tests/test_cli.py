@@ -1,4 +1,6 @@
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ import scipy.linalg
 from semigram import (
     ConditioningError,
     cli,
+    matio,
     parse_matrix,
     read_matrix,
     read_system,
     semistability,
+    write_matrix,
 )
 from semigram.cli import RunConfig, main
 
@@ -81,6 +85,16 @@ def test_analyze_malformed_system(tmp_path, capsys):
     path.write_text('{"A": [[1.0, 2.0]]}')
     code, out, err = run(capsys, ["analyze", str(path)])
     assert code == 2
+
+
+def test_analyze_undecodable_matrix_file(tmp_path, capsys):
+    (tmp_path / "a.mat").write_bytes("1 1\né\n".encode("utf-8"))
+    path = tmp_path / "sys.json"
+    path.write_text('{"A": "a.mat"}')
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert err.startswith("error: cannot read matrix file ")
+    assert "a.mat: 'ascii' codec can't decode byte 0xc3" in err
 
 
 def test_gramian_writes_matrix(tmp_path, capsys):
@@ -212,6 +226,45 @@ def test_reduce_dropping_kernel_is_selection_error(tmp_path, capsys):
     )
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize("a, v", [
+    (np.diag([0.0, -1.0, -2.0]), np.eye(3)),
+    (np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]]),
+     np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])),
+], ids=["diagonal", "nonnormal"])
+def test_real_generator_with_complex_input(tmp_path, capsys, a, v):
+    # A = V diag(0, -1, -2) V^-1 and B = [1, i, 1]^T: the Gramian is complex
+    lam = np.array([0.0, -1.0, -2.0])
+    b = np.array([[1.0], [1j], [1.0]])
+    write_matrix(tmp_path / "a.mat", a)
+    write_matrix(tmp_path / "b.mat", b)
+    path = tmp_path / "sys.json"
+    path.write_text('{"A": "a.mat", "B": "b.mat"}')
+    # modal Gramian: P = V P~ V*, P~_ij = -b~_i conj(b~_j) / (lam_i + lam_j)
+    # over the stable modes, with b~ = V^-1 B
+    bt = np.linalg.solve(v, b)[1:, 0]
+    modal = np.zeros((3, 3), dtype=complex)
+    modal[1:, 1:] = -np.outer(bt, bt.conj()) / (lam[1:, None] + lam[None, 1:])
+    expected = v @ modal @ v.conj().T
+    assert expected[1, 2] == pytest.approx(1j / 3)
+    for method, tol in (("lyapunov", 1e-12), ("quadrature", 1e-8)):
+        out = tmp_path / method
+        code, _, err = run(capsys, ["gramian", str(path), "--method", method,
+                                    "--output", str(out)])
+        assert code == 0, err
+        p = read_matrix(out / "p_inf.mat")
+        assert p.dtype == np.complex128
+        assert np.abs(p - expected).max() <= tol
+    # keeping modes 0 and 1 drops the decoupled mode -2, with C = I
+    h2_trace = np.trace(v[:, 2:] @ modal[2:, 2:] @ v[:, 2:].conj().T).real
+    assert h2_trace == pytest.approx(0.25)
+    code, out, err = run(capsys, ["reduce", str(path), "--keep", "2", "--h2", "both",
+                                  "--output", str(tmp_path / "r")])
+    assert code == 0, err
+    report = parse_report(out)
+    assert float(report["h2_trace_gramian"]) == pytest.approx(h2_trace, abs=1e-12)
+    assert float(report["h2_trace_quadrature"]) == pytest.approx(h2_trace, abs=1e-8)
 
 
 def test_reduce_bad_keep_argument(tmp_path, capsys):
@@ -412,3 +465,32 @@ def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, m
     assert float(report["kernel_identity_defect"]) <= 1e-12
     assert float(report["h2_trace_gramian"]) == pytest.approx(
         float(report["h2_trace_quadrature"]), rel=1e-8)
+
+
+def test_matrix_files_are_converted_row_by_row(tmp_path, capsys):
+    # gramian reads 2,750 entries (A 50x50, B 50x2, C 3x50) and writes
+    # 2,500; with all of them real, no Python function in matio runs per
+    # entry or per row
+    n = 50
+    rng = np.random.default_rng(1)
+    for name, m in (("a", random_nonnormal_semistable(rng, n, 1, 30.0)),
+                    ("b", rng.normal(size=(n, 2))), ("c", rng.normal(size=(3, n)))):
+        write_matrix(tmp_path / ("%s.mat" % name), m)
+    path = tmp_path / "sys.json"
+    path.write_text('{"A": "a.mat", "B": "b.mat", "C": "c.mat"}')
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == matio.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code, _, err = run(capsys, ["gramian", str(path), "--output", str(tmp_path / "o")])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0, err
+    assert (calls["parse_matrix"], calls["format_matrix"]) == (3, 1)
+    assert calls["_parse_token"] == 0
+    assert sum(calls.values()) < n, calls
