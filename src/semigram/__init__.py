@@ -40,7 +40,6 @@ from .heatbench import (
     run_benchmark,
 )
 from .linalg import (
-    RankDecision,
     integrate_operator_valued,
     numerical_rank,
     propagator,
@@ -86,7 +85,6 @@ __all__ = [
     "ConditioningError",
     "InconsistencyError",
     "QuadratureError",
-    "RankDecision",
     "propagator",
     "svd_split",
     "numerical_rank",

@@ -103,8 +103,8 @@ def _emit(pairs, config, matrices=None, stream=None):
     elif fmt == "structured":
         doc = {k: _json_value(v) for k, v in pairs}
         for k, m in matrices.items():
-            doc[k] = [[_json_value(complex(x).real) for x in row] for row in m] \
-                if not np.iscomplexobj(m) else [[str(x) for x in row] for row in m]
+            doc[k] = [[str(x) for x in row] for row in m] \
+                if np.iscomplexobj(m) else m.tolist()
         stream.write(json.dumps(doc, indent=2) + "\n")
     else:
         for k, v in pairs:
@@ -271,11 +271,11 @@ def _build_parser():
         help="absolute tolerance for quadrature routes (default 1e-9)",
     )
     common.add_argument(
-        "--method", choices=("auto", "quadrature", "lyapunov"),
+        "--method", choices=_GRAMIAN_METHODS,
         default="auto", help="Gramian computation route",
     )
     common.add_argument(
-        "--format", choices=("text", "csv", "structured"), default="text",
+        "--format", choices=_OUTPUT_FORMATS, default="text",
         help="report format",
     )
     common.add_argument(

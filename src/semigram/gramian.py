@@ -329,7 +329,7 @@ def verify_solution_structure(spectral, p1, p2):
     # not resolvable parts of its range; keep the cut two orders under the
     # 1e-6 * norm(Delta) certification threshold
     range_cut = max(default_rank_tol(delta.shape, norm_delta), 1e-8 * norm_delta)
-    range_basis, _, _ = svd_split(delta, range_cut)
+    range_basis, _ = svd_split(delta, range_cut)
     if range_basis.shape[1]:
         kernel_range = opnorm(a.conj().T @ range_basis)
     else:

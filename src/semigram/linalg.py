@@ -39,7 +39,6 @@ __all__ = [
     "real_part",
     "opnorm",
     "opnorm_lower_bound",
-    "RankDecision",
     "numerical_rank",
     "svd_split",
     "is_diagonal",
@@ -147,36 +146,6 @@ def opnorm_lower_bound(m):
     return float(np.linalg.norm(m.conj().T @ y)) / norm_y
 
 
-class RankDecision:
-    """Record of an SVD-based numerical rank decision.
-
-    Attributes
-    ----------
-    numerical_rank : int
-        Number of singular values strictly above ``tolerance_used``.
-    singular_values : ndarray
-        All singular values, descending.
-    tolerance_used : float
-        Absolute threshold that was applied.
-    """
-
-    def __init__(self, numerical_rank, singular_values, tolerance_used):
-        singular_values = np.asarray(singular_values, dtype=np.float64)
-        if np.any(np.diff(singular_values) > 0):
-            raise ValueError("singular values must be sorted descending")
-        if numerical_rank != int(np.sum(singular_values > tolerance_used)):
-            raise ValueError("rank inconsistent with singular values and tolerance")
-        self.numerical_rank = int(numerical_rank)
-        self.singular_values = singular_values
-        self.tolerance_used = float(tolerance_used)
-
-    def __repr__(self):
-        return "RankDecision(rank=%d, tol=%.3e)" % (
-            self.numerical_rank,
-            self.tolerance_used,
-        )
-
-
 def default_rank_tol(shape, largest_sv):
     """max(m, n) * eps * sigma_1, the standard numerical-rank threshold."""
     return max(shape) * EPS * largest_sv if largest_sv > 0 else 0.0
@@ -213,18 +182,18 @@ def numerical_rank(a, rank_tol=None):
 def svd_split(a, rank_tol=None):
     """Split C^n into numerical row space and null space of a square matrix.
 
-    Returns ``(range_basis, kernel_basis, decision)`` where the columns of
+    Returns ``(range_basis, kernel_basis)`` where the columns of
     ``kernel_basis`` span the numerical null space, the columns of
     ``range_basis`` span its orthogonal complement, and both sets are
     orthonormal (right singular vectors of ``a``; both are views of one
     array). ``rank_tol`` is the absolute singular-value threshold, see
-    :func:`numerical_rank`; ``decision`` records the rank decision.
+    :func:`numerical_rank`; the numerical rank is the width of
+    ``range_basis``.
     """
     a = as_operator(a, "matrix", square=True)
     n = a.shape[0]
     if n == 0:
-        dec = RankDecision(0, np.zeros(0), 0.0 if rank_tol is None else rank_tol)
-        return a.copy(), a.copy(), dec
+        return a.copy(), a.copy()
     _, s, vh = np.linalg.svd(a)
     if rank_tol is None:
         rank_tol = default_rank_tol(a.shape, s[0])
@@ -232,7 +201,7 @@ def svd_split(a, rank_tol=None):
         raise ValueError("rank_tol must be nonnegative")
     rank = int(np.sum(s > rank_tol))
     v = vh.conj().T
-    return v[:, :rank], v[:, rank:], RankDecision(rank, s, rank_tol)
+    return v[:, :rank], v[:, rank:]
 
 
 def is_diagonal(a):

@@ -3,11 +3,14 @@
 A reduction here is a triple (pi, sigma, a_hat): a surjection pi onto the
 reduced space, a right inverse sigma, and the reduced generator
 a_hat = pi A sigma, chosen so that pi intertwines the full and reduced
-propagators (pi exp(At) = exp(a_hat t) pi). Bases come from eigenmode
-selection, so sigma pi is the spectral projector onto the kept modes and
-pi sigma is the identity on the reduced space. Equilibrium (kernel) modes
-are always kept: the synchronization and error results downstream require
-sigma pi to restrict to the identity on ker A.
+propagators (pi exp(At) = exp(a_hat t) pi). sigma pi is the spectral
+projector onto the kept modes and pi sigma is the identity on the reduced
+space. For self-adjoint A the bases are the kept orthonormal eigenvectors;
+otherwise they are read from the analysis record's Schur form, reordered so
+that the kept modes lead (:meth:`SpectralData.mode_split`), and no
+eigenvector basis is inverted. Equilibrium (kernel) modes are always kept:
+the synchronization and error results downstream require sigma pi to
+restrict to the identity on ker A.
 """
 
 from dataclasses import dataclass
@@ -28,10 +31,8 @@ from .linalg import (
     numerical_rank,
     opnorm,
     propagator,
-    real_part,
 )
 from .semistability import (
-    COND_LIMIT,
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
@@ -147,51 +148,6 @@ class PreservationReport:
 _STRENGTH = {NOT_SEMISTABLE: 0, SEMISTABLE: 1, STABLE: 2}
 
 
-def _eigenbasis(spectral):
-    """Right eigenvectors V, left eigenvectors W = V^-1 and a bound on
-    cond(V), with a real kernel block for real generators.
-
-    eig can return a repeated semisimple zero of a real non-normal
-    generator as a +-i eps pair with complex eigenvectors, which no real
-    reduction can keep. Any basis K of the kernel is an eigenbasis of that
-    cluster, and the SVD one is real; the kernel modes of a semistable
-    generator come first in the canonical order. With [G; E] = W K, the
-    swapped basis is V T for T = [[G, 0], [E, I]], so its inverse keeps
-    the record's rows outside the kernel block and has G^-1 W_k inside,
-    and cond(V T) <= cond(V) |T| |T^-1| with |T| <= max(|G|, 1) + |E| and
-    |T^-1| <= max(|G^-1|, 1) + |E| |G^-1|: no second inverse or SVD of an
-    n x n matrix.
-
-    Raises ConditioningError when the bound exceeds COND_LIMIT.
-    """
-    v = spectral.right_eigenvectors
-    cond_v = spectral.cond_v
-    k = spectral.zero_eig_algebraic_multiplicity
-    swap = (np.isrealobj(spectral.a) and k == spectral.kernel_dim
-            and np.any(spectral.eigenvalues[:k].imag))
-    if swap and cond_v <= COND_LIMIT:
-        x = spectral.left_eigenvectors @ spectral.kernel_basis
-        sv = np.linalg.svd(x[:k], compute_uv=False)
-        e_norm = float(norm(x[k:]))  # Frobenius, at least the 2-norm
-        if sv[-1] > 0:
-            cond_v *= ((max(sv[0], 1.0) + e_norm)
-                       * (max(1.0 / sv[-1], 1.0) + e_norm / sv[-1]))
-        else:
-            cond_v = np.inf
-    if not np.isfinite(cond_v) or cond_v > COND_LIMIT:
-        raise ConditioningError(
-            "eigenvector basis condition number %.3e exceeds the "
-            "mode-truncation limit" % cond_v
-        )
-    w = spectral.left_eigenvectors
-    if swap:
-        v = v.copy()
-        v[:, :k] = spectral.kernel_basis
-        w = w.copy()
-        w[:k] = np.linalg.solve(x[:k], w[:k])
-    return v, w, cond_v
-
-
 def _resolve_selection(spectral, keep):
     n = spectral.n
     lam = spectral.eigenvalues
@@ -234,35 +190,6 @@ def _resolve_selection(spectral, keep):
     return sel
 
 
-def _pairing_transform(lam_sel, zero_tol):
-    """Unitary block map sending conjugate eigenvector pairs to real pairs.
-
-    Columns [v, conj(v)] map to [sqrt(2) Re v, sqrt(2) Im v]; the reduced
-    block for the pair becomes the real rotation-scaling [[a, b], [-b, a]].
-    """
-    r = len(lam_sel)
-    t = np.eye(r, dtype=np.complex128)
-    p = 0
-    while p < r:
-        if abs(lam_sel[p].imag) > zero_tol:
-            ok = (
-                p + 1 < r
-                and abs(lam_sel[p + 1] - np.conj(lam_sel[p])) <= 1e-8 * max(1.0, abs(lam_sel[p]))
-            )
-            if not ok:
-                raise InvalidSelectionError(
-                    "a real-valued reduction must keep or drop complex "
-                    "conjugate eigenvalue pairs together"
-                )
-            t[p : p + 2, p : p + 2] = np.array(
-                [[1.0, -1.0j], [1.0, 1.0j]]
-            ) / np.sqrt(2.0)
-            p += 2
-        else:
-            p += 1
-    return t
-
-
 def mode_truncation(sys, spectral, keep):
     """Build an invariant reduction keeping selected eigenmodes.
 
@@ -278,9 +205,10 @@ def mode_truncation(sys, spectral, keep):
         mode indices into the canonical order. Equilibrium modes must be
         included either way.
 
-    The reduced model is real exactly when A, B and C are real; complex
-    conjugate mode pairs are then rotated into 2x2 real blocks and must be
-    selected together.
+    For non-self-adjoint A, a_hat is the leading block of the reordered
+    Schur form, with the kept modes in their canonical order. The reduced
+    model is real exactly when A, B and C are real; complex conjugate mode
+    pairs then stay in 2x2 real Schur blocks and must be selected together.
 
     Returns
     -------
@@ -294,8 +222,9 @@ def mode_truncation(sys, spectral, keep):
         If the selection drops a kernel mode, splits a conjugate pair of a
         real reduction, or splits a repeated-eigenvalue cluster.
     ConditioningError
-        If the eigenvector basis is too ill-conditioned to produce a
-        trustworthy projection pair.
+        If the Schur form cannot be reordered or decoupled, the spectral
+        projector bound exceeds its limit, or a certificate of the
+        projection pair fails.
     """
     a = sys.a
     if not np.array_equal(spectral.a, a):
@@ -317,7 +246,6 @@ def mode_truncation(sys, spectral, keep):
         sigma = spectral.right_eigenvectors[:, sel].copy()
         pi = sigma.conj().T.copy()
     else:
-        v, w, cond_v = _eigenbasis(spectral)
         # splitting a cluster of (numerically) equal eigenvalues would cut
         # through a Jordan chain; whole clusters travel together
         labels = spectral.clusters
@@ -328,20 +256,14 @@ def mode_truncation(sys, spectral, keep):
                 "repeated modes must be kept or dropped together"
                 % lam[sel[np.argmax(split)]]
             )
-        sigma = v[:, sel]
-        pi = w[sel, :]
-        if real and np.iscomplexobj(sigma):
-            t = _pairing_transform([lam[i] for i in sel], spectral.zero_tol)
-            sigma = sigma @ t
-            pi = t.conj().T @ pi
-        # one refinement step pins pi sigma to the identity, which the
-        # computed inverse alone only achieves up to eps * cond(v)
-        gram = pi @ sigma
-        pi = np.linalg.solve(gram, pi)
-        if real:
-            imag_tol = max(1e-10, 1e3 * EPS * cond_v)
-            sigma = real_part(sigma, "sigma", rtol=imag_tol)
-            pi = real_part(pi, "pi", rtol=imag_tol)
+        z, coupling = spectral.mode_split(sel, complex_form=not real)
+        if coupling.shape[0] != r:
+            raise InvalidSelectionError(
+                "a real-valued reduction must keep or drop complex "
+                "conjugate eigenvalue pairs together"
+            )
+        sigma = z[:, :r].copy()  # a view would keep all of Z alive
+        pi = sigma.conj().T - coupling @ z[:, r:].conj().T
 
     a_hat = pi @ a @ sigma
     b_hat = pi @ sys.b
@@ -418,7 +340,8 @@ def is_controllable(spectral, b):
     (A, B) is controllable iff, for every cluster of numerically equal
     eigenvalues (:attr:`SpectralData.clusters`), the rows of W B have full
     row rank, where W holds the cluster's left eigenvectors (Hautus 1969).
-    Raises ConditioningError when the record cannot invert V (cond_v > COND_LIMIT).
+    Raises ConditioningError when the record refuses to invert V
+    (:attr:`SpectralData.left_eigenvectors`).
     """
     b = as_operator(b, "input matrix")
     if b.shape[0] != spectral.n:

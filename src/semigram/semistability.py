@@ -25,7 +25,6 @@ from .linalg import (
     opnorm_lower_bound,
     propagator,
     real_part,
-    svd_split,
 )
 
 __all__ = [
@@ -46,7 +45,8 @@ NOT_SEMISTABLE = "not_semistable"
 HERMITIAN_RTOL = 1e-10
 
 # eigenvector-basis condition number beyond which left_eigenvectors refuses
-# to invert V; the mode truncation and the controllability test need inv(V)
+# to invert V, which only the controllability test needs; also the largest
+# spectral projector bound 1 + |R| that mode_split accepts
 COND_LIMIT = 1e12
 
 
@@ -80,11 +80,13 @@ class SpectralData:
     ``right_eigenvectors``; modes are sorted by descending real part
     (kernel modes first), then by ascending imaginary magnitude, so that
     conjugate pairs are adjacent and mode indices are stable across runs.
-    ``kernel_basis`` and ``range_basis`` are the two halves of one SVD
-    split of ``a``. The certified limit operator ``projector``, the
-    sampled ``overshoot_m``, the ordered Schur ``split``, ``cond_v``,
+    ``norm_a`` and the orthonormal ``kernel_basis`` come from one SVD of
+    ``a``. The certified limit operator ``projector``, the sampled
+    ``overshoot_m``, the ordered Schur ``split``, ``cond_v``,
     ``left_eigenvectors`` and the eigenvalue ``clusters`` are computed on
-    first use and cached.
+    first use and cached; only the controllability test needs ``cond_v``
+    and ``left_eigenvectors``, as every invariant subspace is read from
+    the Schur ``split`` (:meth:`mode_split`).
     """
 
     a: np.ndarray
@@ -92,7 +94,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     kernel_basis: np.ndarray
-    range_basis: np.ndarray
     zero_eig_algebraic_multiplicity: int
     zero_eig_geometric_multiplicity: int
     zero_tol: float
@@ -148,7 +149,8 @@ class SpectralData:
     @cached_property
     def left_eigenvectors(self):
         """Rows w_i with w_i v_j = delta_ij: V* for self-adjoint A, else
-        inv(V), refused with ConditioningError when cond_v > COND_LIMIT."""
+        inv(V), refused with ConditioningError when cond_v > COND_LIMIT.
+        Only the controllability test reads them."""
         v = self.right_eigenvectors
         if not (self.hermitian or self.cond_v <= COND_LIMIT):
             raise ConditioningError(
@@ -181,8 +183,9 @@ class SpectralData:
         real A, complex otherwise) and the k zero eigenvalues in T11, and
         T11 R - R T22 = -T12, so that M = Z [[I, R], [0, I]] satisfies
         M^{-1} A M = diag(T11, T22). The Sylvester equation is solved by
-        LAPACK ``?trsyl`` on the triangular blocks, which also covers a
-        defective stable part, where no eigenvector basis exists.
+        LAPACK ``?trsyl`` on the triangular blocks (:func:`_decouple`),
+        which also covers a defective stable part, where no eigenvector
+        basis exists.
 
         Raises
         ------
@@ -203,18 +206,51 @@ class SpectralData:
                 "Schur reordering found %d kernel modes, spectral data found %d"
                 % (k, self.zero_eig_algebraic_multiplicity)
             )
-        if k in (0, self.n):  # ?trsyl rejects empty blocks
-            r = np.zeros((k, self.n - k), dtype=t.dtype)
-        else:
-            trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t,))
-            r, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
-            if info:
-                raise ConditioningError(
-                    "failed to decouple the kernel block (?trsyl info %d)" % info)
-            r /= scale
+        r = _decouple(t, k)
         for m in (t, z, r):
             m.flags.writeable = False  # every caller shares them
         return t, z, r
+
+    def mode_split(self, modes, complex_form=False):
+        """Schur vectors ``Z`` and coupling ``R`` with the given modes leading.
+
+        ``modes`` are indices into the canonical order and must hold whole
+        :attr:`clusters`. LAPACK ``?trsen`` reorders the cached
+        :attr:`split` so that the Schur positions whose nearest record
+        eigenvalue is one of ``modes`` lead, and R decouples the leading
+        m x m block as in :attr:`split`. Then Z[:, :m] and
+        Z[:, :m]* - R Z[:, m:]* are a projection pair onto the modes'
+        invariant subspace, and their product, the spectral projector, has
+        norm at most 1 + |R|. A 2x2 block of a real Schur form moves whole,
+        so m = R.shape[0] exceeds len(modes) when they split a conjugate
+        pair; ``complex_form`` converts a real form to the complex one
+        (``rsf2csf``) first, where every eigenvalue moves alone.
+
+        Raises
+        ------
+        ConditioningError
+            If ``?trsen`` or ``?trsyl`` fails, or 1 + |R|_F exceeds
+            COND_LIMIT.
+        """
+        t, z, _ = self.split
+        if complex_form and np.isrealobj(t):
+            t, z = scipy.linalg.rsf2csf(t, z)
+        # clusters lie farther apart than rounding moves an eigenvalue
+        lam = _schur_eigenvalues(t)
+        nearest = np.abs(lam[:, None] - self.eigenvalues[None, :]).argmin(axis=1)
+        trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
+        out = trsen(np.isin(nearest, modes), t, z, job="N")
+        t, z, m, info = out[0], out[1], out[-4], out[-1]
+        if info:
+            raise ConditioningError(
+                "failed to reorder the Schur form (?trsen info %d)" % info)
+        r = _decouple(t, m)
+        bound = 1.0 + float(np.linalg.norm(r))
+        if bound > COND_LIMIT:
+            raise ConditioningError(
+                "spectral projector bound 1 + |R| = %.3e exceeds the "
+                "mode-truncation limit" % bound)
+        return z, r
 
     @cached_property
     def projector(self):
@@ -310,11 +346,20 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     a = as_operator(a, "generator", square=True)
     a.flags.writeable = False  # the record caches what it derives from a
     n = a.shape[0]
-    norm_a = opnorm(a)
+    # one SVD gives the spectral norm, the rank decision and the kernel
+    sv, vh = np.linalg.svd(a)[1:]
+    norm_a = float(sv[0]) if n else 0.0
     if zero_tol is None:
         zero_tol = default_zero_tol(n, norm_a)
     elif zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
+    if rank_tol is None:
+        rank_tol = max(default_rank_tol((n, n), norm_a), zero_tol)
+    elif rank_tol < 0:
+        raise ValueError("rank_tol must be nonnegative")
+    rank = int(np.sum(sv > rank_tol))
+    kernel = vh[rank:].conj().T
+    del vh  # not held through the eigendecomposition
 
     hermitian = is_hermitian(a, norm_a)
     if hermitian:
@@ -331,10 +376,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     eigenvalues = eigenvalues[order]
     v = v[:, order]
 
-    if rank_tol is None:
-        rank_tol = max(default_rank_tol((n, n), norm_a), zero_tol)
-    range_basis, kernel, decision = svd_split(a, rank_tol)
-    geometric = kernel.shape[1]
+    geometric = n - rank
     algebraic = int(
         np.sum(
             (np.abs(eigenvalues.real) <= zero_tol)
@@ -353,7 +395,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         tol2 = max(n * EPS * norm_a**2, zero_tol**2)
         s2 = np.linalg.svd(a2, compute_uv=False)
         rank_a2 = int(np.sum(s2 > tol2))
-        semisimple = rank_a2 == decision.numerical_rank
+        semisimple = rank_a2 == rank
 
     return SpectralData(
         a=a,
@@ -361,7 +403,6 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         eigenvalues=eigenvalues,
         right_eigenvectors=v,
         kernel_basis=kernel,
-        range_basis=range_basis,
         zero_eig_algebraic_multiplicity=algebraic,
         zero_eig_geometric_multiplicity=geometric,
         zero_tol=float(zero_tol),
@@ -382,6 +423,42 @@ def _estimate_overshoot(a, s_inf, mu):
     for t in times:
         est = max(est, opnorm(at(t) - s_inf) * np.exp(mu * t))
     return max(est, EPS)
+
+
+def _decouple(t, k):
+    """R with T11 R - R T22 = -T12 for the leading k x k block of a Schur
+    form T, so that M = [[I, R], [0, I]] gives M^-1 T M = diag(T11, T22).
+
+    Solved by LAPACK ``?trsyl`` on the triangular blocks, which also
+    covers a defective T22, where no eigenvector basis exists. Raises
+    ConditioningError when ``?trsyl`` reports the blocks too close to
+    decouple.
+    """
+    n = t.shape[0]
+    if k in (0, n):  # ?trsyl rejects empty blocks
+        return np.zeros((k, n - k), dtype=t.dtype)
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t,))
+    r, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+    if info:
+        raise ConditioningError(
+            "failed to decouple the leading %d modes (?trsyl info %d)" % (k, info))
+    r /= scale
+    return r
+
+
+def _schur_eigenvalues(t):
+    """Eigenvalues of a Schur form in diagonal order.
+
+    LAPACK returns real Schur forms standardized: a 2x2 diagonal block
+    [[a, b], [c, a]] has bc < 0 and the eigenvalues a +- i sqrt(-bc).
+    """
+    lam = np.diagonal(t).astype(np.complex128)
+    if np.isrealobj(t):
+        first = np.flatnonzero(np.diagonal(t, -1))
+        root = np.sqrt(-np.diagonal(t, 1)[first] * np.diagonal(t, -1)[first])
+        lam[first] += 1j * root
+        lam[first + 1] -= 1j * root
+    return lam
 
 
 def _projector_matrix(spectral):

@@ -300,6 +300,15 @@ def test_structured_output_parses(tmp_path, capsys):
     assert basis.shape == (2, 1)
 
 
+def test_structured_matrix_entries_are_written_as_floats(capsys):
+    # m.tolist() writes the bytes of the per-entry float conversion
+    big = np.finfo(np.float64).max
+    m = np.array([[0.0, -0.0, 5e-324], [-5e-324, big, -big]])
+    cli._emit([], RunConfig(output_format="structured"), {"m": m})
+    per_entry = [[cli._json_value(complex(x).real) for x in row] for row in m]
+    assert capsys.readouterr().out == json.dumps({"m": per_entry}, indent=2) + "\n"
+
+
 def test_runconfig_validation():
     config = RunConfig()
     assert config.quadrature_tol == 1e-9
@@ -417,10 +426,10 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
         (["gramian", "--method", "quadrature", "--output", out], True, False),
         (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True),
     )
-    # the overshoot M of a self-adjoint generator is exactly 1, not sampled;
-    # the non-self-adjoint one takes S_inf and the split Gramian from one
-    # Schur form, and only the truncation and the controllability test
-    # need cond(V) and inv(V), which they share
+    # one SVD gives the spectral norm and the kernel; the overshoot M of a
+    # self-adjoint generator is exactly 1, not sampled; the non-self-adjoint
+    # one takes S_inf, the split Gramian and the truncation from one Schur
+    # form, and only the controllability test needs cond(V) and inv(V)
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
         for argv, needs_m, needs_inv in commands:
@@ -428,7 +437,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
             assert counts == {
-                "eig": 1, "s_inf": 1, "norm": 1, "svd": 1,
+                "eig": 1, "s_inf": 1, "norm": 0, "svd": 1,
                 "overshoot": int(needs_m and not self_adjoint),
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
@@ -437,9 +446,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
 
 
 def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, monkeypatch):
-    # at this seed eig returns the double zero as a +-i eps pair, so the
-    # truncation swaps the real SVD kernel basis into V; its left vectors
-    # come from the record's inverse, not from a second inv and cond
+    # at this seed eig returns the double zero as a +-i eps pair; the
+    # truncation reads the real Schur split, whose kernel block is real,
+    # and the one inv and cond are the controllability test's
     n = 50
     rng = np.random.default_rng(4)
     a = random_nonnormal_semistable(rng, n, 2, 30.0)

@@ -1,5 +1,5 @@
-"""Modules of the package use each other only through public names, and
-import only what they use."""
+"""Modules of the package use each other only through public names,
+import only what they use, and use every private function they define."""
 
 import ast
 import pathlib
@@ -43,3 +43,16 @@ def test_no_module_imports_a_name_it_never_uses():
             if (alias.asname or alias.name).split(".")[0] not in used
         ]
     assert unused == []
+
+
+def test_every_private_function_is_used_in_its_module():
+    dead = []
+    for path, tree in parsed_modules():
+        private = {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead += ["%s: %s" % (path.name, name) for name in sorted(private - used)]
+    assert dead == []

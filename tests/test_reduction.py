@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semigram import (
     ConditioningError,
@@ -17,9 +18,11 @@ from semigram import (
     spectral_data,
     trajectory_sync_defect,
 )
+from semigram import semistability
 from semigram.linalg import opnorm
 
 from conftest import (
+    nonnormal_semistable_factors,
     random_controllable_pair,
     random_nonnormal_semistable,
     random_selfadjoint_semistable,
@@ -163,7 +166,7 @@ def test_complex_system_keeps_complex_reduction():
 
 def test_repeated_zero_of_nonnormal_generator_gives_real_reduction():
     # eig returns the double zero as a +-i eps pair with complex
-    # eigenvectors; the real kernel basis must stand in for them
+    # eigenvectors; the truncation reads the real Schur split instead
     v = np.random.default_rng(2).standard_normal((4, 4))
     a = v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)
     spectral = spectral_data(a)
@@ -413,3 +416,91 @@ def test_keep_none_of_stable_system():
     assert red.a_hat.shape == (0, 0)
     assert red.pi.shape == (0, 2)
     assert red.sigma.shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed, n, kernel_dim, keep", [
+    (4, 50, 2, 12),  # eig returns the double zero as a +-i eps pair
+    (1, 50, 1, 13),
+    (2, 200, 3, 40),
+    (3, 6, 1, 3),
+    (6, 30, 2, [0, 1, 4, 9, 17, 29]),
+])
+def test_nonnormal_truncation_projector_is_exact(seed, n, kernel_dim, keep):
+    v, lam, v_inv = nonnormal_semistable_factors(
+        np.random.default_rng(seed), n, kernel_dim, 30.0)
+    a = (v * lam) @ v_inv
+    spectral = spectral_data(a)
+    red = mode_truncation(StateSpaceSystem(a), spectral, keep)
+    sel = list(range(keep)) if isinstance(keep, int) else keep
+    exact = v[:, sel] @ v_inv[sel]
+    assert not np.iscomplexobj(red.pi) and not np.iscomplexobj(red.sigma)
+    assert opnorm(red.sigma @ red.pi - exact) <= 1e-10 * opnorm(exact)
+
+
+def test_nonnormal_truncation_reads_the_records_schur_split(monkeypatch):
+    n = 50
+    a = random_nonnormal_semistable(np.random.default_rng(4), n, 2, 30.0)
+    spectral = spectral_data(a)
+    assert spectral.projector.s_inf.shape == (n, n)  # builds the Schur split
+    counts = dict.fromkeys(("inv", "cond", "eig", "svd", "schur"), 0)
+
+    def counting(key, fn):
+        def wrapped(m, *args, **kwargs):
+            counts[key] += np.shape(m) == (n, n)
+            return fn(m, *args, **kwargs)
+        return wrapped
+
+    for key in ("inv", "cond", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
+    monkeypatch.setattr(scipy.linalg, "schur", counting("schur", scipy.linalg.schur))
+    red = mode_truncation(StateSpaceSystem(a), spectral, 12)
+    assert counts == dict.fromkeys(counts, 0)
+    assert red.kernel_identity_defect <= 1e-12
+
+
+def rotated_pair_generator(rotate):
+    """Eigenvalues 0, -1 -+ 2i and -3, in a rotated frame if ``rotate``."""
+    block = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 2.0, 0.0],
+        [0.0, -2.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, -3.0],
+    ])
+    if not rotate:
+        return block
+    qmat, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
+    return qmat @ block @ qmat.T
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_complex_input_may_split_a_pair_of_a_real_generator(rotate):
+    # the reduction is complex, so it may keep one member of the pair
+    a = rotated_pair_generator(rotate)
+    sys = StateSpaceSystem(a, b=1j * np.ones((4, 1)))
+    spectral = spectral_data(a)
+    for member in (1, 2):
+        red = mode_truncation(sys, spectral, [0, member])
+        assert red.a_hat.dtype.kind == "c"
+        eig = np.sort_complex(np.linalg.eigvals(red.a_hat))
+        expected = np.sort_complex(np.array([0.0, spectral.eigenvalues[member]]))
+        assert np.abs(eig - expected).max() <= 1e-12
+        assert red.commutativity_defect <= 1e-14
+    with pytest.raises(InvalidSelectionError):
+        mode_truncation(StateSpaceSystem(a), spectral, [0, 1])
+
+
+def test_large_projector_bound_is_conditioning_error(monkeypatch):
+    # the coupling c gives R = [0, -c] between the kept modes 0, -1 and the
+    # dropped mode -2, and a spectral projector of norm about c. A
+    # generator the record classifies as semistable cannot make |R| reach
+    # COND_LIMIT: the rank tests of A and A^2 bound the coupling first (at
+    # c = 1e6 this A already fails them), so the test lowers the limit
+    c = 1e3
+    a = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, c], [0.0, 0.0, -2.0]])
+    sys = StateSpaceSystem(a)
+    spectral = spectral_data(a)
+    red = mode_truncation(sys, spectral, 2)
+    assert opnorm(red.sigma @ red.pi) == pytest.approx(np.hypot(1.0, c), rel=1e-12)
+    monkeypatch.setattr(semistability, "COND_LIMIT", 0.5 * c)
+    with pytest.raises(ConditioningError, match="1 \\+ \\|R\\|"):
+        mode_truncation(sys, spectral, 2)

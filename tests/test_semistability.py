@@ -8,10 +8,11 @@ from semigram import (
     NotSemistableError,
     decay_defect,
     spectral_data,
+    svd_split,
 )
-from semigram.linalg import opnorm
+from semigram.linalg import default_rank_tol, opnorm
 
-from conftest import random_selfadjoint_semistable
+from conftest import random_nonnormal_semistable, random_selfadjoint_semistable
 
 
 def laplacian_k3():
@@ -207,3 +208,15 @@ def test_record_failure_reasons():
         assert record.overshoot_m is None
         with pytest.raises(NotSemistableError):
             record.projector
+
+
+@pytest.mark.parametrize("kernel_dim", [1, 3])
+def test_one_svd_gives_the_norm_and_the_kernel(kernel_dim):
+    # the record's kernel is the SVD split's at the record's tolerance, bit
+    # for bit, and its norm is the largest singular value
+    a = random_nonnormal_semistable(np.random.default_rng(8), 40, kernel_dim, 30.0)
+    spectral = spectral_data(a)
+    rank_tol = max(default_rank_tol(a.shape, spectral.norm_a), spectral.zero_tol)
+    _, kernel = svd_split(a, rank_tol)
+    assert np.array_equal(spectral.kernel_basis, kernel)
+    assert spectral.norm_a == pytest.approx(opnorm(a), rel=1e-14)
