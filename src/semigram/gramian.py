@@ -36,7 +36,6 @@ from .linalg import (
     opnorm,
     opnorm_lower_bound,
     propagator,
-    real_part,
     svd_split,
 )
 
@@ -105,8 +104,6 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
             "computed Gramian is not self-adjoint (defect %.3e)" % herm_defect
         )
     p = _hermitize(p)
-    if np.isrealobj(a) and np.isrealobj(q) and np.iscomplexobj(p):
-        p = real_part(p, "gramian", rtol=1e-7)
     eigs = np.linalg.eigvalsh(p) if p.size else np.zeros(1)
     norm_p = float(np.abs(eigs[[0, -1]]).max())
     if eigs[0] < -1e-8 * norm_p - 1e-30:
@@ -209,10 +206,7 @@ def lyapunov_rhs(spectral, b):
     if s.shape[0] != b.shape[0]:
         raise DimensionError("limit operator size must match the input matrix")
     g = b - s @ b
-    q = _hermitize(g @ g.conj().T)
-    if np.isrealobj(b) and np.isrealobj(s):
-        q = real_part(q, "lyapunov rhs")
-    return q
+    return _hermitize(g @ g.conj().T)
 
 
 def _solve_split(spectral, q):
@@ -221,7 +215,7 @@ def _solve_split(spectral, q):
         # eigenbasis the stable block's equation is diagonal,
         # P_ij = (V* Q V)_ij / -(lambda_i + lambda_j) over stable i, j
         k = spectral.kernel_dim
-        v = spectral.right_eigenvectors[:, k:]
+        v = spectral.eigenvectors[:, k:]
         lam = spectral.eigenvalues.real[k:]
         core = _hermitize(v.conj().T @ q @ v) / -(lam[:, None] + lam[None, :])
         return v @ core @ v.conj().T

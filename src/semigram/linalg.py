@@ -36,7 +36,6 @@ from .errors import DimensionError, QuadratureError
 
 __all__ = [
     "as_operator",
-    "real_part",
     "opnorm",
     "opnorm_lower_bound",
     "numerical_rank",
@@ -48,9 +47,6 @@ __all__ = [
 
 #: machine epsilon of the working precision (float64 / complex128)
 EPS = float(np.finfo(np.float64).eps)
-
-# imaginary residue above this relative level on a nominally real result is an error
-IMAG_RESIDUE_RTOL = 1e-10
 
 
 def as_operator(a, name="operator", square=False):
@@ -98,25 +94,6 @@ def as_operator(a, name="operator", square=False):
             "%s must be square, got shape %s" % (name, (m.shape,))
         )
     return m
-
-
-def real_part(m, name="result", rtol=IMAG_RESIDUE_RTOL):
-    """Strip a numerically-zero imaginary part from a complex intermediate.
-
-    Operations on real inputs are computed through complex arithmetic in the
-    spectral paths; their outputs must come back real. The imaginary residue
-    is required to be below ``rtol`` relative to the real magnitude.
-    """
-    if not np.iscomplexobj(m):
-        return m
-    scale = max(1.0, float(np.abs(m.real).max(initial=0.0)))
-    residue = float(np.abs(m.imag).max(initial=0.0))
-    if residue > rtol * scale:
-        raise DimensionError(
-            "%s expected to be real but has imaginary residue %.3e "
-            "(relative tolerance %.1e)" % (name, residue, rtol)
-        )
-    return np.ascontiguousarray(m.real)
 
 
 def opnorm(m):

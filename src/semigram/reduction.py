@@ -33,6 +33,7 @@ from .linalg import (
     propagator,
 )
 from .semistability import (
+    COND_LIMIT,
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
@@ -103,12 +104,15 @@ class Reduction:
     the propagators follows from it being (numerically) zero.
     ``kernel_identity_defect`` is norm((sigma pi - I) K) for an orthonormal
     kernel basis K; it certifies that equilibria survive the reduction.
-    ``spectral`` is the analysis record of the full generator, which the
-    preservation check and the H2 oracle read instead of recomputing it.
+    ``norm_pi`` is the spectral norm of ``pi``; ``sigma`` has orthonormal
+    columns, so its norm is 1. ``spectral`` is the analysis record of the
+    full generator, which the preservation check and the H2 oracle read
+    instead of recomputing it.
     """
 
     pi: np.ndarray
     sigma: np.ndarray
+    norm_pi: float
     a_hat: np.ndarray
     b_hat: np.ndarray
     c_hat: np.ndarray
@@ -149,12 +153,10 @@ _STRENGTH = {NOT_SEMISTABLE: 0, SEMISTABLE: 1, STABLE: 2}
 
 
 def _resolve_selection(spectral, keep):
+    """Sorted mode indices selected by ``keep``, which must hold every
+    kernel mode: for a semistable record, the first
+    ``zero_eig_algebraic_multiplicity`` modes."""
     n = spectral.n
-    lam = spectral.eigenvalues
-    tol = spectral.zero_tol
-    kernel_idx = np.nonzero(
-        (np.abs(lam.real) <= tol) & (np.abs(lam.imag) <= tol)
-    )[0]
 
     if isinstance(keep, bool):
         raise InvalidSelectionError("keep must be an int or a sequence of ints")
@@ -180,7 +182,9 @@ def _resolve_selection(spectral, keep):
             )
         sel = sorted(sel)
 
-    missing = [int(i) for i in kernel_idx if i not in set(sel)]
+    kept = set(sel)
+    missing = [i for i in range(spectral.zero_eig_algebraic_multiplicity)
+               if i not in kept]
     if missing:
         raise InvalidSelectionError(
             "selection drops equilibrium mode(s) %s; kernel modes must be "
@@ -243,7 +247,7 @@ def mode_truncation(sys, spectral, keep):
     lam = spectral.eigenvalues
 
     if spectral.hermitian:
-        sigma = spectral.right_eigenvectors[:, sel].copy()
+        sigma = spectral.eigenvectors[:, sel].copy()
         pi = sigma.conj().T.copy()
     else:
         # splitting a cluster of (numerically) equal eigenvalues would cut
@@ -297,6 +301,7 @@ def mode_truncation(sys, spectral, keep):
     return Reduction(
         pi=pi,
         sigma=sigma,
+        norm_pi=norm_pi,
         a_hat=a_hat,
         b_hat=b_hat,
         c_hat=c_hat,
@@ -314,7 +319,7 @@ def check_invariance(sys, red, times):
     operator-norm discrepancy over the sample times.
     """
     a = sys.a
-    norm_scale = max(red.spectral.norm_a * opnorm(red.pi), EPS)
+    norm_scale = max(red.spectral.norm_a * red.norm_pi, EPS)
     if red.commutativity_defect > 1e-6 * norm_scale:
         raise PreconditionError(
             "reduction commutativity defect is too large for the "
@@ -340,20 +345,37 @@ def is_controllable(spectral, b):
     (A, B) is controllable iff, for every cluster of numerically equal
     eigenvalues (:attr:`SpectralData.clusters`), the rows of W B have full
     row rank, where W holds the cluster's left eigenvectors (Hautus 1969).
-    Raises ConditioningError when the record refuses to invert V
-    (:attr:`SpectralData.left_eigenvectors`).
+    W is V* for self-adjoint A, with V the record's orthonormal
+    eigenvectors. Otherwise V comes from one ``eig`` of A, the only
+    eigenvector basis of a non-self-adjoint A that the package computes,
+    and W = inv(V); ConditioningError is raised when cond(V) exceeds
+    COND_LIMIT.
     """
     b = as_operator(b, "input matrix")
     if b.shape[0] != spectral.n:
         raise DimensionError("input matrix row count must match the state size")
-    w = spectral.left_eigenvectors
-    cond_v = 1.0 if spectral.hermitian else spectral.cond_v
+    labels = spectral.clusters
+    if spectral.hermitian:
+        w, cond_v = spectral.eigenvectors.conj().T, 1.0
+    else:
+        lam, v = np.linalg.eig(spectral.a)
+        cond_v = float(np.linalg.cond(v))
+        if not cond_v <= COND_LIMIT:
+            raise ConditioningError(
+                "eigenvector basis condition number %.3e is too large to "
+                "invert" % cond_v)
+        w = np.linalg.inv(v)
+        # each eigenvalue takes the cluster of its nearest record eigenvalue:
+        # clusters lie farther apart than rounding moves an eigenvalue, and a
+        # label, unlike a mode index, does not care which of a +-i eps pair
+        # eig returns first
+        nearest = np.abs(lam[:, None] - spectral.eigenvalues[None, :]).argmin(axis=1)
+        labels = labels[nearest]
     # eig is exact for some A + E with |E| ~ n eps |A|. That moves a cluster's
     # left invariant subspace by at most cond_v |E| / gap, and other clusters
     # lie more than sqrt(n eps) |A| away, so by at most sqrt(n eps) cond_v;
     # the singular values of the projected input move by that times |B|
     tol = np.sqrt(spectral.n * EPS) * cond_v * opnorm(b)
-    labels = spectral.clusters
     sizes = np.bincount(labels)
     # a one-mode cluster's W B is one row, of full rank iff it is nonzero
     single = w[sizes[labels] == 1]
@@ -378,8 +400,7 @@ def check_preservation(sys, red):
     original = red.spectral.verdict
     # a_hat = pi A sigma carries roundoff at the parent scale; a reduced
     # generator that is numerically zero must not be judged on its own norm
-    norm_a = red.spectral.norm_a
-    carried = norm_a * max(opnorm(red.pi), 1.0) * max(opnorm(red.sigma), 1.0)
+    carried = red.spectral.norm_a * max(red.norm_pi, 1.0)
     zero_tol = default_zero_tol(sys.n, carried) if red.order else None
     reduced = spectral_data(red.a_hat, zero_tol)
     semistability_ok = _STRENGTH[reduced.verdict] >= _STRENGTH[original]

@@ -24,7 +24,6 @@ from .linalg import (
     opnorm,
     opnorm_lower_bound,
     propagator,
-    real_part,
 )
 
 __all__ = [
@@ -44,9 +43,10 @@ NOT_SEMISTABLE = "not_semistable"
 # relative symmetry defect below which a generator is treated as self-adjoint
 HERMITIAN_RTOL = 1e-10
 
-# eigenvector-basis condition number beyond which left_eigenvectors refuses
-# to invert V, which only the controllability test needs; also the largest
-# spectral projector bound 1 + |R| that mode_split accepts
+# largest spectral projector bound 1 + |R| that mode_split accepts; also the
+# eigenvector-basis condition number beyond which the controllability test
+# (reduction.is_controllable), the only reader of eigenvectors of a
+# non-self-adjoint A, refuses to invert them
 COND_LIMIT = 1e12
 
 
@@ -76,23 +76,29 @@ class SpectralData:
     """Analysis record of one generator, built once by :func:`spectral_data`.
 
     ``a`` is the validated, read-only generator and ``norm_a`` its
-    spectral norm. ``eigenvalues[i]`` corresponds to column i of
-    ``right_eigenvectors``; modes are sorted by descending real part
-    (kernel modes first), then by ascending imaginary magnitude, so that
-    conjugate pairs are adjacent and mode indices are stable across runs.
-    ``norm_a`` and the orthonormal ``kernel_basis`` come from one SVD of
-    ``a``. The certified limit operator ``projector``, the sampled
-    ``overshoot_m``, the ordered Schur ``split``, ``cond_v``,
-    ``left_eigenvectors`` and the eigenvalue ``clusters`` are computed on
-    first use and cached; only the controllability test needs ``cond_v``
-    and ``left_eigenvectors``, as every invariant subspace is read from
-    the Schur ``split`` (:meth:`mode_split`).
+    spectral norm. Modes are the ``eigenvalues``, sorted by descending
+    real part (kernel modes first), then by ascending imaginary magnitude,
+    so that conjugate pairs are adjacent and mode indices are stable
+    across runs. ``norm_a`` and the orthonormal ``kernel_basis`` come from
+    one SVD of ``a``.
+
+    The record holds one factorization of ``a``. For self-adjoint ``a``
+    (``hermitian``) it is ``eigenvectors``, orthonormal, column i for
+    mode i, and ``schur`` is None. Otherwise it is ``schur``, the
+    unsorted Schur pair ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for
+    a real ``a``, complex otherwise) from which the eigenvalues are read,
+    and ``eigenvectors`` is None; every invariant subspace is then read
+    from ``schur`` (:attr:`split`, :meth:`mode_split`). The certified
+    limit operator ``projector``, the sampled ``overshoot_m``, the ordered
+    Schur ``split`` and the eigenvalue ``clusters`` are computed on first
+    use and cached.
     """
 
     a: np.ndarray
     norm_a: float
     eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
+    schur: tuple | None
     kernel_basis: np.ndarray
     zero_eig_algebraic_multiplicity: int
     zero_eig_geometric_multiplicity: int
@@ -102,7 +108,7 @@ class SpectralData:
 
     @property
     def n(self):
-        return self.right_eigenvectors.shape[0]
+        return self.a.shape[0]
 
     @property
     def kernel_dim(self):
@@ -142,25 +148,6 @@ class SpectralData:
         return float(-decaying.max()) if decaying.size else float("inf")
 
     @cached_property
-    def cond_v(self):
-        """Condition number of the eigenvector basis (inf if singular)."""
-        return float(np.linalg.cond(self.right_eigenvectors)) if self.n else 1.0
-
-    @cached_property
-    def left_eigenvectors(self):
-        """Rows w_i with w_i v_j = delta_ij: V* for self-adjoint A, else
-        inv(V), refused with ConditioningError when cond_v > COND_LIMIT.
-        Only the controllability test reads them."""
-        v = self.right_eigenvectors
-        if not (self.hermitian or self.cond_v <= COND_LIMIT):
-            raise ConditioningError(
-                "eigenvector basis condition number %.3e is too large to "
-                "invert" % self.cond_v)
-        w = v.conj().T if self.hermitian else np.linalg.inv(v)
-        w.flags.writeable = False  # every caller shares it
-        return w
-
-    @cached_property
     def clusters(self):
         """Per mode, the smallest mode index in its cluster: the connected
         component of the graph joining eigenvalues within max(zero_tol,
@@ -177,35 +164,32 @@ class SpectralData:
 
     @cached_property
     def split(self):
-        """Ordered Schur split ``(T, Z, R)`` of A that decouples the kernel.
+        """Ordered Schur split ``(T, Z, R)`` of a non-self-adjoint A that
+        decouples the kernel.
 
-        A = Z T Z* with T = [[T11, T12], [0, T22]] (real Schur form for a
-        real A, complex otherwise) and the k zero eigenvalues in T11, and
-        T11 R - R T22 = -T12, so that M = Z [[I, R], [0, I]] satisfies
-        M^{-1} A M = diag(T11, T22). The Sylvester equation is solved by
-        LAPACK ``?trsyl`` on the triangular blocks (:func:`_decouple`),
-        which also covers a defective stable part, where no eigenvector
-        basis exists.
+        A = Z T Z* with T = [[T11, T12], [0, T22]] and the k zero
+        eigenvalues in T11, and T11 R - R T22 = -T12, so that
+        M = Z [[I, R], [0, I]] satisfies M^{-1} A M = diag(T11, T22). The
+        record's :attr:`schur` pair is reordered by LAPACK ``?trsen`` so
+        that the kernel modes, the first ``zero_eig_algebraic_multiplicity``
+        in canonical order, lead (:func:`_reorder`); the Sylvester equation
+        is solved by LAPACK ``?trsyl`` on the triangular blocks
+        (:func:`_decouple`), which also covers a defective stable part,
+        where no eigenvector basis exists.
 
         Raises
         ------
         ConditioningError
-            If the Schur form counts a different number of zero
-            eigenvalues than the record, or ``?trsyl`` reports the blocks
+            If ``?trsen`` fails or moves a different number of eigenvalues
+            than the record counts zero, or ``?trsyl`` reports the blocks
             too close to decouple.
         """
-        a, tol = self.a, self.zero_tol
-        if np.isrealobj(a):
-            t, z, k = scipy.linalg.schur(
-                a, output="real", sort=lambda re, im: re > -tol)
-        else:
-            t, z, k = scipy.linalg.schur(
-                a, output="complex", sort=lambda lam: lam.real > -tol)
-        if k != self.zero_eig_algebraic_multiplicity:
+        k = self.zero_eig_algebraic_multiplicity
+        t, z, found = _reorder(*self.schur, self.eigenvalues, range(k))
+        if found != k:
             raise ConditioningError(
                 "Schur reordering found %d kernel modes, spectral data found %d"
-                % (k, self.zero_eig_algebraic_multiplicity)
-            )
+                % (found, k))
         r = _decouple(t, k)
         for m in (t, z, r):
             m.flags.writeable = False  # every caller shares them
@@ -217,14 +201,15 @@ class SpectralData:
         ``modes`` are indices into the canonical order and must hold whole
         :attr:`clusters`. LAPACK ``?trsen`` reorders the cached
         :attr:`split` so that the Schur positions whose nearest record
-        eigenvalue is one of ``modes`` lead, and R decouples the leading
-        m x m block as in :attr:`split`. Then Z[:, :m] and
-        Z[:, :m]* - R Z[:, m:]* are a projection pair onto the modes'
-        invariant subspace, and their product, the spectral projector, has
-        norm at most 1 + |R|. A 2x2 block of a real Schur form moves whole,
-        so m = R.shape[0] exceeds len(modes) when they split a conjugate
-        pair; ``complex_form`` converts a real form to the complex one
-        (``rsf2csf``) first, where every eigenvalue moves alone.
+        eigenvalue is one of ``modes`` lead (:func:`_reorder`), and R
+        decouples the leading m x m block as in :attr:`split`. Then
+        Z[:, :m] and Z[:, :m]* - R Z[:, m:]* are a projection pair onto the
+        modes' invariant subspace, and their product, the spectral
+        projector, has norm at most 1 + |R|. A 2x2 block of a real Schur
+        form moves whole, so m = R.shape[0] exceeds len(modes) when they
+        split a conjugate pair; ``complex_form`` converts a real form to
+        the complex one (``rsf2csf``) first, where every eigenvalue moves
+        alone.
 
         Raises
         ------
@@ -235,15 +220,7 @@ class SpectralData:
         t, z, _ = self.split
         if complex_form and np.isrealobj(t):
             t, z = scipy.linalg.rsf2csf(t, z)
-        # clusters lie farther apart than rounding moves an eigenvalue
-        lam = _schur_eigenvalues(t)
-        nearest = np.abs(lam[:, None] - self.eigenvalues[None, :]).argmin(axis=1)
-        trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
-        out = trsen(np.isin(nearest, modes), t, z, job="N")
-        t, z, m, info = out[0], out[1], out[-4], out[-1]
-        if info:
-            raise ConditioningError(
-                "failed to reorder the Schur form (?trsen info %d)" % info)
+        t, z, m = _reorder(t, z, self.eigenvalues, modes)
         r = _decouple(t, m)
         bound = 1.0 + float(np.linalg.norm(r))
         if bound > COND_LIMIT:
@@ -359,22 +336,26 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         raise ValueError("rank_tol must be nonnegative")
     rank = int(np.sum(sv > rank_tol))
     kernel = vh[rank:].conj().T
-    del vh  # not held through the eigendecomposition
+    del vh  # not held through the factorization
 
     hermitian = is_hermitian(a, norm_a)
+    v = schur = None
     if hermitian:
         w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
         eigenvalues = w.astype(np.complex128)
-        if np.isrealobj(a):
-            v = v.real if np.isrealobj(v) else real_part(v, "eigenvectors")
     else:
-        eigenvalues, v = np.linalg.eig(a)
+        schur = scipy.linalg.schur(
+            a, output="real" if np.isrealobj(a) else "complex")
+        for m in schur:
+            m.flags.writeable = False  # split and mode_split read it
+        eigenvalues = _schur_eigenvalues(schur[0])
 
     order = np.lexsort(
         (np.arange(n), eigenvalues.imag, np.abs(eigenvalues.imag), -eigenvalues.real)
     )
     eigenvalues = eigenvalues[order]
-    v = v[:, order]
+    if hermitian:
+        v = v[:, order]
 
     geometric = n - rank
     algebraic = int(
@@ -401,7 +382,8 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         a=a,
         norm_a=norm_a,
         eigenvalues=eigenvalues,
-        right_eigenvectors=v,
+        eigenvectors=v,
+        schur=schur,
         kernel_basis=kernel,
         zero_eig_algebraic_multiplicity=algebraic,
         zero_eig_geometric_multiplicity=geometric,
@@ -444,6 +426,25 @@ def _decouple(t, k):
             "failed to decouple the leading %d modes (?trsyl info %d)" % (k, info))
     r /= scale
     return r
+
+
+def _reorder(t, z, eigenvalues, modes):
+    """Schur pair ``(T, Z)`` reordered by LAPACK ``?trsen`` so that the
+    diagonal positions whose nearest of ``eigenvalues`` has an index in
+    ``modes`` lead, and m, the number of leading positions (a 2x2 block of
+    a real Schur form moves whole). Raises ConditioningError when
+    ``?trsen`` fails.
+    """
+    # clusters lie farther apart than rounding moves an eigenvalue
+    lam = _schur_eigenvalues(t)
+    nearest = np.abs(lam[:, None] - eigenvalues[None, :]).argmin(axis=1)
+    trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
+    out = trsen(np.isin(nearest, modes), t, z, job="N")
+    t, z, m, info = out[0], out[1], out[-4], out[-1]
+    if info:
+        raise ConditioningError(
+            "failed to reorder the Schur form (?trsen info %d)" % info)
+    return t, z, m
 
 
 def _schur_eigenvalues(t):

@@ -409,6 +409,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eig", np.linalg.eigh, full_size))
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, full_size))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eig", np.linalg.eigvals, full_size))
     monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm, full_opnorm))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, full))
     monkeypatch.setattr(scipy.linalg, "schur", counting("schur", scipy.linalg.schur, full))
@@ -428,8 +429,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     )
     # one SVD gives the spectral norm and the kernel; the overshoot M of a
     # self-adjoint generator is exactly 1, not sampled; the non-self-adjoint
-    # one takes S_inf, the split Gramian and the truncation from one Schur
-    # form, and only the controllability test needs cond(V) and inv(V)
+    # one takes its eigenvalues, S_inf, the split Gramian and the truncation
+    # from one Schur form, and only the controllability test needs eig,
+    # cond(V) and inv(V)
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
         for argv, needs_m, needs_inv in commands:
@@ -437,7 +439,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
             assert counts == {
-                "eig": 1, "s_inf": 1, "norm": 0, "svd": 1,
+                "eig": int(self_adjoint or needs_inv),
+                "s_inf": 1, "norm": 0, "svd": 1,
                 "overshoot": int(needs_m and not self_adjoint),
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
@@ -474,6 +477,33 @@ def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, m
     assert float(report["kernel_identity_defect"]) <= 1e-12
     assert float(report["h2_trace_gramian"]) == pytest.approx(
         float(report["h2_trace_quadrature"]), rel=1e-8)
+
+
+def test_reduce_takes_three_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monkeypatch):
+    # mode_truncation takes |pi|_2, the rank of pi and the commutativity
+    # defect; the preservation check reuses the |pi|_2 the reduction
+    # carries, and sigma has orthonormal columns. The n x n SVDs are the
+    # record's of A and A^2 and the controllability test's cond(V)
+    n, r = 50, 12
+    rng = np.random.default_rng(1)
+    a = random_nonnormal_semistable(rng, n, 1, 30.0)
+    path = write_system(tmp_path, a, b=rng.normal(size=(n, 2)),
+                        c=rng.normal(size=(3, n)))
+    shapes = collections.Counter()
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        shapes[np.shape(m)] += 1
+        return svd(m, *args, **kwargs)
+
+    # norm, cond and matrix_rank call svd by its name in numpy's own module
+    impl = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(impl, "svd", counting)
+    code, _, err = run(capsys, ["reduce", path, "--keep", str(r), "--h2", "gramian",
+                                "--output", str(tmp_path / "o")])
+    assert code == 0, err
+    assert (shapes[(r, n)], shapes[(n, r)], shapes[(n, n)]) == (3, 0, 3)
 
 
 def test_matrix_files_are_converted_row_by_row(tmp_path, capsys):

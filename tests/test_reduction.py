@@ -165,12 +165,13 @@ def test_complex_system_keeps_complex_reduction():
 
 
 def test_repeated_zero_of_nonnormal_generator_gives_real_reduction():
-    # eig returns the double zero as a +-i eps pair with complex
-    # eigenvectors; the truncation reads the real Schur split instead
+    # eig, which the controllability test reads, returns the double zero as
+    # a +-i eps pair with complex eigenvectors; the truncation reads the
+    # real Schur split instead
     v = np.random.default_rng(2).standard_normal((4, 4))
     a = v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)
+    assert np.any(np.linalg.eig(a)[0].imag != 0.0)
     spectral = spectral_data(a)
-    assert np.any(spectral.eigenvalues[:2].imag != 0.0)
     sys = StateSpaceSystem(a)
     red = mode_truncation(sys, spectral, 2)
     assert not np.iscomplexobj(red.sigma) and not np.iscomplexobj(red.pi)
@@ -253,6 +254,27 @@ def test_nonnormal_pair_is_controllable():
     rng = np.random.default_rng(5)
     a = random_nonnormal_semistable(rng, 50, 1, 30.0)
     assert is_controllable(spectral_data(a), rng.normal(size=(50, 2)))
+
+
+@pytest.mark.parametrize("uncontrollable_mode", [None, 7])
+def test_pbh_over_a_kernel_pair_matches_the_exact_left_eigenvectors(uncontrollable_mode):
+    # at this seed eig returns the double zero as a +-i eps pair: each of
+    # its eigenvalues takes the kernel cluster's label, so the pair is
+    # tested as the cluster it is; the exact PBH test reads V^-1
+    rng = np.random.default_rng(4)
+    v, lam, v_inv = nonnormal_semistable_factors(rng, 50, 2, 30.0)
+    a = (v * lam) @ v_inv
+    assert np.any(np.linalg.eig(a)[0].imag != 0.0)
+    b = rng.normal(size=(50, 2))
+    if uncontrollable_mode is not None:
+        # B orthogonal to one stable mode's left eigenvector
+        w = v_inv[uncontrollable_mode]
+        b -= np.outer(w, w @ b) / (w @ w)
+    stable = np.linalg.norm(v_inv[2:] @ b, axis=1)
+    exact = bool(np.linalg.matrix_rank(v_inv[:2] @ b) == 2 and np.all(
+        stable > 1e-10 * np.linalg.norm(v_inv[2:], axis=1) * opnorm(b)))
+    assert exact == (uncontrollable_mode is None)
+    assert is_controllable(spectral_data(a), b) == exact
 
 
 def consensus_generator(rng, sizes):

@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semigram import (
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
     NotSemistableError,
+    StateSpaceSystem,
     decay_defect,
+    lyapunov_rhs,
+    mode_truncation,
+    solve_semistability_lyapunov,
     spectral_data,
     svd_split,
 )
 from semigram.linalg import default_rank_tol, opnorm
 
-from conftest import random_nonnormal_semistable, random_selfadjoint_semistable
+from conftest import (
+    nonnormal_semistable_factors,
+    random_nonnormal_semistable,
+    random_selfadjoint_semistable,
+)
 
 
 def laplacian_k3():
@@ -220,3 +229,53 @@ def test_one_svd_gives_the_norm_and_the_kernel(kernel_dim):
     _, kernel = svd_split(a, rank_tol)
     assert np.array_equal(spectral.kernel_basis, kernel)
     assert spectral.norm_a == pytest.approx(opnorm(a), rel=1e-14)
+
+
+def test_nonnormal_record_computes_no_eigenvectors(monkeypatch):
+    # eigenvalues, S_inf, the split Gramian and the truncation of a
+    # non-self-adjoint generator all come from the record's one Schur form;
+    # at this seed eig would return the double zero as a +-i eps pair
+    rng = np.random.default_rng(4)
+    v, lam, v_inv = nonnormal_semistable_factors(rng, 50, 2, 30.0)
+    a = (v * lam) @ v_inv
+    b = rng.normal(size=(50, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvector basis was computed")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    spectral = spectral_data(a)
+    assert spectral.eigenvectors is None and spectral.verdict == SEMISTABLE
+    assert np.abs(spectral.eigenvalues - lam).max() <= 1e-12
+    exact = v[:, :2] @ v_inv[:2]
+    assert opnorm(spectral.projector.s_inf - exact) <= 1e-10 * opnorm(exact)
+    gram = solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, b))
+    assert gram.method == "lyapunov_split"
+    red = mode_truncation(StateSpaceSystem(a, b), spectral, 12)
+    exact = v[:, :12] @ v_inv[:12]
+    assert opnorm(red.sigma @ red.pi - exact) <= 1e-10 * opnorm(exact)
+
+
+@pytest.mark.parametrize("seed, n, kernel_dim", [
+    (1, 50, 1), (2, 100, 2), (3, 200, 3), (4, 50, 2), (3, 6, 1), (5, 30, 0),
+])
+@pytest.mark.parametrize("rotate", [False, True])
+def test_split_is_the_sorted_schur_form(seed, n, kernel_dim, rotate):
+    # ?trsen on the record's unsorted Schur form gives the Schur form that
+    # LAPACK sorts itself (?gees with a selection callback), bit for bit;
+    # a diagonal unitary similarity makes the generator complex
+    rng = np.random.default_rng(seed)
+    a = random_nonnormal_semistable(rng, n, kernel_dim, 30.0)
+    if rotate:
+        d = np.exp(2j * np.pi * rng.uniform(size=n))
+        a = d[:, None] * a / d[None, :]
+    spectral = spectral_data(a)
+    tol = spectral.zero_tol
+    if rotate:
+        expected = scipy.linalg.schur(a, output="complex", sort=lambda lam: lam.real > -tol)
+    else:
+        expected = scipy.linalg.schur(a, output="real", sort=lambda re, im: re > -tol)
+    t, z, r = spectral.split
+    assert r.shape[0] == expected[2] == kernel_dim
+    assert np.array_equal(t, expected[0]) and np.array_equal(z, expected[1])
