@@ -303,15 +303,15 @@ def verify_solution_structure(spectral, p1, p2):
     if p1.shape != a.shape or p2.shape != a.shape:
         raise DimensionError("solutions must match the generator size")
     s = spectral.projector.s_inf
-    for name, p in (("first", p1), ("second", p2)):
-        defect = opnorm(p - p.conj().T)
-        if defect > 1e-8 * max(opnorm(p), EPS):
+    norms = (opnorm(p1), opnorm(p2))
+    for name, p, norm in zip(("first", "second"), (p1, p2), norms):
+        if opnorm(p - p.conj().T) > 1e-8 * max(norm, EPS):
             raise PreconditionError("%s solution is not self-adjoint" % name)
 
     delta = p2 - p1
     norm_delta = opnorm(delta)
     homogeneous = opnorm(a @ delta + delta @ a.conj().T)
-    scale = spectral.norm_a * (opnorm(p1) + opnorm(p2)) + EPS
+    scale = spectral.norm_a * sum(norms) + EPS
     if homogeneous > 1e-7 * scale:
         raise PreconditionError(
             "inputs do not solve the same equation (homogeneous residual "

@@ -79,19 +79,21 @@ class SpectralData:
     spectral norm. Modes are the ``eigenvalues``, sorted by descending
     real part (kernel modes first), then by ascending imaginary magnitude,
     so that conjugate pairs are adjacent and mode indices are stable
-    across runs. ``norm_a`` and the orthonormal ``kernel_basis`` come from
-    one SVD of ``a``.
+    across runs.
 
     The record holds one factorization of ``a``. For self-adjoint ``a``
     (``hermitian``) it is ``eigenvectors``, orthonormal, column i for
-    mode i, and ``schur`` is None. Otherwise it is ``schur``, the
-    unsorted Schur pair ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for
-    a real ``a``, complex otherwise) from which the eigenvalues are read,
-    and ``eigenvectors`` is None; every invariant subspace is then read
-    from ``schur`` (:attr:`split`, :meth:`mode_split`). The certified
-    limit operator ``projector``, the sampled ``overshoot_m``, the ordered
-    Schur ``split`` and the eigenvalue ``clusters`` are computed on first
-    use and cached.
+    mode i, and ``schur`` is None; ``norm_a`` and the orthonormal
+    ``kernel_basis`` come from it, as the singular values are the
+    eigenvalues' magnitudes. Otherwise they come from one SVD of ``a``,
+    ``eigenvectors`` is None, and ``schur`` is the kernel-first Schur pair
+    ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for a real ``a``,
+    complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
+    eigenvalues lead; the eigenvalues and every invariant subspace are
+    read from it (:attr:`split`, :meth:`mode_split`). The certified limit
+    operator ``projector``, the sampled ``overshoot_m``, the Schur
+    ``split`` and the eigenvalue ``clusters`` are computed on first use
+    and cached.
     """
 
     a: np.ndarray
@@ -167,40 +169,30 @@ class SpectralData:
         """Ordered Schur split ``(T, Z, R)`` of a non-self-adjoint A that
         decouples the kernel.
 
-        A = Z T Z* with T = [[T11, T12], [0, T22]] and the k zero
-        eigenvalues in T11, and T11 R - R T22 = -T12, so that
-        M = Z [[I, R], [0, I]] satisfies M^{-1} A M = diag(T11, T22). The
-        record's :attr:`schur` pair is reordered by LAPACK ``?trsen`` so
-        that the kernel modes, the first ``zero_eig_algebraic_multiplicity``
-        in canonical order, lead (:func:`_reorder`); the Sylvester equation
-        is solved by LAPACK ``?trsyl`` on the triangular blocks
+        ``(T, Z)`` is the record's kernel-first :attr:`schur` pair: A = Z T
+        Z* with T = [[T11, T12], [0, T22]] and the k zero eigenvalues in
+        T11. R solves T11 R - R T22 = -T12, so that M = Z [[I, R], [0, I]]
+        satisfies M^{-1} A M = diag(T11, T22). The Sylvester equation is
+        solved by LAPACK ``?trsyl`` on the triangular blocks
         (:func:`_decouple`), which also covers a defective stable part,
         where no eigenvector basis exists.
 
         Raises
         ------
         ConditioningError
-            If ``?trsen`` fails or moves a different number of eigenvalues
-            than the record counts zero, or ``?trsyl`` reports the blocks
-            too close to decouple.
+            If ``?trsyl`` reports the blocks too close to decouple.
         """
-        k = self.zero_eig_algebraic_multiplicity
-        t, z, found = _reorder(*self.schur, self.eigenvalues, range(k))
-        if found != k:
-            raise ConditioningError(
-                "Schur reordering found %d kernel modes, spectral data found %d"
-                % (found, k))
-        r = _decouple(t, k)
-        for m in (t, z, r):
-            m.flags.writeable = False  # every caller shares them
+        t, z = self.schur
+        r = _decouple(t, self.zero_eig_algebraic_multiplicity)
+        r.flags.writeable = False  # every caller shares it
         return t, z, r
 
     def mode_split(self, modes, complex_form=False):
         """Schur vectors ``Z`` and coupling ``R`` with the given modes leading.
 
         ``modes`` are indices into the canonical order and must hold whole
-        :attr:`clusters`. LAPACK ``?trsen`` reorders the cached
-        :attr:`split` so that the Schur positions whose nearest record
+        :attr:`clusters`. LAPACK ``?trsen`` reorders the record's
+        :attr:`schur` pair so that the Schur positions whose nearest record
         eigenvalue is one of ``modes`` lead (:func:`_reorder`), and R
         decouples the leading m x m block as in :attr:`split`. Then
         Z[:, :m] and Z[:, :m]* - R Z[:, m:]* are a projection pair onto the
@@ -217,7 +209,7 @@ class SpectralData:
             If ``?trsen`` or ``?trsyl`` fails, or 1 + |R|_F exceeds
             COND_LIMIT.
         """
-        t, z, _ = self.split
+        t, z = self.schur
         if complex_form and np.isrealobj(t):
             t, z = scipy.linalg.rsf2csf(t, z)
         t, z, m = _reorder(t, z, self.eigenvalues, modes)
@@ -299,10 +291,12 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
 
     The record's verdict follows the eigenvalue criterion for exponential
     semistability in finite dimensions: all real parts nonpositive, any
-    eigenvalue on the axis real and semisimple (semisimplicity decided by
-    comparing the numerical ranks of A and A^2, which avoids a fragile
-    Jordan computation), and as many zero eigenvalues as kernel
-    dimensions.
+    eigenvalue on the axis real and semisimple, and as many zero
+    eigenvalues as kernel dimensions. A self-adjoint A is diagonalisable,
+    so its zero is semisimple. Otherwise the Schur form is reordered once
+    so that the zero eigenvalues lead, and zero is semisimple exactly when
+    the leading block T11 vanishes (|T11|_F <= zero_tol), which avoids a
+    fragile Jordan computation.
 
     Parameters
     ----------
@@ -323,9 +317,18 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     a = as_operator(a, "generator", square=True)
     a.flags.writeable = False  # the record caches what it derives from a
     n = a.shape[0]
-    # one SVD gives the spectral norm, the rank decision and the kernel
-    sv, vh = np.linalg.svd(a)[1:]
-    norm_a = float(sv[0]) if n else 0.0
+    # a proven lower bound of |A| as the scale keeps the test at least as
+    # strict as with |A| itself, which is not known yet
+    hermitian = is_hermitian(a, opnorm_lower_bound(a))
+    if hermitian:
+        # A = V diag(w) V*: the singular values are |w| and the rows of V*
+        # are right singular vectors
+        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+        sv, vh = np.abs(w), v.conj().T
+    else:
+        # one SVD gives the spectral norm and the kernel
+        sv, vh = np.linalg.svd(a)[1:]
+    norm_a = float(sv.max()) if n else 0.0
     if zero_tol is None:
         zero_tol = default_zero_tol(n, norm_a)
     elif zero_tol < 0:
@@ -334,30 +337,20 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         rank_tol = max(default_rank_tol((n, n), norm_a), zero_tol)
     elif rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    rank = int(np.sum(sv > rank_tol))
-    kernel = vh[rank:].conj().T
+    kernel = vh[sv <= rank_tol].conj().T
     del vh  # not held through the factorization
 
-    hermitian = is_hermitian(a, norm_a)
-    v = schur = None
     if hermitian:
-        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
         eigenvalues = w.astype(np.complex128)
     else:
-        schur = scipy.linalg.schur(
+        t, z = scipy.linalg.schur(
             a, output="real" if np.isrealobj(a) else "complex")
-        for m in schur:
-            m.flags.writeable = False  # split and mode_split read it
-        eigenvalues = _schur_eigenvalues(schur[0])
+        eigenvalues = _schur_eigenvalues(t)
 
     order = np.lexsort(
         (np.arange(n), eigenvalues.imag, np.abs(eigenvalues.imag), -eigenvalues.real)
     )
     eigenvalues = eigenvalues[order]
-    if hermitian:
-        v = v[:, order]
-
-    geometric = n - rank
     algebraic = int(
         np.sum(
             (np.abs(eigenvalues.real) <= zero_tol)
@@ -365,18 +358,21 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         )
     )
 
-    # zero is semisimple iff squaring does not deepen the null space; the
-    # rank of A^2 is taken relative to norm(A)^2 so that rounding noise in
-    # the computed square (~eps * norm^2) cannot masquerade as rank. A
-    # self-adjoint A is diagonalisable, so its zero is always semisimple
-    if geometric == 0 or hermitian:
-        semisimple = True
+    if hermitian:
+        v, schur = v[:, order], None
+        semisimple = True  # a self-adjoint A is diagonalisable
     else:
-        a2 = a @ a
-        tol2 = max(n * EPS * norm_a**2, zero_tol**2)
-        s2 = np.linalg.svd(a2, compute_uv=False)
-        rank_a2 = int(np.sum(s2 > tol2))
-        semisimple = rank_a2 == rank
+        # with the zero eigenvalues leading, T11 is A on their invariant
+        # subspace, which is the kernel exactly when T11 = 0
+        t, z, found = _reorder(t, z, eigenvalues, range(algebraic))
+        if found != algebraic:
+            raise ConditioningError(
+                "Schur reordering found %d kernel modes, spectral data found %d"
+                % (found, algebraic))
+        for m in (t, z):
+            m.flags.writeable = False  # split and mode_split read them
+        v, schur = None, (t, z)
+        semisimple = np.linalg.norm(t[:algebraic, :algebraic]) <= zero_tol
 
     return SpectralData(
         a=a,
@@ -386,7 +382,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         schur=schur,
         kernel_basis=kernel,
         zero_eig_algebraic_multiplicity=algebraic,
-        zero_eig_geometric_multiplicity=geometric,
+        zero_eig_geometric_multiplicity=kernel.shape[1],
         zero_tol=float(zero_tol),
         zero_eig_semisimple=bool(semisimple),
         hermitian=hermitian,

@@ -46,6 +46,25 @@ def random_nonnormal_semistable(rng, n, kernel_dim, cond):
     return (v * lam) @ v_inv
 
 
+def drift_chain(n, r):
+    """Generator of a reflecting birth-death chain on n states.
+
+    The up rate is p = 4r/(1+r) and the down rate q = 4/(1+r). Columns sum
+    to zero, so A is semistable with a one-dimensional kernel spanned by
+    pi_i = r^i, and S_inf = pi 1^T / sum(pi). D^-1 A D is symmetric for
+    D = diag(r^(i/2)), so the spectrum is real, |A|_2 is about 8, and the
+    eigenvector basis has cond(V) growing like r^((n-1)/2).
+    """
+    p, q = 4.0 * r / (1.0 + r), 4.0 / (1.0 + r)
+    i = np.arange(n - 1)
+    a = np.zeros((n, n))
+    a[i + 1, i] += p
+    a[i, i] -= p
+    a[i, i + 1] += q
+    a[i + 1, i + 1] -= q
+    return a
+
+
 def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
     """(A, B) with A symmetric semistable and (A, B) controllable."""
     a = random_selfadjoint_semistable(rng, n, kernel_dim)

@@ -427,11 +427,12 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
         (["gramian", "--method", "quadrature", "--output", out], True, False),
         (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True),
     )
-    # one SVD gives the spectral norm and the kernel; the overshoot M of a
-    # self-adjoint generator is exactly 1, not sampled; the non-self-adjoint
-    # one takes its eigenvalues, S_inf, the split Gramian and the truncation
-    # from one Schur form, and only the controllability test needs eig,
-    # cond(V) and inv(V)
+    # the self-adjoint generator's eigh gives its spectral norm and kernel
+    # too, and its overshoot M is exactly 1, not sampled; the
+    # non-self-adjoint one takes them from one SVD, its eigenvalues,
+    # semisimplicity, S_inf, the split Gramian and the truncation from one
+    # Schur form, and only the controllability test needs eig, cond(V) and
+    # inv(V)
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
         for argv, needs_m, needs_inv in commands:
@@ -440,7 +441,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             assert code == 0, err
             assert counts == {
                 "eig": int(self_adjoint or needs_inv),
-                "s_inf": 1, "norm": 0, "svd": 1,
+                "s_inf": 1, "norm": 0, "svd": int(not self_adjoint),
                 "overshoot": int(needs_m and not self_adjoint),
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
@@ -479,11 +480,12 @@ def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, m
         float(report["h2_trace_quadrature"]), rel=1e-8)
 
 
-def test_reduce_takes_three_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monkeypatch):
-    # mode_truncation takes |pi|_2, the rank of pi and the commutativity
-    # defect; the preservation check reuses the |pi|_2 the reduction
-    # carries, and sigma has orthonormal columns. The n x n SVDs are the
-    # record's of A and A^2 and the controllability test's cond(V)
+def test_reduce_takes_two_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monkeypatch):
+    # mode_truncation takes |pi|_2 and the commutativity defect, and proves
+    # the rank of pi from the bi-orthogonality defect; the preservation
+    # check reuses the |pi|_2 the reduction carries, and sigma has
+    # orthonormal columns. The n x n SVDs are the record's of A and the
+    # controllability test's cond(V)
     n, r = 50, 12
     rng = np.random.default_rng(1)
     a = random_nonnormal_semistable(rng, n, 1, 30.0)
@@ -503,7 +505,7 @@ def test_reduce_takes_three_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monke
     code, _, err = run(capsys, ["reduce", path, "--keep", str(r), "--h2", "gramian",
                                 "--output", str(tmp_path / "o")])
     assert code == 0, err
-    assert (shapes[(r, n)], shapes[(n, r)], shapes[(n, n)]) == (3, 0, 3)
+    assert (shapes[(r, n)], shapes[(n, r)], shapes[(n, n)]) == (2, 0, 2)
 
 
 def test_matrix_files_are_converted_row_by_row(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -276,7 +279,19 @@ def test_verify_structure_rejects_non_solution():
         verify_solution_structure(spectral, p1, bad)
 
 
-def test_verify_structure_random_kernel_shifts():
+def test_verify_structure_random_kernel_shifts(monkeypatch):
+    # each solution's norm and self-adjointness defect, and the norm,
+    # homogeneous residual, compression defect and range split of Delta:
+    # eight n x n SVDs, each solution's norm taken once
+    shapes = collections.Counter()
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        shapes[np.shape(m)] += 1
+        return svd(m, *args, **kwargs)
+
+    # norm calls svd by its name in numpy's own module
+    impl = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(3, 10))
@@ -289,7 +304,12 @@ def test_verify_structure_random_kernel_shifts():
         s = spectral.projector.s_inf
         w = rng.normal(size=(n, n))
         shift = s @ (0.5 * (w + w.T)) @ s.conj().T
-        report = verify_solution_structure(spectral, g.p_inf, g.p_inf + shift)
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counting)
+            patch.setattr(impl, "svd", counting)
+            report = verify_solution_structure(spectral, g.p_inf, g.p_inf + shift)
+        assert shapes[(n, n)] == 8
         assert report.compression_defect <= 1e-6 * max(report.delta_norm, 1e-12)
         assert report.kernel_range_defect <= 1e-6 * max(report.delta_norm, 1e-12)
 

@@ -167,11 +167,10 @@ def test_text_output_deterministic():
     assert "reported, not" in body and "asserted" in body
 
 
-def test_run_benchmark_takes_one_full_svd_and_no_schur_solve(monkeypatch):
-    # one SVD of A gives its spectral norm and its kernel and is the only
-    # n x n SVD; the Gramian is solved in the eigenbasis and every
-    # certificate reads a Frobenius norm, an eigenvalue or a proven lower
-    # bound
+def test_run_benchmark_takes_no_full_svd_and_no_schur_solve(monkeypatch):
+    # the record's eigh gives the spectral norm of A and its kernel, the
+    # Gramian is solved in the eigenbasis, and every certificate reads a
+    # Frobenius norm, an eigenvalue or a proven lower bound: no n x n SVD
     m = 60
     counts = {"svd": 0, "lyapunov": 0}
     svd, norm = np.linalg.svd, np.linalg.norm
@@ -195,7 +194,7 @@ def test_run_benchmark_takes_one_full_svd_and_no_schur_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: pytest.fail("cond"))
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counting_lyapunov)
     report = run_benchmark(10, m)
-    assert counts == {"svd": 1, "lyapunov": 0}
+    assert counts == {"svd": 0, "lyapunov": 0}
     assert report.max_pairwise_deviation <= 1e-9
 
 

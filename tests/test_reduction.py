@@ -515,8 +515,8 @@ def test_large_projector_bound_is_conditioning_error(monkeypatch):
     # the coupling c gives R = [0, -c] between the kept modes 0, -1 and the
     # dropped mode -2, and a spectral projector of norm about c. A
     # generator the record classifies as semistable cannot make |R| reach
-    # COND_LIMIT: the rank tests of A and A^2 bound the coupling first (at
-    # c = 1e6 this A already fails them), so the test lowers the limit
+    # COND_LIMIT: the rank test of A bounds the coupling first (at c = 1e7
+    # this A already fails it), so the test lowers the limit
     c = 1e3
     a = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, c], [0.0, 0.0, -2.0]])
     sys = StateSpaceSystem(a)

@@ -18,6 +18,7 @@ from semigram import (
 from semigram.linalg import default_rank_tol, opnorm
 
 from conftest import (
+    drift_chain,
     nonnormal_semistable_factors,
     random_nonnormal_semistable,
     random_selfadjoint_semistable,
@@ -219,16 +220,55 @@ def test_record_failure_reasons():
             record.projector
 
 
+@pytest.mark.parametrize("self_adjoint", [False, True])
 @pytest.mark.parametrize("kernel_dim", [1, 3])
-def test_one_svd_gives_the_norm_and_the_kernel(kernel_dim):
-    # the record's kernel is the SVD split's at the record's tolerance, bit
-    # for bit, and its norm is the largest singular value
-    a = random_nonnormal_semistable(np.random.default_rng(8), 40, kernel_dim, 30.0)
+def test_one_factorization_gives_the_norm_and_the_kernel(kernel_dim, self_adjoint):
+    # a non-self-adjoint record's kernel is the SVD split's at the record's
+    # tolerance, bit for bit, and its norm the largest singular value; a
+    # self-adjoint record reads both off its eigh, where the singular
+    # values are |lambda|, and its kernel spans the same subspace
+    rng = np.random.default_rng(8)
+    if self_adjoint:
+        a = random_selfadjoint_semistable(rng, 40, kernel_dim)
+    else:
+        a = random_nonnormal_semistable(rng, 40, kernel_dim, 30.0)
     spectral = spectral_data(a)
+    assert spectral.hermitian == self_adjoint
     rank_tol = max(default_rank_tol(a.shape, spectral.norm_a), spectral.zero_tol)
     _, kernel = svd_split(a, rank_tol)
-    assert np.array_equal(spectral.kernel_basis, kernel)
     assert spectral.norm_a == pytest.approx(opnorm(a), rel=1e-14)
+    if not self_adjoint:
+        assert np.array_equal(spectral.kernel_basis, kernel)
+        return
+    k = spectral.kernel_basis
+    assert k.shape == kernel.shape == (40, kernel_dim)
+    assert np.abs(k @ k.conj().T - kernel @ kernel.conj().T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cond", [3e5, 1e6])
+def test_well_conditioned_double_zero_is_semisimple(cond):
+    # both multiplicities are 2; the kernel-first Schur form's T11 is of
+    # rounding size, far below zero_tol, while a test comparing the ranks of
+    # A and A^2 read the zero as defective here
+    v, lam, v_inv = nonnormal_semistable_factors(np.random.default_rng(3), 100, 2, cond)
+    spectral = spectral_data((v * lam) @ v_inv)
+    assert spectral.verdict == SEMISTABLE
+    assert spectral.kernel_dim == spectral.zero_eig_algebraic_multiplicity == 2
+    exact = v[:, :2] @ v_inv[:2]
+    assert opnorm(spectral.projector.s_inf - exact) <= 1e-6 * opnorm(exact)
+
+
+@pytest.mark.parametrize("n, r", [(200, 1.2), (200, 1.3), (1000, 1.01)])
+def test_drift_chain_limit_operator(n, r):
+    # non-normal at CLI sizes (cond(V) up to 2e11): the simple zero leads
+    # the reordered Schur form, and S_inf is the stationary distribution
+    # pi_i = r^i times the row of ones
+    spectral = spectral_data(drift_chain(n, r))
+    assert spectral.verdict == SEMISTABLE
+    assert spectral.kernel_dim == 1 and spectral.zero_eig_semisimple
+    pi = float(r) ** (np.arange(n) - (n - 1))  # scaled so the largest is 1
+    exact = np.outer(pi / pi.sum(), np.ones(n))
+    assert np.abs(spectral.projector.s_inf - exact).max() <= 1e-10
 
 
 def test_nonnormal_record_computes_no_eigenvectors(monkeypatch):
