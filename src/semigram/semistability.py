@@ -351,20 +351,19 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         (np.arange(n), eigenvalues.imag, np.abs(eigenvalues.imag), -eigenvalues.real)
     )
     eigenvalues = eigenvalues[order]
-    algebraic = int(
-        np.sum(
-            (np.abs(eigenvalues.real) <= zero_tol)
-            & (np.abs(eigenvalues.imag) <= zero_tol)
-        )
+    zero = (
+        (np.abs(eigenvalues.real) <= zero_tol) & (np.abs(eigenvalues.imag) <= zero_tol)
     )
+    algebraic = int(zero.sum())
 
     if hermitian:
         v, schur = v[:, order], None
         semisimple = True  # a self-adjoint A is diagonalisable
     else:
         # with the zero eigenvalues leading, T11 is A on their invariant
-        # subspace, which is the kernel exactly when T11 = 0
-        t, z, found = _reorder(t, z, eigenvalues, range(algebraic))
+        # subspace, which is the kernel exactly when T11 = 0; they need not
+        # lead the canonical order, which puts unstable modes first
+        t, z, found = _reorder(t, z, eigenvalues, np.flatnonzero(zero))
         if found != algebraic:
             raise ConditioningError(
                 "Schur reordering found %d kernel modes, spectral data found %d"

@@ -74,6 +74,18 @@ def test_analyze_unstable(tmp_path, capsys):
     assert "positive real part" in parse_report(out)["detail"]
 
 
+@pytest.mark.parametrize("a", [
+    [[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+])
+def test_analyze_unstable_with_simple_zero(tmp_path, capsys, a):
+    # the unstable modes lead the canonical order, the zero does not
+    path = write_system(tmp_path, a)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 3
+    assert "positive real part" in parse_report(out)["detail"]
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     code, out, err = run(capsys, ["analyze", str(tmp_path / "absent.json")])
     assert code == 2

@@ -210,7 +210,7 @@ def test_record_failure_reasons():
         (np.array([[0.0, 1.0], [-1.0, 0.0]]),
          "nonreal eigenvalue on the imaginary axis"),
         (np.array([[0.0, 1.0], [0.0, 0.0]]), "zero eigenvalue defective"),
-    )
+    ) + UNSTABLE_WITH_SIMPLE_ZERO
     for a, reason in cases:
         record = spectral_data(a)
         assert record.verdict == NOT_SEMISTABLE
@@ -218,6 +218,27 @@ def test_record_failure_reasons():
         assert record.overshoot_m is None
         with pytest.raises(NotSemistableError):
             record.projector
+
+
+# unstable modes precede zero in the canonical order: a complex pair,
+# whose 2x2 real Schur block moves whole, and a real eigenvalue
+UNSTABLE_WITH_SIMPLE_ZERO = (
+    (np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+     "eigenvalue with positive real part"),
+    (np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+     "eigenvalue with positive real part"),
+)
+
+
+@pytest.mark.parametrize("a", [a for a, _ in UNSTABLE_WITH_SIMPLE_ZERO])
+def test_unstable_record_leads_its_schur_form_with_the_zero(a):
+    record = spectral_data(a)
+    assert record.eigenvalues[-1] == 0.0
+    assert record.zero_eig_algebraic_multiplicity == 1
+    assert record.zero_eig_semisimple
+    t, z = record.schur
+    assert t[0, 0] == 0.0
+    assert np.abs(z @ t @ z.T - a).max() <= 1e-14
 
 
 @pytest.mark.parametrize("self_adjoint", [False, True])
