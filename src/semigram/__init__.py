@@ -67,6 +67,7 @@ from .semistability import (
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
+    DecayBound,
     LimitProjector,
     SpectralData,
     decay_defect,
@@ -99,6 +100,7 @@ __all__ = [
     "NOT_SEMISTABLE",
     "SpectralData",
     "LimitProjector",
+    "DecayBound",
     "spectral_data",
     "decay_defect",
     "SemistabilityGramian",

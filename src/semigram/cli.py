@@ -133,12 +133,14 @@ def cmd_analyze(args, config):
         )
         return EXIT_CLASSIFICATION
     s_inf = spectral.projector
+    decay = spectral.decay_bound
     _emit(
         [
             ("verdict", spectral.verdict),
             ("mu", spectral.mu),
             ("kernel_dim", spectral.kernel_dim),
-            ("overshoot_m", spectral.overshoot_m),
+            ("overshoot_m", decay.constant),
+            ("overshoot_rate", decay.rate),
             ("s_inf_idempotency_defect", s_inf.idempotency_defect),
             ("s_inf_annihilation_defect", s_inf.annihilation_defect),
             ("zero_tol", spectral.zero_tol),

@@ -79,6 +79,9 @@ class StructureReport:
     semistability Lyapunov equation is reproduced by compression with the
     limit operator (S_inf* Delta S_inf = Delta) and has its range inside
     ker A*. Both defects small certifies this numerically.
+    ``delta_norm`` is the spectral norm of Delta, ``compression_defect``
+    the Frobenius norm of S_inf* Delta S_inf - Delta, and
+    ``kernel_range_defect`` the spectral norm of A* on the range of Delta.
     """
 
     delta_norm: float
@@ -137,9 +140,11 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
 def gramian_by_quadrature(spectral, b, abs_tol):
     """Evaluate the Gramian's defining integral by adaptive quadrature.
 
-    This is the oracle route: nothing is assumed beyond the decay
-    certificate norm(S(t) - S_inf) <= M exp(-mu t), whose rate ``mu`` and
-    overshoot ``overshoot_m`` come from the generator's analysis record.
+    This is the oracle route: nothing is assumed beyond the proven decay
+    bound norm(S(t) - S_inf) <= K exp(-mu' t), the record's
+    :attr:`~SpectralData.decay_bound`, so the integrand is at most
+    K^2 |B|^2 exp(-2 mu' t) and the integral is truncated where that tail
+    falls below half the tolerance.
     Each quadrature node evaluates the exact integrand, so structural
     identities (self-adjointness, S_inf P = 0) hold at every node and
     survive summation to roundoff even when ``abs_tol`` is coarse.
@@ -179,10 +184,11 @@ def gramian_by_quadrature(spectral, b, abs_tol):
         return d @ d.conj().T
 
     norm_a = spectral.norm_a
-    bound = (spectral.overshoot_m**2) * opnorm(b) ** 2
+    decay = spectral.decay_bound
+    bound = decay.constant**2 * opnorm(b) ** 2
     # the integrand is quadratic in exp(A t): it varies at rate <= 2 norm(A)
     p = integrate_operator_valued(
-        integrand, 2.0 * spectral.mu, abs_tol,
+        integrand, 2.0 * decay.rate, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * norm_a,
     )
     # entrywise quadrature error up to abs_tol feeds the residual linearly
@@ -289,7 +295,11 @@ def verify_solution_structure(spectral, p1, p2):
     Lyapunov equation of the record's generator; their difference Delta
     then solves the homogeneous equation, is reproduced by compression
     with S_inf, and has range inside ker A*. Returns the measured
-    defects; callers compare them against 1e-6 * norm(Delta).
+    defects; callers compare them against 1e-6 * norm(Delta). The
+    self-adjointness defects, the homogeneous residual and the compression
+    defect are Frobenius norms, at least the spectral ones, so each gate is
+    at least as strict as with the 2-norm; the scales norm(P1), norm(P2)
+    and norm(Delta) are spectral norms.
 
     Raises
     ------
@@ -303,14 +313,15 @@ def verify_solution_structure(spectral, p1, p2):
     if p1.shape != a.shape or p2.shape != a.shape:
         raise DimensionError("solutions must match the generator size")
     s = spectral.projector.s_inf
+    frob = np.linalg.norm
     norms = (opnorm(p1), opnorm(p2))
     for name, p, norm in zip(("first", "second"), (p1, p2), norms):
-        if opnorm(p - p.conj().T) > 1e-8 * max(norm, EPS):
+        if frob(p - p.conj().T) > 1e-8 * max(norm, EPS):
             raise PreconditionError("%s solution is not self-adjoint" % name)
 
     delta = p2 - p1
     norm_delta = opnorm(delta)
-    homogeneous = opnorm(a @ delta + delta @ a.conj().T)
+    homogeneous = frob(a @ delta + delta @ a.conj().T)
     scale = spectral.norm_a * sum(norms) + EPS
     if homogeneous > 1e-7 * scale:
         raise PreconditionError(
@@ -318,7 +329,7 @@ def verify_solution_structure(spectral, p1, p2):
             "%.3e against scale %.3e)" % (homogeneous, scale)
         )
 
-    compression = opnorm(s.conj().T @ delta @ s - delta)
+    compression = frob(s.conj().T @ delta @ s - delta)
     # directions below 1e-8 * norm(Delta) are roundoff from forming Delta,
     # not resolvable parts of its range; keep the cut two orders under the
     # 1e-6 * norm(Delta) certification threshold

@@ -155,9 +155,10 @@ def h2_error_quadrature(sys, red, abs_tol):
 
     Integrates trace(d(t) d(t)*) for d(t) = h(t) - h_hat(t), the difference
     of the full and reduced impulse responses. Internally d is
-    C (I - sigma pi) (S(t) - S_inf) B, whose exponential decay at the
-    spectral-gap rate provides the quadrature truncation certificate; its
-    inputs (mu, the overshoot and S_inf) come from ``red.spectral``. When
+    C (I - sigma pi) (S(t) - S_inf) B, whose exponential decay provides
+    the quadrature truncation certificate: the proven decay bound
+    norm(S(t) - S_inf) <= K exp(-mu' t) and S_inf come from
+    ``red.spectral`` (:attr:`~SpectralData.decay_bound`). When
     the generator is diagonal, |d(t)|_F^2 is evaluated as a precomputed
     quadratic form in exp(lambda t), lambda = diag(A), at O(n^2) per node;
     otherwise d is formed from the propagator. Either way the oracle reads
@@ -181,13 +182,14 @@ def h2_error_quadrature(sys, red, abs_tol):
     def integrand(t):
         return np.array([[energy(t)]])
 
-    # |R E B|_F <= min(|R|_F |B|_2, |R|_2 |B|_F) |E|_2, |E|_2 <= M e^{-mu t}
+    # |R E B|_F <= min(|R|_F |B|_2, |R|_2 |B|_F) |E|_2, |E|_2 <= K e^{-mu' t}
     r_frob, r_two = _squared_norm_bounds(residual_map)
     b_frob, b_two = _squared_norm_bounds(sys.b)
-    bound = spectral.overshoot_m**2 * min(r_frob * b_two, r_two * b_frob)
+    decay = spectral.decay_bound
+    bound = decay.constant**2 * min(r_frob * b_two, r_two * b_frob)
     # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A)
     value = integrate_operator_valued(
-        integrand, 2.0 * spectral.mu, abs_tol,
+        integrand, 2.0 * decay.rate, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * spectral.norm_a,
     )
     return _finish(float(value[0, 0]), "impulse_quadrature", abs_tol)

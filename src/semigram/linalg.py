@@ -30,7 +30,7 @@ decaying integrand over [0, inf):
 import heapq
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg
 
 from .errors import DimensionError, QuadratureError
 
@@ -233,7 +233,7 @@ def propagator(a, b=None):
         if diagonal is not None:
             scale = np.exp(diagonal * t)
             return np.diag(scale) if b is None else scale[:, None] * b
-        e = expm(a * t)
+        e = scipy.linalg.expm(a * t)
         return e if b is None else e @ b
 
     return at

@@ -21,6 +21,7 @@ from .linalg import (
     EPS,
     as_operator,
     default_rank_tol,
+    is_diagonal,
     opnorm,
     opnorm_lower_bound,
     propagator,
@@ -32,6 +33,7 @@ __all__ = [
     "NOT_SEMISTABLE",
     "SpectralData",
     "LimitProjector",
+    "DecayBound",
     "spectral_data",
     "decay_defect",
 ]
@@ -91,7 +93,7 @@ class SpectralData:
     complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
     eigenvalues lead; the eigenvalues and every invariant subspace are
     read from it (:attr:`split`, :meth:`mode_split`). The certified limit
-    operator ``projector``, the sampled ``overshoot_m``, the Schur
+    operator ``projector``, the proven ``decay_bound``, the Schur
     ``split`` and the eigenvalue ``clusters`` are computed on first use
     and cached.
     """
@@ -260,17 +262,25 @@ class SpectralData:
         )
 
     @cached_property
-    def overshoot_m(self):
-        """sup of norm(exp(A t) - S_inf) * exp(mu t); None if not semistable.
+    def decay_bound(self):
+        """Proven bound norm(exp(A t) - S_inf) <= K exp(-mu' t) for t >= 0,
+        as a :class:`DecayBound`; None if the record is not semistable.
 
-        Exactly 1 for self-adjoint A, where norm(exp(A t) - S_inf) is
-        exp(-mu t). Otherwise sampled: an estimate, not a certificate.
+        For self-adjoint or exactly diagonal A (:func:`is_diagonal`), and
+        for A without decaying modes, norm(exp(A t) - S_inf) is exp(-mu t):
+        K = 1 at the exact rate mu. Any other A takes the Lyapunov
+        transient bound at mu' = mu / 2 (:func:`_transient_bound`).
+
+        Raises
+        ------
+        ConditioningError
+            If the transient bound fails its certificate.
         """
         if self.verdict == NOT_SEMISTABLE:
             return None
-        if self.hermitian or not np.isfinite(self.mu):
-            return 1.0
-        return _estimate_overshoot(self.a, self.projector.s_inf, self.mu)
+        if self.hermitian or is_diagonal(self.a) or not np.isfinite(self.mu):
+            return DecayBound(constant=1.0, rate=self.mu)
+        return _transient_bound(self)
 
 
 @dataclass(frozen=True)
@@ -284,6 +294,18 @@ class LimitProjector:
     s_inf: np.ndarray
     idempotency_defect: float
     annihilation_defect: float
+
+
+@dataclass(frozen=True)
+class DecayBound:
+    """Proven decay bound norm(exp(A t) - S_inf) <= constant * exp(-rate t).
+
+    The quadrature oracles truncate their integrals with it: an integrand
+    quadratic in exp(A t) - S_inf decays like constant^2 exp(-2 rate t).
+    """
+
+    constant: float
+    rate: float
 
 
 def spectral_data(a, zero_tol=None, rank_tol=None):
@@ -388,18 +410,69 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
     )
 
 
-def _estimate_overshoot(a, s_inf, mu):
-    """Sampled sup of norm(exp(At) - S_inf) * exp(mu t) on a log-spaced grid.
+def _transient_bound(spectral):
+    """The Lyapunov transient bound at rate mu' = mu / 2 (Trefethen &
+    Embree, *Spectra and Pseudospectra*, 2005, ch. 14-15).
 
-    The grid stops at 15/mu: beyond that, exp(mu t) amplifies rounding in
-    the decayed propagator rather than measuring a transient.
+    F = A + mu' I - 2 mu' S_inf is Hurwitz, and exp(A t) - S_inf =
+    exp(-mu' t) exp(F t) (I - S_inf). If X > 0 and -(F* X + X F) > 0, then
+    x* X x decreases along x' = F x, so norm(exp(F t)) <= sqrt(cond X).
+    The idempotent S_inf = Z [[I, -R], [0, 0]] Z* of the :attr:`split`
+    gives norm(I - S_inf) = norm(S_inf) <= sqrt(1 + |R|_F^2) for 0 < k < n,
+    and 1 for k = 0, which the same expression gives.
+
+    In the split's Schur basis Z* F Z = [[T11 - mu' I, T12 + 2 mu' R],
+    [0, T22 + mu' I]] is upper (quasi-)triangular, so F* X + X F = -I is
+    one ?trsyl solve (:func:`_solve_transient_lyapunov`). The solution is
+    certified in the original coordinates, with F formed from A and the
+    certified S_inf: the Frobenius residual of F* X + X F = -I, plus the
+    rounding of forming it, must be at most 1/2, so -(F* X + X F) is
+    positive definite, and the least eigenvalue of X must exceed the
+    eigensolver's backward error delta = n eps lambda_max. Then K =
+    sqrt((lambda_max + delta) / (lambda_min - delta)) sqrt(1 + |R|_F^2).
+    Raises ConditioningError if either check fails.
     """
-    at = propagator(a)
-    times = np.concatenate(([0.0], np.geomspace(0.01 / mu, 15.0 / mu, 25)))
-    est = 0.0
-    for t in times:
-        est = max(est, opnorm(at(t) - s_inf) * np.exp(mu * t))
-    return max(est, EPS)
+    t, z, r = spectral.split
+    n, k = spectral.n, r.shape[0]
+    rate = 0.5 * spectral.mu
+    f_schur = t + rate * np.eye(n)
+    f_schur[:k, :k] -= 2.0 * rate * np.eye(k)
+    f_schur[:k, k:] += 2.0 * rate * r
+    x = z @ _solve_transient_lyapunov(f_schur) @ z.conj().T
+    x = 0.5 * (x + x.conj().T)
+    f = spectral.a - 2.0 * rate * spectral.projector.s_inf
+    f[np.diag_indices(n)] += rate
+    g = f.conj().T @ x
+    g += g.conj().T
+    g[np.diag_indices(n)] += 1.0
+    frob = np.linalg.norm
+    residual = float(frob(g)) + 2.0 * n * EPS * float(frob(f) * frob(x))
+    if not residual <= 0.5:
+        raise ConditioningError(
+            "decay bound failed its Lyapunov certificate (residual %.3e "
+            "exceeds 1/2)" % residual)
+    lam = np.linalg.eigvalsh(x)
+    delta = n * EPS * lam[-1]
+    if not lam[0] > delta:
+        raise ConditioningError(
+            "decay bound failed its Lyapunov certificate (least eigenvalue "
+            "%.3e of X within its backward error %.3e)" % (lam[0], delta))
+    cond_x = (lam[-1] + delta) / (lam[0] - delta)
+    constant = np.sqrt(cond_x * (1.0 + float(frob(r)) ** 2))
+    return DecayBound(constant=float(constant), rate=rate)
+
+
+def _solve_transient_lyapunov(f):
+    """X with F* X + X F = -I for an upper (quasi-)triangular Hurwitz F,
+    by one LAPACK ``?trsyl`` solve; raises ConditioningError when
+    ``?trsyl`` reports F* and -F too close to separate."""
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (f,))
+    x, scale, info = trsyl(f, f, -np.eye(f.shape[0], dtype=f.dtype), trana="C")
+    if info:
+        raise ConditioningError(
+            "failed to solve the decay bound's Lyapunov equation "
+            "(?trsyl info %d)" % info)
+    return x / scale
 
 
 def _decouple(t, k):

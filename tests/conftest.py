@@ -6,7 +6,14 @@ from zero (>= 0.5) to keep classification unambiguous at default
 tolerances.
 """
 
-import numpy as np
+import os
+
+# one BLAS thread, set before numpy loads OpenBLAS: the n = 200 matrix
+# exponentials of the oracle tests run about 4 times slower with two
+# threads on two cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from semigram import is_controllable, spectral_data
 
@@ -63,6 +70,24 @@ def drift_chain(n, r):
     a[i, i + 1] += q
     a[i + 1, i + 1] -= q
     return a
+
+
+def transient_cases():
+    """Non-normal generators whose transients a sampled overshoot missed.
+
+    Name -> (A, B). A 50-coupling whose sup of |exp(A t) - S_inf| e^{mu t}
+    tends to 250 (26 samples read 237.6); a defective stable block, where
+    no finite bound exists at the exact rate mu; and two drift chains,
+    whose sup at n = 60, r = 2 was 10 times the 26-sample value.
+    """
+    return {
+        "coupling50": (np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 50.0],
+                                 [0.0, 0.0, -1.2]]), np.eye(3)),
+        "jordan": (np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0],
+                             [0.0, 0.0, -1.0]]), np.eye(3)),
+        "chain60": (drift_chain(60, 2.0), np.eye(60)[:, :1]),
+        "chain200": (drift_chain(200, 1.2), np.eye(200)[:, :1]),
+    }
 
 
 def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):

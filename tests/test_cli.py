@@ -58,6 +58,30 @@ def test_analyze_semistable(tmp_path, capsys):
     assert "kernel_basis" in out
 
 
+def test_analyze_reports_the_certified_decay_bound(tmp_path, capsys, monkeypatch):
+    # K = 1 at the exact rate for self-adjoint A; otherwise rate mu / 2 and
+    # a K above the transient's sup, which tends to 250 at rate mu
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    report = parse_report(run(capsys, ["analyze", path])[1])
+    assert (report["overshoot_m"], report["overshoot_rate"]) == ("1", "1")
+    path = write_system(tmp_path, [[0.0, 0.0, 0.0], [0.0, -1.0, 50.0],
+                                   [0.0, 0.0, -1.2]])
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 0, err
+    keys = [line.partition(": ")[0] for line in out.splitlines()]
+    assert keys[keys.index("overshoot_m") + 1] == "overshoot_rate"
+    report = parse_report(out)
+    assert float(report["overshoot_rate"]) == pytest.approx(0.5)
+    assert float(report["overshoot_m"]) >= 30.8
+    # X = 0 leaves the Lyapunov residual |I|_F = sqrt(3) > 1/2: a failed
+    # certificate is a numerical failure, with no fallback
+    monkeypatch.setattr(semistability, "_solve_transient_lyapunov",
+                        lambda f: np.zeros_like(f))
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 5
+    assert "Lyapunov certificate" in err
+
+
 def test_analyze_defective_zero(tmp_path, capsys):
     path = write_system(tmp_path, [[0.0, 1.0], [0.0, 0.0]])
     code, out, err = run(capsys, ["analyze", path])
@@ -398,7 +422,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     bidiagonal = np.diag(-np.arange(n, dtype=float)) + np.eye(n, k=1)
     generator = laplacian
     counts = dict.fromkeys(
-        ("eig", "s_inf", "overshoot", "norm", "svd", "schur", "cond", "inv"), 0)
+        ("eig", "s_inf", "overshoot", "norm", "svd", "schur", "cond", "inv",
+         "expm"), 0)
 
     def full(m, *args, **kwargs):
         return np.shape(m) == (n, n) and np.array_equal(m, generator)
@@ -412,7 +437,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
 
     # eigendecompositions, spectral norms, SVDs, Schur forms,
     # eigenvector-basis condition numbers and inverses of the full
-    # generator; S_inf builds; overshoot samplings
+    # generator; S_inf builds; the decay bound's ?trsyl solves; matrix
+    # exponentials
     def full_size(m, *args, **kwargs):
         return np.shape(m)[0] == n
 
@@ -429,8 +455,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, full_size))
     monkeypatch.setattr(semistability, "_projector_matrix",
                         counting("s_inf", semistability._projector_matrix))
-    monkeypatch.setattr(semistability, "_estimate_overshoot",
-                        counting("overshoot", semistability._estimate_overshoot))
+    monkeypatch.setattr(semistability, "_solve_transient_lyapunov",
+                        counting("overshoot", semistability._solve_transient_lyapunov))
+    monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
 
     out = str(tmp_path / "o")
     commands = (  # argv after the system file; whether M and inv(V) are needed
@@ -440,11 +467,11 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
         (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True),
     )
     # the self-adjoint generator's eigh gives its spectral norm and kernel
-    # too, and its overshoot M is exactly 1, not sampled; the
-    # non-self-adjoint one takes them from one SVD, its eigenvalues,
-    # semisimplicity, S_inf, the split Gramian and the truncation from one
-    # Schur form, and only the controllability test needs eig, cond(V) and
-    # inv(V)
+    # too, and its decay bound K is exactly 1; the non-self-adjoint one
+    # takes them from one SVD, its eigenvalues, semisimplicity, S_inf, the
+    # split Gramian, the truncation and K's one ?trsyl solve from one Schur
+    # form, and only the controllability test needs eig, cond(V) and
+    # inv(V); analyze takes no matrix exponential
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
         for argv, needs_m, needs_inv in commands:
@@ -458,6 +485,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
                 "inv": int(needs_inv and not self_adjoint),
+                # the quadrature routes take one at every node
+                "expm": 0 if argv[0] == "analyze" else counts["expm"],
             }, argv
 
 

@@ -22,6 +22,7 @@ from conftest import (
     nonnormal_semistable_factors,
     random_nonnormal_semistable,
     random_selfadjoint_semistable,
+    transient_cases,
 )
 
 
@@ -69,7 +70,8 @@ def test_classify_laplacian():
 def test_classify_mu_and_overshoot_diagonal():
     report = spectral_data(np.diag([0.0, -0.25, -4.0]))
     assert report.mu == pytest.approx(0.25)
-    assert report.overshoot_m == pytest.approx(1.0, abs=1e-9)
+    assert report.decay_bound.constant == pytest.approx(1.0, abs=1e-9)
+    assert report.decay_bound.rate == report.mu
 
 
 def test_classify_zero_matrix():
@@ -194,14 +196,29 @@ def test_decay_defect_validates_times():
         decay_defect(spectral, [-1.0])
 
 
+def grid_sup(record, rate):
+    """max of |exp(A t) - S_inf|_2 e^{rate t} over t = 0 and a log grid of
+    100 times from 1e-3 / mu to 40 / mu, where the transients have died.
+
+    The reference carries the rounding of expm (about 1e-12 relative), so
+    it is shrunk by that much: a sup attained at t = 0, as for a bound
+    that is exact there, must not fail on the last digit.
+    """
+    times = np.concatenate(([0.0], np.geomspace(1e-3, 40.0, 100) / record.mu))
+    sup = np.max(decay_defect(record, times) * np.exp(rate * times))
+    return sup * (1.0 - 1e-12)
+
+
 def test_record_builds_limit_operator_and_overshoot_once():
     a = np.array([[0.0, 1.0], [0.0, -1.0]])
     record = spectral_data(a)
     assert record.verdict == SEMISTABLE
     assert record.failure_reason is None
     assert record.projector is record.projector
-    assert record.overshoot_m == pytest.approx(np.sqrt(2.0), rel=1e-6)
-    assert record.overshoot_m is record.overshoot_m
+    bound = record.decay_bound
+    assert bound.rate == record.mu / 2
+    assert bound.constant >= grid_sup(record, bound.rate)
+    assert record.decay_bound is bound
 
 
 def test_record_failure_reasons():
@@ -215,7 +232,7 @@ def test_record_failure_reasons():
         record = spectral_data(a)
         assert record.verdict == NOT_SEMISTABLE
         assert record.failure_reason == reason
-        assert record.overshoot_m is None
+        assert record.decay_bound is None
         with pytest.raises(NotSemistableError):
             record.projector
 
@@ -340,3 +357,14 @@ def test_split_is_the_sorted_schur_form(seed, n, kernel_dim, rotate):
     t, z, r = spectral.split
     assert r.shape[0] == expected[2] == kernel_dim
     assert np.array_equal(t, expected[0]) and np.array_equal(z, expected[1])
+
+
+@pytest.mark.parametrize("name", sorted(transient_cases()))
+def test_decay_bound_dominates_the_transient(name):
+    # K is proven at rate mu / 2 from one ?trsyl solve and, non-normal as
+    # these generators are, far above the grid sup (84.5 against 30.8 for
+    # the 50-coupling, 1.85e4 against 57.2 for the n = 200 chain)
+    record = spectral_data(transient_cases()[name][0])
+    bound = record.decay_bound
+    assert bound.rate == record.mu / 2
+    assert bound.constant >= grid_sup(record, bound.rate)
