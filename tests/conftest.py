@@ -14,6 +14,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
 
 from semigram import is_controllable, spectral_data
 
@@ -70,6 +71,37 @@ def drift_chain(n, r):
     a[i, i + 1] += q
     a[i + 1, i + 1] -= q
     return a
+
+
+def consensus_laplacian(rng, n, components):
+    """Negated weighted Laplacian of a random graph with the given components.
+
+    Each component is a random spanning tree plus as many random chords as
+    it has nodes, with edge weights uniform in [0.5, 2]: self-adjoint and
+    semistable, with a kernel of dimension ``components``.
+    """
+    w = np.zeros((n, n))
+    for group in np.array_split(rng.permutation(n), components):
+        for i in range(1, len(group)):
+            j = group[int(rng.integers(0, i))]
+            w[group[i], j] = w[j, group[i]] = rng.uniform(0.5, 2.0)
+        for _ in range(len(group)):
+            i, j = rng.choice(group, 2, replace=False)
+            w[i, j] = w[j, i] = rng.uniform(0.5, 2.0)
+    return w - np.diag(w.sum(axis=1))
+
+
+def counting_expm(monkeypatch):
+    """Record the shape of every matrix exponential taken from now on."""
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    return calls
 
 
 def transient_cases():

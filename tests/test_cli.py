@@ -460,21 +460,25 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
 
     out = str(tmp_path / "o")
-    commands = (  # argv after the system file; whether M and inv(V) are needed
-        (["analyze"], True, False),
-        (["gramian", "--output", out], False, False),
-        (["gramian", "--method", "quadrature", "--output", out], True, False),
-        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True),
+    # argv after the system file; whether M and inv(V) are needed; the
+    # matrix exponentials taken
+    commands = (
+        (["analyze"], True, False, 0),
+        (["gramian", "--output", out], False, False, 0),
+        (["gramian", "--method", "quadrature", "--output", out], True, False, 30),
+        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True, 30),
     )
     # the self-adjoint generator's eigh gives its spectral norm and kernel
     # too, and its decay bound K is exactly 1; the non-self-adjoint one
     # takes them from one SVD, its eigenvalues, semisimplicity, S_inf, the
     # split Gramian, the truncation and K's one ?trsyl solve from one Schur
     # form, and only the controllability test needs eig, cond(V) and
-    # inv(V); analyze takes no matrix exponential
+    # inv(V); analyze and the split Gramian take no matrix exponential, and
+    # each quadrature oracle takes one at the 2 x 15 nodes of the two finest
+    # start-mesh panels and squares the next finer panel's everywhere else
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
-        for argv, needs_m, needs_inv in commands:
+        for argv, needs_m, needs_inv, expm_calls in commands:
             counts.update(dict.fromkeys(counts, 0))
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
@@ -485,8 +489,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
                 "inv": int(needs_inv and not self_adjoint),
-                # the quadrature routes take one at every node
-                "expm": 0 if argv[0] == "analyze" else counts["expm"],
+                "expm": expm_calls,
             }, argv
 
 

@@ -10,14 +10,23 @@ from semigram import (
     NotSemistableError,
     PreconditionError,
     gramian_by_quadrature,
+    integrate_operator_valued,
     lyapunov_rhs,
+    propagator,
     solve_semistability_lyapunov,
     spectral_data,
     verify_solution_structure,
 )
+from semigram import gramian
 from semigram.linalg import opnorm
 
-from conftest import nonnormal_semistable_factors, random_selfadjoint_semistable
+from conftest import (
+    consensus_laplacian,
+    counting_expm,
+    drift_chain,
+    nonnormal_semistable_factors,
+    random_selfadjoint_semistable,
+)
 
 
 def heat3():
@@ -116,6 +125,55 @@ def test_solve_agrees_with_quadrature_on_path_laplacian():
     assert split.lyapunov_residual <= 1e-8 * (
         opnorm(a) * opnorm(split.p_inf) + opnorm(q)
     )
+
+
+def consensus90():
+    a = consensus_laplacian(np.random.default_rng(13), 90, 2)
+    return a, np.eye(90)[:, [4, 40, 77]]
+
+
+def record_oracle_nodes(monkeypatch):
+    """Record every time at which the Gramian oracle evaluates its integrand."""
+    times = []
+
+    def recording(f, *args, **kwargs):
+        def g(t):
+            times.append(t)
+            return f(t)
+        return integrate_operator_valued(g, *args, **kwargs)
+
+    monkeypatch.setattr(gramian, "integrate_operator_valued", recording)
+    return times
+
+
+@pytest.mark.parametrize("case, tol", [
+    # measured: 4.2e-14 (consensus) and 1.8e-13 (chain) relative to the
+    # largest entry; on the consensus case both are 9e-14 and 7e-14 off the
+    # exact exp(lambda t) in the eigh basis
+    ("consensus90", 1e-13),
+    ("chain60", 1e-12),
+], ids=["consensus90", "chain60"])
+def test_propagator_agrees_with_expm_at_every_oracle_node(case, tol, monkeypatch):
+    a, b = consensus90() if case == "consensus90" else (drift_chain(60, 2.0), np.eye(60)[:, :1])
+    times = record_oracle_nodes(monkeypatch)
+    gramian_by_quadrature(spectral_data(a), b, 1e-9)
+    # a fresh map at the same times in the same order squares the same
+    # remembered exponentials as the oracle's own
+    response = propagator(a, b)
+    for t in times:
+        expected = scipy.linalg.expm(a * t) @ b
+        assert np.abs(response(t) - expected).max() <= tol * np.abs(expected).max(), t
+
+
+def test_quadrature_takes_expm_on_the_two_finest_panels_only(monkeypatch):
+    a, b = consensus90()
+    spectral = spectral_data(a)
+    times = record_oracle_nodes(monkeypatch)
+    calls = counting_expm(monkeypatch)
+    gramian_by_quadrature(spectral, b, 1e-9)
+    # every other start-mesh node squares exp(A t/2) from the finer panel
+    assert len(calls) == 2 * 15
+    assert len(times) >= 150
 
 
 def _solve_lstsq(a, q, s):

@@ -20,6 +20,8 @@ from semigram.linalg import (
     opnorm,
 )
 
+from conftest import counting_expm
+
 
 def test_exponential_of_zero_is_identity():
     assert np.array_equal(propagator(np.zeros((4, 4)))(5.0), np.eye(4))
@@ -262,3 +264,53 @@ def test_propagator_validates_once_and_matches_exponential():
         propagator(np.eye(3), np.ones((2, 1)))
     with pytest.raises(ValueError):
         propagator(np.eye(3), b)(-1.0)
+
+
+def test_propagator_squares_a_remembered_half_time_into_a_fresh_array(monkeypatch):
+    a = np.random.default_rng(5).normal(size=(4, 4))
+    calls = counting_expm(monkeypatch)
+    at = propagator(a)
+    first = at(0.35)
+    first[:] = np.nan
+    doubled = at(0.7)
+    # exp(0.7 A) is the square of the remembered exp(0.35 A), which the
+    # caller's write did not reach
+    assert len(calls) == 1
+    assert np.allclose(doubled, expm(0.7 * a), rtol=1e-13, atol=1e-14)
+    doubled[:] = np.nan
+    assert np.allclose(at(1.4), expm(1.4 * a), rtol=1e-13, atol=1e-14)
+    assert len(calls) == 1
+
+
+def test_propagator_remembers_one_kronrod_panel(monkeypatch):
+    a = np.array([[0.0, 1.0], [0.0, -1.0]])
+    calls = counting_expm(monkeypatch)
+    at = propagator(a, np.eye(2)[:, :1])
+    # 16 times, none twice another: the oldest is evicted
+    times = 1.0 + np.arange(len(_KRONROD_NODES) + 1) / 64.0
+    for t in times:
+        at(t)
+    assert len(calls) == len(times)
+    at(2.0 * times[-1])
+    assert len(calls) == len(times)
+    at(2.0 * times[0])
+    assert len(calls) == len(times) + 1
+
+
+def test_start_mesh_panels_are_exact_doublings():
+    # the propagator's memo hits only if every node of the start-mesh panel
+    # [T/2^(j+1), T/2^j] is bitwise twice the matching node of the finer
+    # panel [T/2^(j+2), T/2^(j+1)], which is evaluated just before it
+    times = []
+
+    def f(t):
+        times.append(t)
+        return np.array([[np.exp(-t)]])
+
+    integrate_operator_valued(f, 1.0, 1e-7, bound_constant=3.0, fast_rate=50.0)
+    panels = np.array(times).reshape(-1, len(_KRONROD_NODES))
+    # ascending panels: no refinement, every panel is on the start mesh
+    assert np.all(panels[:-1, -1] < panels[1:, 0])
+    assert len(panels) >= 8
+    # panel 0 is [0, T/2^J], the one panel that doubles none
+    assert np.array_equal(panels[2:], 2.0 * panels[1:-1])
