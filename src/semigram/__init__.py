@@ -41,7 +41,6 @@ from .heatbench import (
 )
 from .linalg import (
     integrate_operator_valued,
-    numerical_rank,
     propagator,
     svd_split,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "QuadratureError",
     "propagator",
     "svd_split",
-    "numerical_rank",
     "integrate_operator_valued",
     "parse_matrix",
     "format_matrix",

@@ -7,14 +7,14 @@ report its exact H2 error), plus the end-to-end ``heat-bench``.
 
 Exit codes are a stable contract: 0 success, 2 input or parse error,
 3 classification failure, 4 invalid mode selection, 5 numerical failure.
-Reports are deterministic byte streams for fixed inputs and config.
+Reports are deterministic byte streams for fixed inputs and flags.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .matio import format_matrix, read_system, write_matrix
 from .reduction import check_preservation, mode_truncation
 from .semistability import NOT_SEMISTABLE, spectral_data
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -46,32 +46,8 @@ EXIT_CLASSIFICATION = 3
 EXIT_SELECTION = 4
 EXIT_NUMERICAL = 5
 
-_GRAMIAN_METHODS = ("auto", "quadrature", "lyapunov")
+_GRAMIAN_METHODS = ("lyapunov", "quadrature")
 _OUTPUT_FORMATS = ("text", "csv", "structured")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances and routing shared by all subcommands."""
-
-    rank_tol: float | None = None
-    quadrature_tol: float = 1e-9
-    gramian_method: str = "auto"
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.rank_tol is not None and not self.rank_tol >= 0:
-            raise ValueError("rank_tol must be nonnegative")
-        if not self.quadrature_tol > 0:
-            raise ValueError("quadrature_tol must be positive")
-        if self.gramian_method not in _GRAMIAN_METHODS:
-            raise ValueError(
-                "gramian_method must be one of %s" % (_GRAMIAN_METHODS,)
-            )
-        if self.output_format not in _OUTPUT_FORMATS:
-            raise ValueError(
-                "output_format must be one of %s" % (_OUTPUT_FORMATS,)
-            )
 
 
 def _fmt_value(v):
@@ -88,15 +64,14 @@ def _json_value(v):
     return v
 
 
-def _emit(pairs, config, matrices=None, stream=None):
-    """Write a report of (key, value) pairs in the configured format.
+def _emit(pairs, fmt, matrices=None, stream=None):
+    """Write a report of (key, value) pairs in the format ``fmt``.
 
     ``matrices`` maps keys to arrays; they are included in text and
     structured output and omitted from CSV rows.
     """
     stream = stream or sys.stdout
     matrices = matrices or {}
-    fmt = config.output_format
     if fmt == "csv":
         stream.write(",".join(k for k, _ in pairs) + "\n")
         stream.write(",".join(_fmt_value(v) for _, v in pairs) + "\n")
@@ -118,9 +93,9 @@ def _ensure_outdir(path):
     return path
 
 
-def cmd_analyze(args, config):
+def cmd_analyze(args):
     system, _ = read_system(args.system)
-    spectral = spectral_data(system.a, rank_tol=config.rank_tol)
+    spectral = spectral_data(system.a)
     if spectral.verdict == NOT_SEMISTABLE:
         _emit(
             [
@@ -129,7 +104,7 @@ def cmd_analyze(args, config):
                 ("kernel_dim", spectral.kernel_dim),
                 ("zero_tol", spectral.zero_tol),
             ],
-            config,
+            args.format,
         )
         return EXIT_CLASSIFICATION
     s_inf = spectral.projector
@@ -145,28 +120,23 @@ def cmd_analyze(args, config):
             ("s_inf_annihilation_defect", s_inf.annihilation_defect),
             ("zero_tol", spectral.zero_tol),
         ],
-        config,
+        args.format,
         matrices={"kernel_basis": spectral.kernel_basis},
     )
     return EXIT_OK
 
 
-def _compute_gramian(system, spectral, config):
-    """Gramian via the configured method; auto falls back to quadrature."""
-    if config.gramian_method != "quadrature":
-        q = lyapunov_rhs(spectral, system.b)
-        try:
-            return solve_semistability_lyapunov(spectral, q)
-        except (ConditioningError, InconsistencyError):
-            if config.gramian_method == "lyapunov":
-                raise
-    return gramian_by_quadrature(spectral, system.b, config.quadrature_tol)
+def _compute_gramian(system, spectral, args):
+    """Gramian by the route ``--method`` names."""
+    if args.method == "quadrature":
+        return gramian_by_quadrature(spectral, system.b, args.quad_tol)
+    return solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, system.b))
 
 
-def cmd_gramian(args, config):
+def cmd_gramian(args):
     system, _ = read_system(args.system)
-    spectral = spectral_data(system.a, rank_tol=config.rank_tol)
-    gram = _compute_gramian(system, spectral, config)
+    spectral = spectral_data(system.a)
+    gram = _compute_gramian(system, spectral, args)
     outdir = _ensure_outdir(args.output)
     target = os.path.join(outdir, "p_inf.mat")
     write_matrix(target, gram.p_inf)
@@ -179,7 +149,7 @@ def cmd_gramian(args, config):
     if gram.quadrature_tol is not None:
         pairs.append(("quadrature_tol", gram.quadrature_tol))
     pairs.append(("p_inf_file", target))
-    _emit(pairs, config)
+    _emit(pairs, args.format)
     return EXIT_OK
 
 
@@ -198,9 +168,9 @@ def _parse_keep(text, n):
         ) from None
 
 
-def cmd_reduce(args, config):
+def cmd_reduce(args):
     system, _ = read_system(args.system)
-    spectral = spectral_data(system.a, rank_tol=config.rank_tol)
+    spectral = spectral_data(system.a)
     keep = _parse_keep(args.keep, system.n)
     red = mode_truncation(system, spectral, keep)
     preservation = check_preservation(system, red)
@@ -219,14 +189,14 @@ def cmd_reduce(args, config):
     ]
 
     if args.h2 in ("gramian", "both"):
-        gram = _compute_gramian(system, spectral, config)
+        gram = _compute_gramian(system, spectral, args)
         res = h2_error_gramian(system, red, gram)
         pairs += [
             ("h2_trace_gramian", res.trace_value),
             ("h2_norm_gramian", res.h2_norm),
         ]
     if args.h2 in ("quadrature", "both"):
-        res = h2_error_quadrature(system, red, config.quadrature_tol)
+        res = h2_error_quadrature(system, red, args.quad_tol)
         pairs += [
             ("h2_trace_quadrature", res.trace_value),
             ("h2_norm_quadrature", res.h2_norm),
@@ -246,15 +216,15 @@ def cmd_reduce(args, config):
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     pairs.append(("reduced_system_file", system_file))
-    _emit(pairs, config)
+    _emit(pairs, args.format)
     return EXIT_OK
 
 
-def cmd_heat_bench(args, config):
-    report = run_benchmark(args.cosines, args.modes, config.quadrature_tol)
-    if config.output_format == "csv":
+def cmd_heat_bench(args):
+    report = run_benchmark(args.cosines, args.modes, args.quad_tol)
+    if args.format == "csv":
         sys.stdout.write(benchmark_csv(report))
-    elif config.output_format == "structured":
+    elif args.format == "structured":
         sys.stdout.write(json.dumps(asdict(report), indent=2) + "\n")
     else:
         sys.stdout.write(benchmark_text(report))
@@ -264,17 +234,13 @@ def cmd_heat_bench(args, config):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--rank-tol", type=float, default=None,
-        help="singular-value threshold for rank decisions (default: scaled "
-        "machine epsilon)",
-    )
-    common.add_argument(
         "--quad-tol", type=float, default=1e-9,
         help="absolute tolerance for quadrature routes (default 1e-9)",
     )
     common.add_argument(
-        "--method", choices=_GRAMIAN_METHODS,
-        default="auto", help="Gramian computation route",
+        "--method", choices=_GRAMIAN_METHODS, default="lyapunov",
+        help="Gramian computation route (default lyapunov); neither route "
+        "falls back to the other",
     )
     common.add_argument(
         "--format", choices=_OUTPUT_FORMATS, default="text",
@@ -342,18 +308,11 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = RunConfig(
-            rank_tol=args.rank_tol,
-            quadrature_tol=args.quad_tol,
-            gramian_method=args.method,
-            output_format=args.format,
-        )
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    if not 0 < args.quad_tol < np.inf:
+        print("error: --quad-tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args, config)
+        return args.func(args)
     except NotSemistableError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CLASSIFICATION

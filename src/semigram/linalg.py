@@ -40,7 +40,6 @@ __all__ = [
     "as_operator",
     "opnorm",
     "opnorm_lower_bound",
-    "numerical_rank",
     "svd_split",
     "is_diagonal",
     "propagator",
@@ -130,34 +129,6 @@ def default_rank_tol(shape, largest_sv):
     return max(shape) * EPS * largest_sv if largest_sv > 0 else 0.0
 
 
-def numerical_rank(a, rank_tol=None):
-    """Numerical rank of a (not necessarily square) matrix via SVD.
-
-    Parameters
-    ----------
-    a : array_like
-        Any dense matrix.
-    rank_tol : float, optional
-        Absolute singular-value threshold. Defaults to
-        ``max(m, n) * eps * sigma_1``. Classification decisions downstream
-        are tolerance-sensitive, which is why this is configurable.
-
-    Returns
-    -------
-    int
-        Count of singular values strictly above the threshold.
-    """
-    a = as_operator(a, "matrix")
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape, s[0])
-    elif rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    return int(np.sum(s > rank_tol))
-
-
 def svd_split(a, rank_tol=None):
     """Split C^n into numerical row space and null space of a square matrix.
 
@@ -165,9 +136,9 @@ def svd_split(a, rank_tol=None):
     ``kernel_basis`` span the numerical null space, the columns of
     ``range_basis`` span its orthogonal complement, and both sets are
     orthonormal (right singular vectors of ``a``; both are views of one
-    array). ``rank_tol`` is the absolute singular-value threshold, see
-    :func:`numerical_rank`; the numerical rank is the width of
-    ``range_basis``.
+    array). ``rank_tol`` is the absolute singular-value threshold,
+    ``max(m, n) eps sigma_1`` by default; the numerical rank is the width
+    of ``range_basis``, the count of singular values above it.
     """
     a = as_operator(a, "matrix", square=True)
     n = a.shape[0]
@@ -382,8 +353,8 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
     fast_rate = float(fast_rate)
     if not np.isfinite(decay_rate) or decay_rate <= 0:
         raise ValueError("decay_rate must be a finite positive real")
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
+    if not np.isfinite(abs_tol) or abs_tol <= 0:
+        raise ValueError("abs_tol must be a finite positive real")
     if not np.isfinite(bound_constant) or bound_constant <= 0:
         raise ValueError("bound_constant must be a finite positive real")
     if not np.isfinite(fast_rate) or fast_rate <= 0:

@@ -279,7 +279,7 @@ def mode_truncation(sys, spectral, keep):
             "projection pair lost bi-orthogonality (defect %.3e)" % biorth
         )
     # sigma has orthonormal columns, so sigma_r(pi) >= (1 - biorth) / (1 + n
-    # eps): rank r at numerical_rank's threshold max(r, n) eps |pi|, no SVD
+    # eps): rank r at the standard rank threshold max(r, n) eps |pi|, no SVD
     if r and 1.0 - biorth <= max(pi.shape) * EPS * norm_pi * (1.0 + spectral.n * EPS):
         raise ConditioningError("pi is not surjective onto the reduced space")
 

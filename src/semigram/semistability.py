@@ -308,7 +308,7 @@ class DecayBound:
     rate: float
 
 
-def spectral_data(a, zero_tol=None, rank_tol=None):
+def spectral_data(a, zero_tol=None):
     """Compute the analysis record of a generator.
 
     The record's verdict follows the eigenvalue criterion for exponential
@@ -326,11 +326,11 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         Square generator matrix.
     zero_tol : float, optional
         Eigenvalue-component zero threshold; see :func:`default_zero_tol`.
-    rank_tol : float, optional
-        Singular-value threshold for the kernel basis. Defaults to the
-        larger of the standard rank tolerance and ``zero_tol`` so the
-        eigenvalue and kernel notions of "zero" stay consistent; a value
-        under which they disagree makes the record not semistable.
+        The kernel basis holds the singular vectors whose singular values
+        are at most the larger of ``zero_tol`` and the standard rank
+        tolerance ``n eps |A|``, so the eigenvalue and kernel notions of
+        "zero" share one threshold; a kernel dimension that still differs
+        from the zero-eigenvalue count makes the record not semistable.
 
     Returns
     -------
@@ -355,11 +355,7 @@ def spectral_data(a, zero_tol=None, rank_tol=None):
         zero_tol = default_zero_tol(n, norm_a)
     elif zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    if rank_tol is None:
-        rank_tol = max(default_rank_tol((n, n), norm_a), zero_tol)
-    elif rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    kernel = vh[sv <= rank_tol].conj().T
+    kernel = vh[sv <= max(default_rank_tol((n, n), norm_a), zero_tol)].conj().T
     del vh  # not held through the factorization
 
     if hermitian:

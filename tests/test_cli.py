@@ -1,5 +1,8 @@
+import argparse
 import collections
 import json
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -16,7 +19,7 @@ from semigram import (
     semistability,
     write_matrix,
 )
-from semigram.cli import RunConfig, main
+from semigram.cli import main
 
 from conftest import random_nonnormal_semistable
 
@@ -166,19 +169,40 @@ def test_gramian_methods_agree(tmp_path, capsys):
 
 
 def test_gramian_split_failure_routes(tmp_path, capsys, monkeypatch):
-    # lyapunov has no fallback and exits 5; auto falls back to quadrature
+    # the default route is the split route, and a split failure has no
+    # fallback: both exit 5 and write no Gramian
     def failing_split(*args, **kwargs):
         raise ConditioningError("split refused")
 
     monkeypatch.setattr(cli, "solve_semistability_lyapunov", failing_split)
     path = write_system(tmp_path, np.diag([0.0, -1.0]))
-    code, out, err = run(capsys, ["gramian", path, "--method", "lyapunov",
-                                  "--output", str(tmp_path)])
-    assert code == 5
-    assert "split refused" in err
-    code, out, err = run(capsys, ["gramian", path, "--output", str(tmp_path)])
-    assert code == 0
-    assert parse_report(out)["method"] == "quadrature"
+    for method in ([], ["--method", "lyapunov"]):
+        code, out, err = run(capsys, ["gramian", path, "--output",
+                                      str(tmp_path)] + method)
+        assert code == 5
+        assert "split refused" in err
+        assert not (tmp_path / "p_inf.mat").exists()
+
+
+def coupling(c):
+    """Semistable [[0,0,0],[0,-1,c],[0,0,-2]]; its SVD kernel grows with c."""
+    return [[0.0, 0.0, 0.0], [0.0, -1.0, c], [0.0, 0.0, -2.0]]
+
+
+def test_default_gramian_where_the_oracle_fails(tmp_path, capsys):
+    # the quadrature oracle's decay bound fails its certificate on both
+    # systems (exit 5); the split route certifies its Gramian
+    rng = np.random.default_rng(1)
+    for a in (coupling(1e6), random_nonnormal_semistable(rng, 30, 1, 1e6)):
+        path = write_system(tmp_path, a)
+        out = str(tmp_path / "o")
+        code, report, err = run(capsys, ["gramian", path, "--output", out])
+        assert code == 0, err
+        assert parse_report(report)["method"] == "lyapunov_split"
+        code, _, err = run(capsys, ["gramian", path, "--method", "quadrature",
+                                    "--output", out])
+        assert code == 5
+        assert "decay bound failed its Lyapunov certificate" in err
 
 
 def test_gramian_impossible_tolerance(tmp_path, capsys):
@@ -340,23 +364,33 @@ def test_structured_matrix_entries_are_written_as_floats(capsys):
     # m.tolist() writes the bytes of the per-entry float conversion
     big = np.finfo(np.float64).max
     m = np.array([[0.0, -0.0, 5e-324], [-5e-324, big, -big]])
-    cli._emit([], RunConfig(output_format="structured"), {"m": m})
+    cli._emit([], "structured", {"m": m})
     per_entry = [[cli._json_value(complex(x).real) for x in row] for row in m]
     assert capsys.readouterr().out == json.dumps({"m": per_entry}, indent=2) + "\n"
 
 
-def test_runconfig_validation():
-    config = RunConfig()
-    assert config.quadrature_tol == 1e-9
-    assert config.gramian_method == "auto"
-    with pytest.raises(ValueError):
-        RunConfig(quadrature_tol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(gramian_method="magic")
-    with pytest.raises(ValueError):
-        RunConfig(output_format="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(rank_tol=-1.0)
+@pytest.mark.parametrize("argv", [
+    ["--quad-tol", "0"],
+    ["--quad-tol", "inf"],
+    ["--quad-tol", "nan"],
+    ["--method", "quadrature", "--quad-tol", "inf"],
+    ["--method", "auto"],
+    ["--rank-tol", "0"],
+], ids=["quad-tol-0", "quad-tol-inf", "quad-tol-nan", "quadrature-inf",
+        "method-auto", "rank-tol"])
+def test_bad_common_flags_are_input_errors(tmp_path, capsys, argv):
+    # an infinite tolerance would make the quadrature certificate's
+    # residual slack infinite; there is no auto route and no --rank-tol
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    for command in (["gramian", path, "--output", str(tmp_path)],
+                    ["heat-bench", "--modes", "3", "--cosines", "1"]):
+        try:
+            code = main(command + argv)
+        except SystemExit as exc:  # argparse rejects unknown flags and values
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p_inf.mat").exists()
 
 
 def test_repeated_runs_byte_identical(tmp_path, capsys):
@@ -384,23 +418,25 @@ def path_laplacian(n):
              - np.eye(n, k=1) - np.eye(n, k=-1))
 
 
-def test_rank_tol_that_hides_the_kernel_is_not_semistable(tmp_path, capsys):
-    # one eigenvalue of the path Laplacian is zero, but --rank-tol 0 leaves
-    # its SVD kernel empty; the two notions of zero must agree
-    path = write_system(tmp_path, path_laplacian(6))
-    code, out, err = run(capsys, ["analyze", path, "--rank-tol", "0"])
+def test_kernel_count_that_differs_from_the_zero_eigenvalues(tmp_path, capsys):
+    # at c = 1e7 the coupling's second singular value, 2 / c, falls under
+    # zero_tol while only one eigenvalue is zero: the two notions of zero
+    # must agree, so the record is not semistable
+    path = write_system(tmp_path, coupling(1e7))
+    code, out, err = run(capsys, ["analyze", path])
     assert code == 3
     report = parse_report(out)
     assert report["verdict"] == "not_semistable"
     assert report["detail"] == (
-        "kernel dimension 0 differs from zero-eigenvalue count 1")
-    assert report["kernel_dim"] == "0"
+        "kernel dimension 2 differs from zero-eigenvalue count 1")
+    assert report["kernel_dim"] == "2"
     out = str(tmp_path / "o")
-    for argv in (["gramian", path, "--output", out],
-                 ["reduce", path, "--keep", "3", "--output", out]):
-        code, _, err = run(capsys, argv + ["--rank-tol", "0"])
-        assert code == 3, err
-    assert run(capsys, ["analyze", path])[0] == 0
+    for c, expected in ((1e7, 3), (1e6, 0)):
+        path = write_system(tmp_path, coupling(c))
+        for argv in (["gramian", path, "--output", out],
+                     ["reduce", path, "--keep", "2", "--output", out]):
+            code, _, err = run(capsys, argv)
+            assert code == expected, err
 
 
 def test_reduce_reports_nonnormal_pair_controllable(tmp_path, capsys):
@@ -579,3 +615,15 @@ def test_matrix_files_are_converted_row_by_row(tmp_path, capsys):
     assert (calls["parse_matrix"], calls["format_matrix"]) == (3, 1)
     assert calls["_parse_token"] == 0
     assert sum(calls.values()) < n, calls
+
+
+def test_readme_documents_every_flag_and_no_other():
+    parser = cli._build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in subparsers.choices.values()
+             for action in sub._actions for flag in action.option_strings
+             if flag.startswith("--") and flag != "--help"}
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags
