@@ -5,13 +5,17 @@ All operators are plain numpy arrays (float64 or complex128) that have been
 validated by :func:`as_operator`; every public function treats its inputs as
 immutable and returns fresh arrays. The functions hold no state and are
 safe to call from multiple threads; the map that :func:`propagator` returns
-remembers its latest exponentials, so one map belongs to one thread.
+remembers its latest exponentials and its generator's powers, so one map
+belongs to one thread.
 
 :func:`propagator` validates a generator once and returns t -> exp(A t) B,
 so quadrature integrands cost one product per node, and on the dyadic
 start mesh one squaring in place of a matrix exponential; :func:`is_diagonal`
 is the one test that decides whether a generator takes the exact
-elementwise path.
+elementwise path. Every other generator takes the package's one matrix
+exponential, a truncated Taylor series with scaling and squaring whose
+powers of A are built once per map and whose truncation is proven below
+eps / 2 relative.
 
 :func:`integrate_operator_valued` integrates a certified exponentially
 decaying integrand over [0, inf):
@@ -30,9 +34,9 @@ decaying integrand over [0, inf):
 """
 
 import heapq
+import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, QuadratureError
 
@@ -172,17 +176,19 @@ def propagator(a, b=None):
     H2 error oracle) make the same :func:`is_diagonal` decision and skip
     even that.
 
-    Any other ``a`` uses scaling-and-squaring with Pade approximation
-    (scipy's ``expm``), around 1e-12 relative accuracy for well-conditioned
-    inputs, followed by one product with ``b``. The map remembers exp(a*t)
-    at the last 15 times it was called at, one Kronrod panel's nodes, and
-    evicts the oldest first: 15 n^2 entries, about 1 MB at n = 90. When
-    exp(a*t/2) is remembered, it is removed and squared instead of taking
-    ``expm``; that is the last squaring of scaling and squaring. Each node
-    of the quadrature's start-mesh panel [T/2^(j+1), T/2^j] is bitwise
-    twice a node of the finer panel evaluated just before it, so only the
-    two finest panels take ``expm``. The map is therefore not safe to share
-    between threads.
+    Any other ``a`` takes the Taylor kernel of :func:`_taylor_kernel`,
+    whose truncation is proven to stay below eps / 2 relative before the
+    squarings, followed by one product with ``b``; the kernel's stack of
+    powers of ``a`` is built once per map, so every node of an integral
+    shares it. The map remembers exp(a*t) at the last 15 times it was
+    called at, one Kronrod panel's nodes, and evicts the oldest first:
+    15 n^2 entries, about 1 MB at n = 90. When exp(a*t/2) is remembered,
+    it is removed and squared instead of evaluating the kernel; that is
+    the last squaring of scaling and squaring. Each node of the
+    quadrature's start-mesh panel [T/2^(j+1), T/2^j] is bitwise twice a
+    node of the finer panel evaluated just before it, so on the start mesh
+    only the two finest panels evaluate the kernel. The map is therefore
+    not safe to share between threads.
 
     Parameters
     ----------
@@ -206,6 +212,7 @@ def propagator(a, b=None):
                 "input matrix row count must match the generator"
             )
     diagonal = np.diagonal(a).copy() if is_diagonal(a) else None
+    exponential = _taylor_kernel(a) if diagonal is None else None
     memo = {}  # t -> exp(a*t) for the latest nodes, oldest first
 
     def at(t):
@@ -220,13 +227,83 @@ def propagator(a, b=None):
         # a start-mesh node is exactly twice a node of the finer panel
         # evaluated just before it, so its exponential is one squaring
         half = memo.pop(0.5 * t, None)
-        e = half @ half if half is not None else scipy.linalg.expm(a * t)
+        e = half @ half if half is not None else exponential(t)
         memo[t] = e
         if len(memo) > len(_KRONROD_NODES):
             del memo[next(iter(memo))]
         return e.copy() if b is None else e @ b
 
     return at
+
+
+#: largest scaled time beta * tau that the Taylor series takes unhalved
+_TAYLOR_THETA = 0.5
+
+
+def _taylor_degree(x):
+    """The least m >= 0 with x^(m+1) e^(2x) / (m+1)! <= eps / 2.
+
+    The bound of :func:`_taylor_kernel`; m = 14 at x = 1/2, and m = 0 at
+    x = 0.
+    """
+    m, bound = 0, x * math.exp(2.0 * x)
+    while bound > 0.5 * EPS:
+        m += 1
+        bound *= x / (m + 1)
+    return m
+
+
+def _taylor_kernel(a):
+    """The map t -> exp(a*t) of a square matrix: a truncated Taylor series
+    with scaling and squaring (Moler & Van Loan, "Nineteen dubious ways to
+    compute the exponential of a matrix, twenty-five years later", SIAM
+    Review 45, 2003).
+
+    beta = sqrt(|a|_1 |a|_inf) >= |a|_2 reads only ``a``. At time t, s is
+    the least integer with x = beta t / 2^s <= theta = 1/2, tau = t / 2^s,
+    and m = :func:`_taylor_degree` (x). The map sums
+    T = sum_{k <= m} (a tau)^k / k! and squares it s times.
+
+    Proof that T is exp(a tau) to eps / 2 relative: the remainder
+    R = exp(a tau) - T = sum_{k > m} (a tau)^k / k! has
+    |R|_2 <= sum_{k > m} x^k / k! <= x^(m+1) e^x / (m+1)!, and
+    |exp(-a tau)|_2 <= e^x, so sigma_min(exp(a tau)) >= e^-x. Hence
+    T = exp(a tau) (I + E) with E = -exp(-a tau) R and
+    |E|_2 <= x^(m+1) e^(2x) / (m+1)! <= eps / 2. E is a power series in
+    a, so it commutes with exp(a tau), and T^(2^s) = exp(a t) (I + E)^(2^s):
+    a relative error of at most (1 + eps/2)^(2^s) - 1 before the rounding
+    of the squarings.
+
+    The stack (a / u)^k / k!, with u the power of two above beta, is built
+    on first need, once per map, up to the largest m any call has needed
+    (at most 14); each call then sums (tau u)^k times it in one tensordot,
+    (m + 1) n^2 flops besides the s squarings. Scaling by u is exact and
+    keeps every factor at most 1, so no power overflows against another
+    that underflows.
+    """
+    magnitudes = np.abs(a)
+    beta = (math.sqrt(magnitudes.sum(axis=0).max())
+            * math.sqrt(magnitudes.sum(axis=1).max()))
+    unit = math.ldexp(1.0, math.frexp(beta)[1])
+    scaled = a / unit
+    stack = np.eye(a.shape[0], dtype=a.dtype)[None]
+
+    def exp_at(t):
+        nonlocal stack
+        tau, squarings = t, 0
+        while beta * tau > _TAYLOR_THETA:
+            tau, squarings = 0.5 * tau, squarings + 1
+        degree = _taylor_degree(beta * tau)
+        while len(stack) <= degree:
+            power = stack[-1] @ scaled / len(stack)
+            stack = np.concatenate((stack, power[None]))
+        coefficients = (tau * unit) ** np.arange(degree + 1)
+        e = np.tensordot(coefficients, stack[:degree + 1], axes=1)
+        for _ in range(squarings):
+            e = e @ e
+        return e
+
+    return exp_at
 
 
 # Kronrod 15-point rule on [-1, 1] with its embedded 7-point Gauss rule

@@ -16,7 +16,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
 
-from semigram import is_controllable, spectral_data
+from semigram import is_controllable, linalg, spectral_data
 
 
 def random_selfadjoint_semistable(rng, n, kernel_dim):
@@ -102,6 +102,31 @@ def counting_expm(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
     return calls
+
+
+def counting_kernel(monkeypatch):
+    """Record every exponential kernel built from now on.
+
+    Returns a list with one entry per kernel, in the order they are built:
+    the list of times at which that kernel was evaluated. Each kernel holds
+    one stack of powers of its generator.
+    """
+    kernels = []
+    build = linalg._taylor_kernel
+
+    def counting(a):
+        times = []
+        kernels.append(times)
+        exp_at = build(a)
+
+        def counted(t):
+            times.append(t)
+            return exp_at(t)
+
+        return counted
+
+    monkeypatch.setattr(linalg, "_taylor_kernel", counting)
+    return kernels
 
 
 def transient_cases():

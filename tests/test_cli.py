@@ -21,7 +21,7 @@ from semigram import (
 )
 from semigram.cli import main
 
-from conftest import random_nonnormal_semistable
+from conftest import counting_kernel, random_nonnormal_semistable
 
 
 def write_system(tmp_path, a, b=None, c=None, name="sys.json"):
@@ -76,13 +76,39 @@ def test_analyze_reports_the_certified_decay_bound(tmp_path, capsys, monkeypatch
     report = parse_report(out)
     assert float(report["overshoot_rate"]) == pytest.approx(0.5)
     assert float(report["overshoot_m"]) >= 30.8
+    # the coupling at c = 1 certifies its bound: its report is pinned
+    path = write_system(tmp_path, coupling(1.0))
+    assert run(capsys, ["analyze", path]) == (0, COUPLING1_REPORT, "")
     # X = 0 leaves the Lyapunov residual |I|_F = sqrt(3) > 1/2: a failed
-    # certificate is a numerical failure, with no fallback
+    # certificate has no fallback; analyze reports the bound as nan, and
+    # the quadrature oracle, which needs it, is a numerical failure
     monkeypatch.setattr(semistability, "_solve_transient_lyapunov",
                         lambda f: np.zeros_like(f))
     code, out, err = run(capsys, ["analyze", path])
+    assert code == 0, err
+    assert out == COUPLING1_REPORT.replace(
+        "overshoot_m: 2.10749102966\novershoot_rate: 0.5\n",
+        "overshoot_m: nan\novershoot_rate: nan\n")
+    code, out, err = run(capsys, ["gramian", path, "--method", "quadrature",
+                                  "--output", str(tmp_path / "o")])
     assert code == 5
     assert "Lyapunov certificate" in err
+
+
+COUPLING1_REPORT = """verdict: semistable
+mu: 1
+kernel_dim: 1
+overshoot_m: 2.10749102966
+overshoot_rate: 0.5
+s_inf_idempotency_defect: 0
+s_inf_annihilation_defect: 0
+zero_tol: 1.52427777818e-12
+kernel_basis:
+3 1
+1
+0
+0
+"""
 
 
 def test_analyze_defective_zero(tmp_path, capsys):
@@ -191,7 +217,8 @@ def coupling(c):
 
 def test_default_gramian_where_the_oracle_fails(tmp_path, capsys):
     # the quadrature oracle's decay bound fails its certificate on both
-    # systems (exit 5); the split route certifies its Gramian
+    # systems, so both quadrature routes exit 5; the split route certifies
+    # its Gramian, and analyze reports the bound as nan
     rng = np.random.default_rng(1)
     for a in (coupling(1e6), random_nonnormal_semistable(rng, 30, 1, 1e6)):
         path = write_system(tmp_path, a)
@@ -199,10 +226,22 @@ def test_default_gramian_where_the_oracle_fails(tmp_path, capsys):
         code, report, err = run(capsys, ["gramian", path, "--output", out])
         assert code == 0, err
         assert parse_report(report)["method"] == "lyapunov_split"
+        code, report, err = run(capsys, ["analyze", path])
+        assert code == 0, err
+        report = parse_report(report)
+        assert report["verdict"] == "semistable"
+        assert (report["overshoot_m"], report["overshoot_rate"]) == ("nan", "nan")
         code, _, err = run(capsys, ["gramian", path, "--method", "quadrature",
                                     "--output", out])
         assert code == 5
         assert "decay bound failed its Lyapunov certificate" in err
+    # the coupling's truncation is exact, so only the H2 oracle fails
+    path = write_system(tmp_path, coupling(1e6))
+    for h2 in ("gramian", "quadrature", "both"):
+        code, _, err = run(capsys, ["reduce", path, "--keep", "2", "--h2", h2,
+                                    "--output", out])
+        assert code == (0 if h2 == "gramian" else 5), err
+        assert h2 == "gramian" or "decay bound failed its Lyapunov certificate" in err
 
 
 def test_gramian_impossible_tolerance(tmp_path, capsys):
@@ -473,8 +512,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
 
     # eigendecompositions, spectral norms, SVDs, Schur forms,
     # eigenvector-basis condition numbers and inverses of the full
-    # generator; S_inf builds; the decay bound's ?trsyl solves; matrix
-    # exponentials
+    # generator; S_inf builds; the decay bound's ?trsyl solves; scipy's
+    # matrix exponentials and evaluations of the propagator's own kernel
     def full_size(m, *args, **kwargs):
         return np.shape(m)[0] == n
 
@@ -494,10 +533,11 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(semistability, "_solve_transient_lyapunov",
                         counting("overshoot", semistability._solve_transient_lyapunov))
     monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
+    kernels = counting_kernel(monkeypatch)
 
     out = str(tmp_path / "o")
     # argv after the system file; whether M and inv(V) are needed; the
-    # matrix exponentials taken
+    # kernel evaluations
     commands = (
         (["analyze"], True, False, 0),
         (["gramian", "--output", out], False, False, 0),
@@ -509,13 +549,15 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     # takes them from one SVD, its eigenvalues, semisimplicity, S_inf, the
     # split Gramian, the truncation and K's one ?trsyl solve from one Schur
     # form, and only the controllability test needs eig, cond(V) and
-    # inv(V); analyze and the split Gramian take no matrix exponential, and
-    # each quadrature oracle takes one at the 2 x 15 nodes of the two finest
-    # start-mesh panels and squares the next finer panel's everywhere else
+    # inv(V); no command calls scipy's expm; analyze and the split Gramian
+    # take no matrix exponential, and each quadrature oracle evaluates its
+    # kernel at the 2 x 15 nodes of the two finest start-mesh panels and
+    # squares the next finer panel's everywhere else
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
-        for argv, needs_m, needs_inv, expm_calls in commands:
+        for argv, needs_m, needs_inv, evaluations in commands:
             counts.update(dict.fromkeys(counts, 0))
+            kernels.clear()
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
             assert counts == {
@@ -525,8 +567,11 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
                 "schur": int(not self_adjoint),
                 "cond": int(needs_inv and not self_adjoint),
                 "inv": int(needs_inv and not self_adjoint),
-                "expm": expm_calls,
+                "expm": 0,
             }, argv
+            # one power stack per quadrature oracle
+            assert len(kernels) == int(evaluations > 0), argv
+            assert sum(map(len, kernels)) == evaluations, argv
 
 
 def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,7 @@ from semigram.linalg import opnorm
 from conftest import (
     consensus_laplacian,
     counting_expm,
+    counting_kernel,
     drift_chain,
     nonnormal_semistable_factors,
     random_selfadjoint_semistable,
@@ -165,14 +166,31 @@ def test_propagator_agrees_with_expm_at_every_oracle_node(case, tol, monkeypatch
         assert np.abs(response(t) - expected).max() <= tol * np.abs(expected).max(), t
 
 
-def test_quadrature_takes_expm_on_the_two_finest_panels_only(monkeypatch):
+def test_quadrature_evaluates_the_kernel_on_the_two_finest_panels_only(monkeypatch):
     a, b = consensus90()
     spectral = spectral_data(a)
     times = record_oracle_nodes(monkeypatch)
     calls = counting_expm(monkeypatch)
+    kernels = counting_kernel(monkeypatch)
+    stacked = []
+    concatenate = np.concatenate
+
+    def recording(arrays, *args, **kwargs):
+        out = concatenate(arrays, *args, **kwargs)
+        if out.shape[1:] == a.shape:
+            stacked.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "concatenate", recording)
     gramian_by_quadrature(spectral, b, 1e-9)
-    # every other start-mesh node squares exp(A t/2) from the finer panel
-    assert len(calls) == 2 * 15
+    # one kernel, whose stack of powers of A grows one power at a time to
+    # the largest degree used, at most 14; every other start-mesh node
+    # squares exp(A t/2) from the finer panel
+    assert calls == []
+    assert len(kernels) == 1
+    assert stacked == list(range(2, len(stacked) + 2))
+    assert 1 <= len(stacked) <= 14
+    assert len(kernels[0]) == 2 * 15
     assert len(times) >= 150
 
 

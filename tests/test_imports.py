@@ -1,5 +1,6 @@
 """Modules of the package use each other only through public names,
-import only what they use, and use every private function they define."""
+import only what they use, use every private function they define, and
+never call scipy's matrix exponential."""
 
 import ast
 import pathlib
@@ -56,3 +57,19 @@ def test_every_private_function_is_used_in_its_module():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead += ["%s: %s" % (path.name, name) for name in sorted(private - used)]
     assert dead == []
+
+
+def test_no_module_references_expm():
+    # the propagator's Taylor kernel is the package's one matrix exponential;
+    # a name, attribute or import of scipy's expm (or its variants) would
+    # open a second route
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+                names.append(getattr(node, "module", None))
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name and "expm" in name]
+    assert found == []

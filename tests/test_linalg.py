@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,12 +16,15 @@ from semigram.linalg import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
+    _TAYLOR_THETA,
+    _taylor_degree,
+    _taylor_kernel,
     as_operator,
     default_rank_tol,
     opnorm,
 )
 
-from conftest import counting_expm
+from conftest import counting_kernel, transient_cases
 
 
 def test_exponential_of_zero_is_identity():
@@ -262,35 +267,89 @@ def test_propagator_validates_once_and_matches_exponential():
         propagator(np.eye(3), b)(-1.0)
 
 
+def kernel_error(a, t):
+    """Largest entry of the kernel's exp(a t) minus scipy's, relative to
+    the largest entry of scipy's."""
+    reference = expm(a * t)
+    return np.abs(_taylor_kernel(a)(t) - reference).max() / np.abs(reference).max()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-30])
+@pytest.mark.parametrize("x, squarings", [(0.4, 0), (0.8, 1), (20.0, 6), (300.0, 10)])
+def test_taylor_kernel_matches_scipy_at_each_scaling(x, squarings, scale):
+    # t is chosen so that beta t = x, with beta = sqrt(|A|_1 |A|_inf) as
+    # the kernel takes it; measured errors 2e-16 to 6e-14. At scale
+    # 1e-30, (t / 2^s)^14 overflows while A^14 underflows, unless both are
+    # normalised
+    a = scale * np.random.default_rng(11).normal(size=(8, 8))
+    beta = math.sqrt(np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max())
+    assert math.ceil(math.log2(max(x / _TAYLOR_THETA, 1.0))) == squarings
+    assert kernel_error(a, x / beta) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["jordan", "coupling50"])
+def test_taylor_kernel_matches_scipy_on_transient_cases(name):
+    # measured at most 2e-14 (coupling50 at t = 4)
+    a, _ = transient_cases()[name]
+    for t in (0.01, 0.3, 1.0, 4.0, 20.0, 100.0):
+        assert kernel_error(a, t) <= 1e-13, t
+
+
+def test_taylor_kernel_matches_scipy_on_a_complex_generator():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+    assert _taylor_kernel(a)(0.7).dtype == np.complex128
+    for t in (0.05, 0.7, 3.0):
+        assert kernel_error(a, t) <= 1e-13, t
+
+
+def test_taylor_kernel_of_zero_matrix_and_at_time_zero():
+    assert np.array_equal(_taylor_kernel(np.zeros((3, 3)))(7.0), np.eye(3))
+    a = np.random.default_rng(2).normal(size=(5, 5))
+    assert np.array_equal(_taylor_kernel(a)(0.0), np.eye(5))
+
+
+def test_taylor_degree_is_the_least_that_meets_the_bound():
+    def bound(x, m):
+        return x ** (m + 1) * math.exp(2.0 * x) / math.factorial(m + 1)
+
+    assert _taylor_degree(0.0) == 0
+    assert _taylor_degree(_TAYLOR_THETA) == 14
+    for x in np.linspace(0.0, _TAYLOR_THETA, 201)[1:]:
+        m = _taylor_degree(x)
+        assert bound(x, m) <= 0.5 * np.finfo(float).eps, x
+        assert m == 0 or bound(x, m - 1) > 0.5 * np.finfo(float).eps, x
+
+
 def test_propagator_squares_a_remembered_half_time_into_a_fresh_array(monkeypatch):
     a = np.random.default_rng(5).normal(size=(4, 4))
-    calls = counting_expm(monkeypatch)
+    kernels = counting_kernel(monkeypatch)
     at = propagator(a)
     first = at(0.35)
     first[:] = np.nan
     doubled = at(0.7)
     # exp(0.7 A) is the square of the remembered exp(0.35 A), which the
     # caller's write did not reach
-    assert len(calls) == 1
+    assert kernels == [[0.35]]
     assert np.allclose(doubled, expm(0.7 * a), rtol=1e-13, atol=1e-14)
     doubled[:] = np.nan
     assert np.allclose(at(1.4), expm(1.4 * a), rtol=1e-13, atol=1e-14)
-    assert len(calls) == 1
+    assert kernels == [[0.35]]
 
 
 def test_propagator_remembers_one_kronrod_panel(monkeypatch):
     a = np.array([[0.0, 1.0], [0.0, -1.0]])
-    calls = counting_expm(monkeypatch)
+    kernels = counting_kernel(monkeypatch)
     at = propagator(a, np.eye(2)[:, :1])
     # 16 times, none twice another: the oldest is evicted
     times = 1.0 + np.arange(len(_KRONROD_NODES) + 1) / 64.0
     for t in times:
         at(t)
-    assert len(calls) == len(times)
+    assert kernels == [list(times)]
     at(2.0 * times[-1])
-    assert len(calls) == len(times)
+    assert kernels == [list(times)]
     at(2.0 * times[0])
-    assert len(calls) == len(times) + 1
+    assert kernels == [list(times) + [2.0 * times[0]]]
 
 
 def test_start_mesh_panels_are_exact_doublings():
