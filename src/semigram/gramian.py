@@ -13,21 +13,17 @@ nontrivial kernel. It solves the (singular) Lyapunov equation
 and is the unique solution annihilated by S_inf on the left. Two
 independent routes are provided: direct adaptive quadrature of the
 integral (the oracle) and a Lyapunov solve on the stable spectral block
-(the fast path). Tests cross-check one against the other; the two routes
-must never be collapsed into one.
+(the fast path): elementwise in the eigenbasis of a self-adjoint A, else
+one ?trsyl (:mod:`semigram.lapack`). Tests cross-check one against the
+other; the two routes must never be collapsed into one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    ConditioningError,
-    DimensionError,
-    InconsistencyError,
-    PreconditionError,
-)
+from . import lapack
+from .errors import DimensionError, InconsistencyError, PreconditionError
 from .linalg import (
     EPS,
     as_operator,
@@ -236,14 +232,10 @@ def _solve_split(spectral, q):
     z_r = z[:, k:]
     t22 = t[k:, k:]
     q22 = _hermitize(z_r.conj().T @ q @ z_r)
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t22, q22))
-    p22, scale, info = trsyl(t22, t22, -q22, tranb="C")
-    if info:
-        raise ConditioningError(
-            "failed to solve the stable block's Lyapunov equation "
-            "(?trsyl info %d)" % info)
+    p22 = lapack.trsyl(t22, t22, -q22,
+                       "solve the stable block's Lyapunov equation", tranb="C")
     w = z[:, :k] @ r + z_r
-    return w @ _hermitize(p22 / scale) @ w.conj().T
+    return w @ _hermitize(p22) @ w.conj().T
 
 
 def solve_semistability_lyapunov(spectral, q):

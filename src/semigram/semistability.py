@@ -7,15 +7,16 @@ when every eigenvalue has nonpositive real part and each eigenvalue on the
 imaginary axis is real (i.e. zero) and semisimple. The limit operator
 ``S_inf = lim exp(A t)`` is then a bounded idempotent onto ker A: the
 orthogonal projector for self-adjoint A, an oblique spectral projector in
-general.
+general. A self-adjoint A is analysed by numpy's ``eigh``; any other A on
+its Schur form, whose LAPACK routines :mod:`semigram.lapack` wraps.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from . import lapack
 from .errors import ConditioningError, NotSemistableError
 from .linalg import (
     EPS,
@@ -213,7 +214,7 @@ class SpectralData:
         """
         t, z = self.schur
         if complex_form and np.isrealobj(t):
-            t, z = scipy.linalg.rsf2csf(t, z)
+            t, z = lapack.rsf2csf(t, z)
         t, z, m = _reorder(t, z, self.eigenvalues, modes)
         r = _decouple(t, m)
         bound = 1.0 + float(np.linalg.norm(r))
@@ -361,8 +362,7 @@ def spectral_data(a, zero_tol=None):
     if hermitian:
         eigenvalues = w.astype(np.complex128)
     else:
-        t, z = scipy.linalg.schur(
-            a, output="real" if np.isrealobj(a) else "complex")
+        t, z = lapack.schur(a)
         eigenvalues = _schur_eigenvalues(t)
 
     order = np.lexsort(
@@ -462,13 +462,8 @@ def _solve_transient_lyapunov(f):
     """X with F* X + X F = -I for an upper (quasi-)triangular Hurwitz F,
     by one LAPACK ``?trsyl`` solve; raises ConditioningError when
     ``?trsyl`` reports F* and -F too close to separate."""
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (f,))
-    x, scale, info = trsyl(f, f, -np.eye(f.shape[0], dtype=f.dtype), trana="C")
-    if info:
-        raise ConditioningError(
-            "failed to solve the decay bound's Lyapunov equation "
-            "(?trsyl info %d)" % info)
-    return x / scale
+    return lapack.trsyl(f, f, -np.eye(f.shape[0], dtype=f.dtype),
+                        "solve the decay bound's Lyapunov equation", trana="C")
 
 
 def _decouple(t, k):
@@ -483,13 +478,8 @@ def _decouple(t, k):
     n = t.shape[0]
     if k in (0, n):  # ?trsyl rejects empty blocks
         return np.zeros((k, n - k), dtype=t.dtype)
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t,))
-    r, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
-    if info:
-        raise ConditioningError(
-            "failed to decouple the leading %d modes (?trsyl info %d)" % (k, info))
-    r /= scale
-    return r
+    return lapack.trsyl(t[:k, :k], t[k:, k:], -t[:k, k:],
+                        "decouple the leading %d modes" % k, isgn=-1)
 
 
 def _reorder(t, z, eigenvalues, modes):
@@ -502,13 +492,7 @@ def _reorder(t, z, eigenvalues, modes):
     # clusters lie farther apart than rounding moves an eigenvalue
     lam = _schur_eigenvalues(t)
     nearest = np.abs(lam[:, None] - eigenvalues[None, :]).argmin(axis=1)
-    trsen = scipy.linalg.get_lapack_funcs("trsen", (t,))
-    out = trsen(np.isin(nearest, modes), t, z, job="N")
-    t, z, m, info = out[0], out[1], out[-4], out[-1]
-    if info:
-        raise ConditioningError(
-            "failed to reorder the Schur form (?trsen info %d)" % info)
-    return t, z, m
+    return lapack.trsen(np.isin(nearest, modes), t, z)
 
 
 def _schur_eigenvalues(t):

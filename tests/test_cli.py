@@ -1,8 +1,10 @@
 import argparse
 import collections
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -21,7 +23,11 @@ from semigram import (
 )
 from semigram.cli import main
 
-from conftest import counting_kernel, random_nonnormal_semistable
+from conftest import (
+    consensus_laplacian,
+    counting_kernel,
+    random_nonnormal_semistable,
+)
 
 
 def write_system(tmp_path, a, b=None, c=None, name="sys.json"):
@@ -672,3 +678,46 @@ def test_readme_documents_every_flag_and_no_other():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags
+
+
+# runs CLI commands in a fresh interpreter and prints, per command, its
+# exit code and the scipy modules loaded after it
+CHILD = """
+import contextlib, io, json, sys
+from semigram.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    runs.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(runs))
+"""
+
+
+def test_self_adjoint_commands_never_load_scipy(tmp_path):
+    # semigram.lapack imports scipy.linalg for a generator that is not
+    # self-adjoint only; numpy does everything else
+    n = 12
+    consensus = write_system(
+        tmp_path, consensus_laplacian(np.random.default_rng(1), n, 2),
+        b=np.eye(n)[:, :3], c=np.eye(n)[:3], name="consensus.json")
+    out = str(tmp_path / "out")
+    commands = [
+        ["analyze", write_system(tmp_path, path_laplacian(4), name="path.json")],
+        ["gramian", consensus, "--method", "quadrature", "--output", out],
+        ["reduce", consensus, "--keep", "4", "--h2", "both", "--output", out],
+        ["heat-bench", "--modes", "20", "--cosines", "2"],
+        # control: a generator that is not self-adjoint loads scipy.linalg
+        ["analyze", write_system(tmp_path, np.diag([0.0, -1.0, -2.0]) + np.eye(3, k=1),
+                                 name="bidiagonal.json")],
+    ]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout.splitlines()[-1])
+    assert [code for code, _ in runs] == [0] * len(commands), child.stderr
+    assert [loaded for _, loaded in runs[:-1]] == [[]] * (len(commands) - 1)
+    assert "scipy.linalg" in runs[-1][1]

@@ -11,7 +11,7 @@ from semigram import (
     propagator,
     run_benchmark,
 )
-from semigram.heatbench import CSV_HEADER
+from semigram.heatbench import CSV_HEADER, _trigamma
 
 
 def test_surrogate_small_diagonals():
@@ -37,6 +37,21 @@ def test_surrogate_tail_bound():
     expected = polygamma(1, 50) / (2 * np.pi**2)
     assert s.tail_bound == pytest.approx(expected, rel=1e-12)
     assert s.tail_bound <= 1.0 / (2 * np.pi**2 * 49)
+
+
+def test_trigamma_matches_scipy():
+    x = np.concatenate([np.arange(1, 101), np.logspace(-2, 8, 201)])
+    ours = np.array([_trigamma(v) for v in x])
+    reference = polygamma(1, x)
+    assert np.all(np.abs(ours - reference) <= 4 * np.finfo(float).eps * reference)
+
+
+def test_trigamma_recurrence():
+    # psi_1(x) - psi_1(x + 1) = 1/x^2, to the rounding of psi_1(x), also
+    # where one side takes the asymptotic series and the other does not
+    for x in np.concatenate([np.logspace(-2, 8, 201), [18.5, 19.0, 19.5, 20.0]]):
+        defect = _trigamma(x) - _trigamma(x + 1) - 1.0 / x**2
+        assert abs(defect) <= 4 * np.finfo(float).eps * _trigamma(x), x
 
 
 def test_surrogate_validation():

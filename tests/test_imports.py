@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names,
 import only what they use, use every private function they define, and
-never call scipy's matrix exponential."""
+never call scipy's matrix exponential, and that only ``semigram.lapack``
+names scipy."""
 
 import ast
 import pathlib
@@ -73,3 +74,19 @@ def test_no_module_references_expm():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name and "expm" in name]
     assert found == []
+
+
+def test_only_the_lapack_module_names_scipy():
+    # importing scipy.linalg takes about 0.3 s; semigram.lapack imports it
+    # on first use, which only a generator that is not self-adjoint makes
+    naming = set()
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+                names.append(getattr(node, "module", None))
+            naming.update("%s:%d" % (path.name, node.lineno) for name in names
+                          if name and name.split(".")[0] == "scipy")
+    assert {where.partition(":")[0] for where in naming} == {"lapack.py"}, naming
+
