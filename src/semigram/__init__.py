@@ -22,11 +22,9 @@ from .errors import (
 )
 from .gramian import (
     SemistabilityGramian,
-    StructureReport,
     gramian_by_quadrature,
     lyapunov_rhs,
     solve_semistability_lyapunov,
-    verify_solution_structure,
 )
 from .h2error import H2ErrorResult, h2_error_gramian, h2_error_quadrature
 from .heatbench import (
@@ -39,11 +37,7 @@ from .heatbench import (
     build_heat_surrogate,
     run_benchmark,
 )
-from .linalg import (
-    integrate_operator_valued,
-    propagator,
-    svd_split,
-)
+from .linalg import integrate_operator_valued, propagator
 from .matio import (
     format_matrix,
     parse_matrix,
@@ -52,15 +46,12 @@ from .matio import (
     write_matrix,
 )
 from .reduction import (
-    InvarianceReport,
     PreservationReport,
     Reduction,
     StateSpaceSystem,
-    check_invariance,
     check_preservation,
     is_controllable,
     mode_truncation,
-    trajectory_sync_defect,
 )
 from .semistability import (
     NOT_SEMISTABLE,
@@ -69,7 +60,6 @@ from .semistability import (
     DecayBound,
     LimitProjector,
     SpectralData,
-    decay_defect,
     spectral_data,
 )
 
@@ -86,7 +76,6 @@ __all__ = [
     "InconsistencyError",
     "QuadratureError",
     "propagator",
-    "svd_split",
     "integrate_operator_valued",
     "parse_matrix",
     "format_matrix",
@@ -100,21 +89,15 @@ __all__ = [
     "LimitProjector",
     "DecayBound",
     "spectral_data",
-    "decay_defect",
     "SemistabilityGramian",
-    "StructureReport",
     "gramian_by_quadrature",
     "lyapunov_rhs",
     "solve_semistability_lyapunov",
-    "verify_solution_structure",
     "StateSpaceSystem",
     "Reduction",
-    "InvarianceReport",
     "PreservationReport",
     "mode_truncation",
-    "check_invariance",
     "check_preservation",
-    "trajectory_sync_defect",
     "is_controllable",
     "H2ErrorResult",
     "h2_error_gramian",

@@ -64,28 +64,27 @@ def _json_value(v):
     return v
 
 
-def _emit(pairs, fmt, matrices=None, stream=None):
-    """Write a report of (key, value) pairs in the format ``fmt``.
+def _emit(pairs, fmt, matrices=None):
+    """Write a report of (key, value) pairs to stdout in the format ``fmt``.
 
     ``matrices`` maps keys to arrays; they are included in text and
     structured output and omitted from CSV rows.
     """
-    stream = stream or sys.stdout
     matrices = matrices or {}
     if fmt == "csv":
-        stream.write(",".join(k for k, _ in pairs) + "\n")
-        stream.write(",".join(_fmt_value(v) for _, v in pairs) + "\n")
+        sys.stdout.write(",".join(k for k, _ in pairs) + "\n")
+        sys.stdout.write(",".join(_fmt_value(v) for _, v in pairs) + "\n")
     elif fmt == "structured":
         doc = {k: _json_value(v) for k, v in pairs}
         for k, m in matrices.items():
             doc[k] = [[str(x) for x in row] for row in m] \
                 if np.iscomplexobj(m) else m.tolist()
-        stream.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         for k, v in pairs:
-            stream.write("%s: %s\n" % (k, _fmt_value(v)))
+            sys.stdout.write("%s: %s\n" % (k, _fmt_value(v)))
         for k, m in matrices.items():
-            stream.write("%s:\n%s" % (k, format_matrix(m)))
+            sys.stdout.write("%s:\n%s" % (k, format_matrix(m)))
 
 
 def _ensure_outdir(path):

@@ -27,21 +27,17 @@ from .errors import DimensionError, InconsistencyError, PreconditionError
 from .linalg import (
     EPS,
     as_operator,
-    default_rank_tol,
     integrate_operator_valued,
     opnorm,
     opnorm_lower_bound,
     propagator,
-    svd_split,
 )
 
 __all__ = [
     "SemistabilityGramian",
-    "StructureReport",
     "gramian_by_quadrature",
     "lyapunov_rhs",
     "solve_semistability_lyapunov",
-    "verify_solution_structure",
 ]
 
 # residual acceptance threshold, relative to norm(A) norm(P) + norm(Q)
@@ -65,24 +61,6 @@ class SemistabilityGramian:
     lyapunov_residual: float
     constraint_defect: float
     quadrature_tol: float | None = None
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Defects certifying the structure of a difference of two solutions.
-
-    Any difference Delta of two self-adjoint solutions of the same
-    semistability Lyapunov equation is reproduced by compression with the
-    limit operator (S_inf* Delta S_inf = Delta) and has its range inside
-    ker A*. Both defects small certifies this numerically.
-    ``delta_norm`` is the spectral norm of Delta, ``compression_defect``
-    the Frobenius norm of S_inf* Delta S_inf - Delta, and
-    ``kernel_range_defect`` the spectral norm of A* on the range of Delta.
-    """
-
-    delta_norm: float
-    compression_defect: float
-    kernel_range_defect: float
 
 
 def _hermitize(p):
@@ -279,60 +257,3 @@ def solve_semistability_lyapunov(spectral, q):
     spectral.projector  # raises NotSemistableError before any solve
     return _certify(spectral, _solve_split(spectral, q), q, "lyapunov_split")
 
-
-def verify_solution_structure(spectral, p1, p2):
-    """Certify the structure of the difference of two Lyapunov solutions.
-
-    Both inputs must be self-adjoint solutions of the same semistability
-    Lyapunov equation of the record's generator; their difference Delta
-    then solves the homogeneous equation, is reproduced by compression
-    with S_inf, and has range inside ker A*. Returns the measured
-    defects; callers compare them against 1e-6 * norm(Delta). The
-    self-adjointness defects, the homogeneous residual and the compression
-    defect are Frobenius norms, at least the spectral ones, so each gate is
-    at least as strict as with the 2-norm; the scales norm(P1), norm(P2)
-    and norm(Delta) are spectral norms.
-
-    Raises
-    ------
-    PreconditionError
-        If the inputs are not (numerically) solutions of the same
-        equation, detected through the homogeneous residual of Delta.
-    """
-    a = spectral.a
-    p1 = as_operator(p1, "first solution", square=True)
-    p2 = as_operator(p2, "second solution", square=True)
-    if p1.shape != a.shape or p2.shape != a.shape:
-        raise DimensionError("solutions must match the generator size")
-    s = spectral.projector.s_inf
-    frob = np.linalg.norm
-    norms = (opnorm(p1), opnorm(p2))
-    for name, p, norm in zip(("first", "second"), (p1, p2), norms):
-        if frob(p - p.conj().T) > 1e-8 * max(norm, EPS):
-            raise PreconditionError("%s solution is not self-adjoint" % name)
-
-    delta = p2 - p1
-    norm_delta = opnorm(delta)
-    homogeneous = frob(a @ delta + delta @ a.conj().T)
-    scale = spectral.norm_a * sum(norms) + EPS
-    if homogeneous > 1e-7 * scale:
-        raise PreconditionError(
-            "inputs do not solve the same equation (homogeneous residual "
-            "%.3e against scale %.3e)" % (homogeneous, scale)
-        )
-
-    compression = frob(s.conj().T @ delta @ s - delta)
-    # directions below 1e-8 * norm(Delta) are roundoff from forming Delta,
-    # not resolvable parts of its range; keep the cut two orders under the
-    # 1e-6 * norm(Delta) certification threshold
-    range_cut = max(default_rank_tol(delta.shape, norm_delta), 1e-8 * norm_delta)
-    range_basis, _ = svd_split(delta, range_cut)
-    if range_basis.shape[1]:
-        kernel_range = opnorm(a.conj().T @ range_basis)
-    else:
-        kernel_range = 0.0
-    return StructureReport(
-        delta_norm=float(norm_delta),
-        compression_defect=float(compression),
-        kernel_range_defect=float(kernel_range),
-    )

@@ -39,31 +39,22 @@ _NEGATIVE_CLAMP = 1e-10
 class H2ErrorResult:
     """Squared H2 error (trace form) and its square root.
 
-    ``clamped`` flags a tiny negative trace that was rounded up to zero.
+    A trace in [-1e-10, 0) is roundoff and is reported as 0; a more
+    negative one raises :class:`InconsistencyError`.
     """
 
     trace_value: float
     h2_norm: float
-    method: str
-    tolerance: float
-    clamped: bool = False
 
 
-def _finish(trace_value, method, tolerance):
+def _finish(trace_value):
     if trace_value < -_NEGATIVE_CLAMP:
         raise InconsistencyError(
             "squared H2 error came out negative (%.3e); the inputs are "
             "inconsistent" % trace_value
         )
-    clamped = trace_value < 0.0
-    tv = 0.0 if clamped else float(trace_value)
-    return H2ErrorResult(
-        trace_value=tv,
-        h2_norm=float(np.sqrt(tv)),
-        method=method,
-        tolerance=float(tolerance),
-        clamped=clamped,
-    )
+    tv = 0.0 if trace_value < 0.0 else float(trace_value)
+    return H2ErrorResult(trace_value=tv, h2_norm=float(np.sqrt(tv)))
 
 
 def h2_error_gramian(sys, red, p_inf):
@@ -100,8 +91,7 @@ def h2_error_gramian(sys, red, p_inf):
             "error trace has a non-negligible imaginary part (%.3e)"
             % trace.imag
         )
-    tolerance = max(p_inf.quadrature_tol or 0.0, EPS)
-    return _finish(trace.real, "gramian_formula", tolerance)
+    return _finish(trace.real)
 
 
 def _squared_norm_bounds(x):
@@ -174,7 +164,7 @@ def h2_error_quadrature(sys, red, abs_tol):
     spectral = red.spectral
     s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
-        return _finish(0.0, "impulse_quadrature", abs_tol)
+        return _finish(0.0)
 
     residual_map = sys.c - (sys.c @ red.sigma) @ red.pi
     energy = _defect_energy(spectral.a, residual_map, s_inf, sys.b)
@@ -192,4 +182,4 @@ def h2_error_quadrature(sys, red, abs_tol):
         integrand, 2.0 * decay.rate, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * spectral.norm_a,
     )
-    return _finish(float(value[0, 0]), "impulse_quadrature", abs_tol)
+    return _finish(float(value[0, 0]))

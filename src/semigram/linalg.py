@@ -1,5 +1,5 @@
-"""Dense numeric substrate: validated operators, SVD rank decisions, the
-propagator, and adaptive quadrature of operator-valued integrands.
+"""Dense numeric substrate: validated operators, the propagator, and
+adaptive quadrature of operator-valued integrands.
 
 All operators are plain numpy arrays (float64 or complex128) that have been
 validated by :func:`as_operator`; every public function treats its inputs as
@@ -44,7 +44,6 @@ __all__ = [
     "as_operator",
     "opnorm",
     "opnorm_lower_bound",
-    "svd_split",
     "is_diagonal",
     "propagator",
     "integrate_operator_valued",
@@ -131,31 +130,6 @@ def opnorm_lower_bound(m):
 def default_rank_tol(shape, largest_sv):
     """max(m, n) * eps * sigma_1, the standard numerical-rank threshold."""
     return max(shape) * EPS * largest_sv if largest_sv > 0 else 0.0
-
-
-def svd_split(a, rank_tol=None):
-    """Split C^n into numerical row space and null space of a square matrix.
-
-    Returns ``(range_basis, kernel_basis)`` where the columns of
-    ``kernel_basis`` span the numerical null space, the columns of
-    ``range_basis`` span its orthogonal complement, and both sets are
-    orthonormal (right singular vectors of ``a``; both are views of one
-    array). ``rank_tol`` is the absolute singular-value threshold,
-    ``max(m, n) eps sigma_1`` by default; the numerical rank is the width
-    of ``range_basis``, the count of singular values above it.
-    """
-    a = as_operator(a, "matrix", square=True)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy(), a.copy()
-    _, s, vh = np.linalg.svd(a)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape, s[0])
-    elif rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    rank = int(np.sum(s > rank_tol))
-    v = vh.conj().T
-    return v[:, :rank], v[:, rank:]
 
 
 def is_diagonal(a):
@@ -364,8 +338,12 @@ def _kronrod_panel(f, lo, hi):
     return kronrod, err
 
 
+#: refinement budget of :func:`integrate_operator_valued`, in panels
+_MAX_PANELS = 4096
+
+
 def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
-                              fast_rate, max_panels=4096):
+                              fast_rate):
     """Integrate an exponentially decaying matrix-valued function over [0, inf).
 
     The caller certifies that every entry of ``f(t)`` is bounded by
@@ -405,8 +383,6 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
         Upper bound on the fastest rate at which ``f`` varies, e.g.
         2 norm(A) for an integrand quadratic in exp(A t); any larger value
         is safe and costs about one panel per doubling.
-    max_panels : int
-        Refinement budget for the adaptive pass.
 
     Returns
     -------
@@ -420,9 +396,9 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
     QuadratureError
         If ``abs_tol`` is below the float64 rounding floor of the sum,
         64 eps times the largest entry of the summed absolute panel values
-        on the start mesh (raised before any refinement), or if the panel
-        budget is exhausted first. Either way the error carries the best
-        estimate and the tolerance actually achieved.
+        on the start mesh (raised before any refinement), or if the
+        budget of ``_MAX_PANELS`` panels is exhausted first. Either way the
+        error carries the best estimate and the tolerance actually achieved.
     """
     decay_rate = float(decay_rate)
     abs_tol = float(abs_tol)
@@ -472,11 +448,11 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
         )
 
     while total_err > panel_budget:
-        if len(heap) >= max_panels:
+        if len(heap) >= _MAX_PANELS:
             value = _ordered_panel_sum(heap)
             raise QuadratureError(
                 "adaptive quadrature did not reach tolerance %.3e within %d "
-                "panels (achieved %.3e)" % (abs_tol, max_panels, total_err),
+                "panels (achieved %.3e)" % (abs_tol, _MAX_PANELS, total_err),
                 estimate=value,
                 achieved_tol=total_err + abs_tol / 2.0,
             )

@@ -23,14 +23,8 @@ from .errors import (
     DimensionError,
     InvalidSelectionError,
     NotSemistableError,
-    PreconditionError,
 )
-from .linalg import (
-    EPS,
-    as_operator,
-    opnorm,
-    propagator,
-)
+from .linalg import EPS, as_operator, opnorm
 from .semistability import (
     COND_LIMIT,
     NOT_SEMISTABLE,
@@ -44,12 +38,9 @@ from .semistability import (
 __all__ = [
     "StateSpaceSystem",
     "Reduction",
-    "InvarianceReport",
     "PreservationReport",
     "mode_truncation",
-    "check_invariance",
     "check_preservation",
-    "trajectory_sync_defect",
     "is_controllable",
 ]
 
@@ -123,13 +114,6 @@ class Reduction:
     @property
     def order(self):
         return self.a_hat.shape[0]
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    times: tuple
-    defects: np.ndarray
-    max_defect: float
 
 
 @dataclass(frozen=True)
@@ -313,33 +297,6 @@ def mode_truncation(sys, spectral, keep):
     )
 
 
-def check_invariance(sys, red, times):
-    """Sampled defect of the intertwining pi exp(At) = exp(a_hat t) pi.
-
-    Returns an InvarianceReport whose ``max_defect`` is the largest
-    operator-norm discrepancy over the sample times.
-    """
-    a = sys.a
-    norm_scale = max(red.spectral.norm_a * red.norm_pi, EPS)
-    if red.commutativity_defect > 1e-6 * norm_scale:
-        raise PreconditionError(
-            "reduction commutativity defect is too large for the "
-            "invariance check to be meaningful"
-        )
-    times = tuple(float(t) for t in times)
-    if not times:
-        raise ValueError("times must be nonempty")
-    full_at = propagator(a)
-    reduced_at = propagator(red.a_hat)
-    defects = []
-    for t in times:
-        defects.append(opnorm(red.pi @ full_at(t) - reduced_at(t) @ red.pi))
-    defects = np.array(defects)
-    return InvarianceReport(
-        times=times, defects=defects, max_defect=float(defects.max())
-    )
-
-
 def is_controllable(spectral, b):
     """Popov-Belevitch-Hautus test of (A, B) over the analysis record of A.
 
@@ -416,37 +373,3 @@ def check_preservation(sys, red):
         controllability_preserved=bool((not orig_ctrb) or red_ctrb),
     )
 
-
-def trajectory_sync_defect(sys, red, x0, times):
-    """Distance between the full trajectory and its lifted reduced twin.
-
-    Returns norm(exp(At) x0 - sigma exp(a_hat t) pi x0) per sample time.
-    For semistable systems with kernel modes kept, these defects decay
-    exponentially at the spectral-gap rate.
-    """
-    if red.kernel_identity_defect > 1e-6:
-        raise PreconditionError(
-            "sigma pi must restrict to the identity on the kernel for "
-            "trajectory synchronization to hold"
-        )
-    a = sys.a
-    x0 = np.asarray(x0, dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
-    x0 = x0.reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise DimensionError(
-            "initial state has length %d, expected %d" % (x0.shape[0], sys.n)
-        )
-    times = [float(t) for t in times]
-    if not times:
-        raise ValueError("times must be nonempty")
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
-    z0 = red.pi @ x0
-    full_at = propagator(a)
-    reduced_at = propagator(red.a_hat)
-    defects = []
-    for t in times:
-        full = full_at(t) @ x0
-        lifted = red.sigma @ (reduced_at(t) @ z0)
-        defects.append(float(np.linalg.norm(full - lifted)))
-    return np.array(defects)

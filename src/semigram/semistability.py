@@ -23,9 +23,7 @@ from .linalg import (
     as_operator,
     default_rank_tol,
     is_diagonal,
-    opnorm,
     opnorm_lower_bound,
-    propagator,
 )
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "LimitProjector",
     "DecayBound",
     "spectral_data",
-    "decay_defect",
 ]
 
 STABLE = "stable"
@@ -64,14 +61,15 @@ def default_zero_tol(n, norm_a):
     return 1e3 * max(n, 1) * EPS * max(norm_a, EPS)
 
 
-def is_hermitian(a, norm_a, rtol=HERMITIAN_RTOL):
-    """Whether the Frobenius norm of A - A* is within ``rtol`` of norm(A).
+def is_hermitian(a, norm_a):
+    """Whether the Frobenius norm of A - A* is within HERMITIAN_RTOL of
+    norm(A).
 
     The Frobenius norm is at least the spectral one, so no SVD is needed
     and the test is at least as strict as with the 2-norm.
     """
     defect = np.linalg.norm(a - a.conj().T)
-    return defect <= rtol * max(norm_a, EPS)
+    return defect <= HERMITIAN_RTOL * max(norm_a, EPS)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,6 @@ class SpectralData:
     schur: tuple | None
     kernel_basis: np.ndarray
     zero_eig_algebraic_multiplicity: int
-    zero_eig_geometric_multiplicity: int
     zero_tol: float
     zero_eig_semisimple: bool
     hermitian: bool
@@ -117,7 +114,7 @@ class SpectralData:
 
     @property
     def kernel_dim(self):
-        return self.zero_eig_geometric_multiplicity
+        return self.kernel_basis.shape[1]
 
     @property
     def failure_reason(self):
@@ -399,7 +396,6 @@ def spectral_data(a, zero_tol=None):
         schur=schur,
         kernel_basis=kernel,
         zero_eig_algebraic_multiplicity=algebraic,
-        zero_eig_geometric_multiplicity=kernel.shape[1],
         zero_tol=float(zero_tol),
         zero_eig_semisimple=bool(semisimple),
         hermitian=hermitian,
@@ -529,18 +525,3 @@ def _projector_matrix(spectral):
     return (s, opnorm_lower_bound(s), float(frob(s @ s - s)),
             float(max(frob(s @ a), frob(a @ s))))
 
-
-def decay_defect(spectral, times):
-    """norm(exp(A t) - S_inf) at each sample time, for the record's generator.
-
-    Semistability is equivalent to these defects decaying like
-    ``L * exp(-mu t)``; tests sample this directly.
-    """
-    at = propagator(spectral.a)
-    s = spectral.projector.s_inf
-    times = [float(t) for t in times]
-    if not times:
-        raise ValueError("times must be nonempty")
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
-    return np.array([opnorm(at(t) - s) for t in times])

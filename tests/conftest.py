@@ -1,4 +1,5 @@
-"""Shared factories for randomized system fixtures.
+"""Shared factories for randomized system fixtures, and the sampled
+defects that the tests check the package's results against.
 
 Random semistable generators are built from an explicit spectrum so the
 kernel dimension is exact by construction: decay rates are bounded away
@@ -16,7 +17,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
 
-from semigram import is_controllable, linalg, spectral_data
+from semigram import is_controllable, linalg, propagator, spectral_data
+from semigram.linalg import EPS, opnorm
 
 
 def random_selfadjoint_semistable(rng, n, kernel_dim):
@@ -156,3 +158,46 @@ def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
             return a, b
     raise AssertionError("failed to draw a controllable pair")
 
+
+def decay_defects(record, times):
+    """|exp(A t) - S_inf|_2 at each time, for the record's generator."""
+    at = propagator(record.a)
+    s_inf = record.projector.s_inf
+    return np.array([opnorm(at(t) - s_inf) for t in times])
+
+
+def intertwining_defect(sys, red, times):
+    """The largest |pi exp(A t) - exp(a_hat t) pi|_2 over the times."""
+    full_at, reduced_at = propagator(sys.a), propagator(red.a_hat)
+    return max(opnorm(red.pi @ full_at(t) - reduced_at(t) @ red.pi)
+               for t in times)
+
+
+def sync_defects(sys, red, x0, times):
+    """|exp(A t) x0 - sigma exp(a_hat t) pi x0| at each time: how far the
+    full trajectory is from its lifted reduced twin."""
+    full_at, reduced_at = propagator(sys.a), propagator(red.a_hat)
+    z0 = red.pi @ x0
+    return np.array([
+        np.linalg.norm(full_at(t) @ x0 - red.sigma @ (reduced_at(t) @ z0))
+        for t in times])
+
+
+def difference_structure(record, p1, p2):
+    """|D|_2, |S* D S - D|_F, |A* U|_2 and |A D + D A*|_F for D = P2 - P1.
+
+    The difference of two self-adjoint solutions of one semistability
+    Lyapunov equation solves the homogeneous equation, is reproduced by
+    compression with S = S_inf, and has its range in ker A*. U spans the
+    right singular vectors of D above max(n eps, 1e-8) |D|_2: directions
+    below 1e-8 |D| are roundoff from forming D.
+    """
+    a, s_inf = record.a, record.projector.s_inf
+    delta = p2 - p1
+    _, sv, vh = np.linalg.svd(delta)
+    norm_delta = float(sv[0])
+    range_basis = vh[sv > max(delta.shape[0] * EPS, 1e-8) * norm_delta].conj().T
+    return (norm_delta,
+            float(np.linalg.norm(s_inf.conj().T @ delta @ s_inf - delta)),
+            opnorm(a.conj().T @ range_basis),
+            float(np.linalg.norm(a @ delta + delta @ a.conj().T)))

@@ -12,9 +12,7 @@ from semigram import (
     SEMISTABLE,
     STABLE,
     StateSpaceSystem,
-    check_invariance,
     check_preservation,
-    decay_defect,
     gramian_by_quadrature,
     h2_error_gramian,
     is_controllable,
@@ -23,11 +21,16 @@ from semigram import (
     run_benchmark,
     solve_semistability_lyapunov,
     spectral_data,
-    trajectory_sync_defect,
 )
 from semigram.linalg import opnorm
 
-from conftest import random_controllable_pair, random_selfadjoint_semistable
+from conftest import (
+    decay_defects,
+    intertwining_defect,
+    random_controllable_pair,
+    random_selfadjoint_semistable,
+    sync_defects,
+)
 
 
 def announce(capsys, number, label, ok):
@@ -139,7 +142,7 @@ def test_criterion_6_classification_and_decay(capsys):
         -np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]),
     ):
         spectral = spectral_data(a)
-        start, late = decay_defect(spectral, [0.0, 10.0 / spectral.mu])
+        start, late = decay_defects(spectral, [0.0, 10.0 / spectral.mu])
         if late > 1e-3 * start:
             ok = False
     announce(capsys, 6, "classification fixtures and decay", ok)
@@ -159,8 +162,7 @@ def test_criterion_7_invariance_preservation_suite(capsys):
         red = mode_truncation(sys, spectral, k)
         if red.commutativity_defect > 1e-8:
             ok = False
-        invariance = check_invariance(sys, red, [0.0, 0.5, 1.0, 2.0])
-        if invariance.max_defect > 1e-7:
+        if intertwining_defect(sys, red, [0.0, 0.5, 1.0, 2.0]) > 1e-7:
             ok = False
         preservation = check_preservation(sys, red)
         if preservation.reduced_verdict not in (STABLE, SEMISTABLE):
@@ -179,7 +181,7 @@ def test_criterion_8_trajectory_synchronization(capsys):
     spectral = spectral_data(a)
     red = mode_truncation(sys, spectral, 2)
     times = [0.0, 1.0, 2.0, 3.0]
-    defects = trajectory_sync_defect(sys, red, np.ones(3), times)
+    defects = sync_defects(sys, red, np.ones(3), times)
     ok = all(
         abs(d - np.exp(-4.0 * t)) <= 1e-9 for t, d in zip(times, defects)
     )

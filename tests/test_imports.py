@@ -1,7 +1,7 @@
 """Modules of the package use each other only through public names,
-import only what they use, use every private function they define, and
-never call scipy's matrix exponential, and that only ``semigram.lapack``
-names scipy."""
+import only what they use, use every private function they define and
+every public one somewhere, and never call scipy's matrix exponential,
+and that only ``semigram.lapack`` names scipy."""
 
 import ast
 import pathlib
@@ -58,6 +58,24 @@ def test_every_private_function_is_used_in_its_module():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead += ["%s: %s" % (path.name, name) for name in sorted(private - used)]
     assert dead == []
+
+
+def test_every_public_definition_is_used_by_the_package():
+    # a public function or class that only the tests call is test code
+    # shipped in the package; __init__ only re-exports
+    defined, used = {}, set()
+    for path, tree in parsed_modules():
+        if path.name == "__init__.py":
+            continue
+        defined.update(
+            (node.name, path.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_"))
+        used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    assert sorted("%s: %s" % (defined[name], name)
+                  for name in set(defined) - used) == []
 
 
 def test_no_module_references_expm():

@@ -9,8 +9,8 @@ from semigram import (
     DimensionError,
     QuadratureError,
     integrate_operator_valued,
+    linalg,
     propagator,
-    svd_split,
 )
 from semigram.linalg import (
     _GAUSS_WEIGHTS,
@@ -61,61 +61,6 @@ def test_exponential_semigroup_law():
         combined = propagator(a)(s + t)
         split = propagator(a)(s) @ propagator(a)(t)
         assert opnorm(combined - split) <= 1e-9 * opnorm(combined)
-
-
-def test_kernel_of_diagonal():
-    range_basis, basis = svd_split(np.diag([0.0, -1.0, -2.0]))
-    assert range_basis.shape == (3, 2)
-    assert basis.shape == (3, 1)
-    assert abs(abs(basis[0, 0]) - 1.0) < 1e-14
-    assert np.abs(basis[1:, 0]).max() < 1e-14
-
-
-def test_kernel_of_identity_is_empty():
-    range_basis, basis = svd_split(np.eye(3))
-    assert basis.shape == (3, 0)
-    assert range_basis.shape == (3, 3)
-
-
-def test_kernel_of_path_laplacian():
-    # 4-node path graph Laplacian: kernel is the constant vector
-    a = -np.array([
-        [1.0, -1.0, 0.0, 0.0],
-        [-1.0, 2.0, -1.0, 0.0],
-        [0.0, -1.0, 2.0, -1.0],
-        [0.0, 0.0, -1.0, 1.0],
-    ])
-    _, basis = svd_split(a)
-    assert basis.shape == (4, 1)
-    expected = np.full(4, 0.5)
-    aligned = basis[:, 0] * np.sign(basis[0, 0])
-    assert np.abs(aligned - expected).max() < 1e-12
-    assert opnorm(a @ basis) <= 10 * default_rank_tol(a.shape, opnorm(a))
-
-
-def test_kernel_invariants_random():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = rng.integers(3, 9)
-        k = rng.integers(1, 3)
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        lam = np.concatenate([np.zeros(k), -rng.uniform(0.5, 2.0, n - k)])
-        a = (q * lam) @ q.T
-        _, basis = svd_split(a)
-        assert basis.shape[1] == k
-        assert opnorm(a @ basis) <= 10 * default_rank_tol(a.shape, opnorm(a))
-        gram = basis.conj().T @ basis
-        assert opnorm(gram - np.eye(k)) < 1e-12
-
-
-def test_split_width_is_numerical_rank():
-    a = np.diag([2.0, 1.0, 1e-12, 0.0])
-    sv = np.linalg.svd(a, compute_uv=False)
-    for tol in (None, 1e-13, 1e-11):
-        range_basis, basis = svd_split(a, tol)
-        cut = default_rank_tol(a.shape, sv[0]) if tol is None else tol
-        assert range_basis.shape[1] == np.sum(sv > cut)
-        assert range_basis.shape[1] + basis.shape[1] == 4
 
 
 def test_as_operator_validation():
@@ -189,15 +134,14 @@ def test_quadrature_deterministic():
     assert abs(a[0, 0] - 0.1) <= 1e-11  # Re 1 / (1 - 3i)
 
 
-def test_quadrature_budget_exhaustion_carries_estimate():
+def test_quadrature_budget_exhaustion_carries_estimate(monkeypatch):
     # violently oscillatory integrand with a tiny panel budget
     def f(t):
         return np.array([[np.cos(200.0 * t * t) ** 2 * np.exp(-t)]])
 
+    monkeypatch.setattr(linalg, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
-        integrate_operator_valued(
-            f, 1.0, 1e-13, bound_constant=1.0, fast_rate=1.0, max_panels=4
-        )
+        integrate_operator_valued(f, 1.0, 1e-13, bound_constant=1.0, fast_rate=1.0)
     err = excinfo.value
     assert err.estimate is not None
     assert err.achieved_tol is not None and err.achieved_tol > 1e-13

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,24 +6,23 @@ from semigram import (
     ConditioningError,
     DimensionError,
     InvalidSelectionError,
-    PreconditionError,
     StateSpaceSystem,
-    check_invariance,
     check_preservation,
     is_controllable,
     mode_truncation,
     propagator,
     spectral_data,
-    trajectory_sync_defect,
 )
 from semigram import semistability
 from semigram.linalg import opnorm
 
 from conftest import (
+    intertwining_defect,
     nonnormal_semistable_factors,
     random_controllable_pair,
     random_nonnormal_semistable,
     random_selfadjoint_semistable,
+    sync_defects,
 )
 
 
@@ -191,9 +188,7 @@ def test_truncation_rejects_record_of_another_generator():
 def test_invariance_diagonal_exact():
     a = np.diag([0.0, -1.0, -2.0])
     sys, spectral, red = truncate(a, 2)
-    report = check_invariance(sys, red, [0.0, 0.5, 1.0, 2.0])
-    assert report.max_defect <= 1e-14
-    assert len(report.times) == len(report.defects) == 4
+    assert intertwining_defect(sys, red, [0.0, 0.5, 1.0, 2.0]) <= 1e-14
 
 
 def test_invariance_random_symmetric():
@@ -202,16 +197,7 @@ def test_invariance_random_symmetric():
     sys = StateSpaceSystem(a)
     spectral = spectral_data(a)
     red = mode_truncation(sys, spectral, 4)
-    report = check_invariance(sys, red, [0.0, 0.5, 1.0, 2.0])
-    assert report.max_defect <= 1e-8
-
-
-def test_invariance_rejects_bad_projection():
-    a = np.diag([0.0, -1.0, -2.0])
-    sys, spectral, red = truncate(a, 2)
-    bad = dataclasses.replace(red, pi=red.pi + 0.1, commutativity_defect=1.0)
-    with pytest.raises(PreconditionError):
-        check_invariance(sys, bad, [0.0, 1.0])
+    assert intertwining_defect(sys, red, [0.0, 0.5, 1.0, 2.0]) <= 1e-8
 
 
 def test_controllability_matrix_and_rank():
@@ -357,7 +343,7 @@ def test_trajectory_sync_kernel_state():
     a = np.diag([0.0, -1.0, -4.0])
     sys, spectral, red = truncate(a, 2)
     x0 = np.array([1.0, 0.0, 0.0])
-    defects = trajectory_sync_defect(sys, red, x0, [0.0, 1.0, 5.0])
+    defects = sync_defects(sys, red, x0, [0.0, 1.0, 5.0])
     assert max(defects) <= 1e-10
 
 
@@ -368,7 +354,7 @@ def test_trajectory_sync_exact_decay_oracle():
     sys, spectral, red = truncate(a, 2)
     x0 = np.ones(3)
     times = [0.0, 1.0, 2.0, 3.0]
-    defects = trajectory_sync_defect(sys, red, x0, times)
+    defects = sync_defects(sys, red, x0, times)
     for t, d in zip(times, defects):
         assert abs(d - np.exp(-4.0 * t)) <= 1e-9
 
@@ -380,15 +366,8 @@ def test_trajectory_sync_kept_span_state():
     spectral = spectral_data(a)
     red = mode_truncation(sys, spectral, 3)
     x0 = (red.sigma @ rng.normal(size=3)).real
-    defects = trajectory_sync_defect(sys, red, x0, [0.0, 0.7, 1.9])
+    defects = sync_defects(sys, red, x0, [0.0, 0.7, 1.9])
     assert max(defects) <= 1e-9
-
-
-def test_trajectory_sync_validates_state():
-    a = np.diag([0.0, -1.0])
-    sys, spectral, red = truncate(a, 2)
-    with pytest.raises(DimensionError):
-        trajectory_sync_defect(sys, red, np.ones(3), [0.0])
 
 
 def test_biorthogonality_and_idempotency_random():
