@@ -11,6 +11,7 @@ Reports are deterministic byte streams for fixed inputs and flags.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,6 +236,7 @@ def cmd_heat_bench(args):
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

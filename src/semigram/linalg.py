@@ -248,29 +248,31 @@ def _taylor_kernel(a):
     a relative error of at most (1 + eps/2)^(2^s) - 1 before the rounding
     of the squarings.
 
-    The stack (a / u)^k / k!, with u the power of two above beta, is built
-    on first need, once per map, up to the largest m any call has needed
-    (at most 14); each call then sums (tau u)^k times it in one tensordot,
-    (m + 1) n^2 flops besides the s squarings. Scaling by u is exact and
-    keeps every factor at most 1, so no power overflows against another
-    that underflows.
+    The stack (a / u)^k / k!, with u the power of two above beta, is
+    allocated once per map for m <= 14 and filled in place on first need,
+    up to the largest m any call has needed; each call then sums
+    (tau u)^k times it in one tensordot, (m + 1) n^2 flops besides the s
+    squarings. Scaling by u is exact and keeps every factor at most 1, so
+    no power overflows against another that underflows.
     """
     magnitudes = np.abs(a)
     beta = (math.sqrt(magnitudes.sum(axis=0).max())
             * math.sqrt(magnitudes.sum(axis=1).max()))
     unit = math.ldexp(1.0, math.frexp(beta)[1])
     scaled = a / unit
-    stack = np.eye(a.shape[0], dtype=a.dtype)[None]
+    stack = np.empty((_taylor_degree(_TAYLOR_THETA) + 1,) + a.shape, dtype=a.dtype)
+    stack[0] = np.eye(a.shape[0])
+    built = 1  # powers in the stack so far
 
     def exp_at(t):
-        nonlocal stack
+        nonlocal built
         tau, squarings = t, 0
         while beta * tau > _TAYLOR_THETA:
             tau, squarings = 0.5 * tau, squarings + 1
         degree = _taylor_degree(beta * tau)
-        while len(stack) <= degree:
-            power = stack[-1] @ scaled / len(stack)
-            stack = np.concatenate((stack, power[None]))
+        for k in range(built, degree + 1):
+            stack[k] = stack[k - 1] @ scaled / k
+        built = max(built, degree + 1)
         coefficients = (tau * unit) ** np.arange(degree + 1)
         e = np.tensordot(coefficients, stack[:degree + 1], axes=1)
         for _ in range(squarings):

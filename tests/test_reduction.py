@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from semigram import (
     ConditioningError,
@@ -13,7 +12,7 @@ from semigram import (
     propagator,
     spectral_data,
 )
-from semigram import semistability
+from semigram import lapack, semistability
 from semigram.linalg import opnorm
 
 from conftest import (
@@ -453,7 +452,7 @@ def test_nonnormal_truncation_reads_the_records_schur_split(monkeypatch):
 
     for key in ("inv", "cond", "eig", "svd"):
         monkeypatch.setattr(np.linalg, key, counting(key, getattr(np.linalg, key)))
-    monkeypatch.setattr(scipy.linalg, "schur", counting("schur", scipy.linalg.schur))
+    monkeypatch.setattr(lapack, "schur", counting("schur", lapack.schur))
     red = mode_truncation(StateSpaceSystem(a), spectral, 12)
     assert counts == dict.fromkeys(counts, 0)
     assert red.kernel_identity_defect <= 1e-12
