@@ -6,7 +6,8 @@ semistability Gramian), ``reduce`` (build an invariant truncation and
 report its exact H2 error), plus the end-to-end ``heat-bench``.
 
 Exit codes are a stable contract: 0 success, 2 input or parse error,
-3 classification failure, 4 invalid mode selection, 5 numerical failure.
+3 classification failure, 4 invalid mode selection, 5 numerical failure;
+an error carries its code as ``exit_code`` (see :mod:`semigram.errors`).
 Reports are deterministic byte streams for fixed inputs and flags.
 """
 
@@ -19,15 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    InconsistencyError,
-    InvalidSelectionError,
-    NotSemistableError,
-    ParseError,
-    PreconditionError,
-    QuadratureError,
-)
+from .errors import ConditioningError, NotSemistableError, ParseError, SemigramError
 from .gramian import (
     gramian_by_quadrature,
     lyapunov_rhs,
@@ -42,10 +35,6 @@ from .semistability import NOT_SEMISTABLE, DecayBound, spectral_data
 __all__ = ["main"]
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CLASSIFICATION = 3
-EXIT_SELECTION = 4
-EXIT_NUMERICAL = 5
 
 _GRAMIAN_METHODS = ("lyapunov", "quadrature")
 _OUTPUT_FORMATS = ("text", "csv", "structured")
@@ -88,13 +77,8 @@ def _emit(pairs, fmt, matrices=None):
             sys.stdout.write("%s:\n%s" % (k, format_matrix(m)))
 
 
-def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_analyze(args):
-    system, _ = read_system(args.system)
+    system = read_system(args.system)
     spectral = spectral_data(system.a)
     if spectral.verdict == NOT_SEMISTABLE:
         _emit(
@@ -106,7 +90,7 @@ def cmd_analyze(args):
             ],
             args.format,
         )
-        return EXIT_CLASSIFICATION
+        return NotSemistableError.exit_code
     s_inf = spectral.projector
     try:
         decay = spectral.decay_bound
@@ -139,11 +123,11 @@ def _compute_gramian(system, spectral, args):
 
 
 def cmd_gramian(args):
-    system, _ = read_system(args.system)
+    system = read_system(args.system)
     spectral = spectral_data(system.a)
     gram = _compute_gramian(system, spectral, args)
-    outdir = _ensure_outdir(args.output)
-    target = os.path.join(outdir, "p_inf.mat")
+    os.makedirs(args.output, exist_ok=True)
+    target = os.path.join(args.output, "p_inf.mat")
     write_matrix(target, gram.p_inf)
     pairs = [
         ("method", gram.method),
@@ -174,7 +158,7 @@ def _parse_keep(text, n):
 
 
 def cmd_reduce(args):
-    system, _ = read_system(args.system)
+    system = read_system(args.system)
     spectral = spectral_data(system.a)
     keep = _parse_keep(args.keep, system.n)
     red = mode_truncation(system, spectral, keep)
@@ -207,16 +191,16 @@ def cmd_reduce(args):
             ("h2_norm_quadrature", res.h2_norm),
         ]
 
-    outdir = _ensure_outdir(args.output)
+    os.makedirs(args.output, exist_ok=True)
     files = {
         "a_hat.mat": red.a_hat,
         "b_hat.mat": red.b_hat,
         "c_hat.mat": red.c_hat,
     }
     for name, matrix in files.items():
-        write_matrix(os.path.join(outdir, name), matrix)
+        write_matrix(os.path.join(args.output, name), matrix)
     doc = {"A": "a_hat.mat", "B": "b_hat.mat", "C": "c_hat.mat"}
-    system_file = os.path.join(outdir, "reduced_system.json")
+    system_file = os.path.join(args.output, "reduced_system.json")
     with open(system_file, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -236,23 +220,34 @@ def cmd_heat_bench(args):
     return EXIT_OK
 
 
+def tolerance(text):
+    """The ``--quad-tol`` value: a positive finite float."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--quad-tol", type=float, default=1e-9,
+    # nested parents: each subcommand accepts only the flags it reads
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
+        "--format", choices=_OUTPUT_FORMATS, default="text",
+        help="report format",
+    )
+    quadrature = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    quadrature.add_argument(
+        "--quad-tol", type=tolerance, default=1e-9,
         help="absolute tolerance for quadrature routes (default 1e-9)",
     )
-    common.add_argument(
+    gramian = argparse.ArgumentParser(add_help=False, parents=[quadrature])
+    gramian.add_argument(
         "--method", choices=_GRAMIAN_METHODS, default="lyapunov",
         help="Gramian computation route (default lyapunov); neither route "
         "falls back to the other",
     )
-    common.add_argument(
-        "--format", choices=_OUTPUT_FORMATS, default="text",
-        help="report format",
-    )
-    common.add_argument(
+    gramian.add_argument(
         "--output", default=".", metavar="DIR",
         help="directory for emitted matrix files",
     )
@@ -265,7 +260,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "analyze", parents=[common],
+        "analyze", parents=[formatted],
         help="decide whether a system is semistable and report its kernel "
         "and limit operator",
     )
@@ -273,14 +268,14 @@ def _build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "gramian", parents=[common],
+        "gramian", parents=[gramian],
         help="compute the semistability Gramian and write it to a file",
     )
     p.add_argument("system", help="system description file")
     p.set_defaults(func=cmd_gramian)
 
     p = sub.add_parser(
-        "reduce", parents=[common],
+        "reduce", parents=[gramian],
         help="build an invariant mode truncation and report its H2 error",
     )
     p.add_argument("system", help="system description file")
@@ -296,7 +291,7 @@ def _build_parser():
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser(
-        "heat-bench", parents=[common],
+        "heat-bench", parents=[quadrature],
         help="run the insulated-bar benchmark cross-checking all routes",
     )
     p.add_argument(
@@ -312,30 +307,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not 0 < args.quad_tol < np.inf:
-        print("error: --quad-tol must be positive and finite", file=sys.stderr)
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotSemistableError as exc:
+    except (SemigramError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CLASSIFICATION
-    except InvalidSelectionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SELECTION
-    except (
-        QuadratureError,
-        ConditioningError,
-        InconsistencyError,
-        PreconditionError,
-    ) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ParseError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+        # a built-in OSError or ValueError is an input error
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,16 @@ def _finish(trace_value):
     return H2ErrorResult(trace_value=tv, h2_norm=float(np.sqrt(tv)))
 
 
+def _error_map(sys, red):
+    """C (I - sigma pi), after checking that ``red`` keeps the kernel."""
+    if red.kernel_identity_defect > _KERNEL_DEFECT_LIMIT:
+        raise PreconditionError(
+            "reduction does not act as the identity on the kernel "
+            "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
+        )
+    return sys.c - (sys.c @ red.sigma) @ red.pi
+
+
 def h2_error_gramian(sys, red, p_inf):
     """Closed-form squared H2 error from the semistability Gramian.
 
@@ -73,16 +83,10 @@ def h2_error_gramian(sys, red, p_inf):
     """
     if not isinstance(p_inf, SemistabilityGramian):
         raise TypeError("p_inf must be a SemistabilityGramian")
-    if red.kernel_identity_defect > _KERNEL_DEFECT_LIMIT:
-        raise PreconditionError(
-            "reduction does not act as the identity on the kernel "
-            "(defect %.3e); the error formula does not apply"
-            % red.kernel_identity_defect
-        )
+    g = _error_map(sys, red)
     p = p_inf.p_inf
     if p.shape[0] != sys.n:
         raise PreconditionError("Gramian size does not match the system")
-    g = sys.c - (sys.c @ red.sigma) @ red.pi
     product = g @ p @ g.conj().T
     trace = complex(np.trace(product))
     scale = max(opnorm_lower_bound(sys.c) ** 2 * p_inf.norm_p_inf, EPS)
@@ -156,17 +160,12 @@ def h2_error_quadrature(sys, red, abs_tol):
     """
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    if red.kernel_identity_defect > _KERNEL_DEFECT_LIMIT:
-        raise PreconditionError(
-            "reduction does not act as the identity on the kernel "
-            "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
-        )
+    residual_map = _error_map(sys, red)
     spectral = red.spectral
     s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
         return _finish(0.0)
 
-    residual_map = sys.c - (sys.c @ red.sigma) @ red.pi
     energy = _defect_energy(spectral.a, residual_map, s_inf, sys.b)
 
     def integrand(t):

@@ -220,20 +220,13 @@ def benchmark_text(report):
     return "\n".join(lines) + "\n"
 
 
-def benchmark_csv(reports):
-    """CSV rows (one per report) under the fixed header."""
-    if isinstance(reports, BenchmarkReport):
-        reports = [reports]
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(
-            "%d,%.12e,%.12e,%.12e,%.12e"
-            % (
-                r.n_kept,
-                r.trace_gramian,
-                r.trace_quadrature,
-                r.trace_analytic,
-                r.published_constant,
-            )
-        )
-    return "\n".join(lines) + "\n"
+def benchmark_csv(report):
+    """The fixed CSV header and one row for ``report``."""
+    return "%s\n%d,%.12e,%.12e,%.12e,%.12e\n" % (
+        CSV_HEADER,
+        report.n_kept,
+        report.trace_gramian,
+        report.trace_quadrature,
+        report.trace_analytic,
+        report.published_constant,
+    )

@@ -137,10 +137,10 @@ def is_diagonal(a):
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
 
 
-def propagator(a, b=None):
+def propagator(a, b):
     """The map t -> exp(a*t) b of a constant-coefficient system.
 
-    ``a`` (and ``b``) are validated, and ``a`` is tested for being exactly
+    ``a`` and ``b`` are validated, and ``a`` is tested for being exactly
     diagonal by :func:`is_diagonal`, once, here; the returned map does no
     per-call checks beyond the time argument, so an integrand that
     evaluates it at many nodes pays for neither. A diagonal ``a`` takes an
@@ -168,9 +168,8 @@ def propagator(a, b=None):
     ----------
     a : array_like
         Square generator matrix.
-    b : array_like, optional
-        Matrix with as many rows as ``a``; omitted, the map returns
-        exp(a*t) itself.
+    b : array_like
+        Matrix with as many rows as ``a``.
 
     Returns
     -------
@@ -179,12 +178,9 @@ def propagator(a, b=None):
         the inputs are real.
     """
     a = as_operator(a, "generator", square=True)
-    if b is not None:
-        b = as_operator(b, "input matrix")
-        if b.shape[0] != a.shape[0]:
-            raise DimensionError(
-                "input matrix row count must match the generator"
-            )
+    b = as_operator(b, "input matrix")
+    if b.shape[0] != a.shape[0]:
+        raise DimensionError("input matrix row count must match the generator")
     diagonal = np.diagonal(a).copy() if is_diagonal(a) else None
     exponential = _taylor_kernel(a) if diagonal is None else None
     memo = {}  # t -> exp(a*t) for the latest nodes, oldest first
@@ -197,7 +193,7 @@ def propagator(a, b=None):
             )
         if diagonal is not None:
             scale = np.exp(diagonal * t)
-            return np.diag(scale) if b is None else scale[:, None] * b
+            return scale[:, None] * b
         # a start-mesh node is exactly twice a node of the finer panel
         # evaluated just before it, so its exponential is one squaring
         half = memo.pop(0.5 * t, None)
@@ -205,7 +201,7 @@ def propagator(a, b=None):
         memo[t] = e
         if len(memo) > len(_KRONROD_NODES):
             del memo[next(iter(memo))]
-        return e.copy() if b is None else e @ b
+        return e @ b
 
     return at
 

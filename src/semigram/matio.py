@@ -153,14 +153,10 @@ def _resolve_field(doc, field, base_dir):
 def read_system(path):
     """Load a system-description JSON file into a StateSpaceSystem.
 
-    The document must contain field ``A`` and may contain ``B``, ``C``
+    The document must contain field ``A`` and may contain ``B`` and ``C``
     (each a matrix-file path relative to the document, or an inline nested
-    list) plus an optional ``labels`` list naming the modes. Missing ``B``
-    or ``C`` default to the identity on the state space.
-
-    Returns
-    -------
-    (system, labels) : (StateSpaceSystem, list of str or None)
+    list); any other field is ignored. Missing ``B`` or ``C`` default to
+    the identity on the state space.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -182,13 +178,7 @@ def read_system(path):
     b = _resolve_field(doc, "B", base_dir) if "B" in doc else np.eye(n)
     c = _resolve_field(doc, "C", base_dir) if "C" in doc else np.eye(n)
 
-    labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            raise ParseError("system file %s: 'labels' must be a list of strings" % path)
-
     try:
-        system = StateSpaceSystem(a, b, c)
+        return StateSpaceSystem(a, b, c)
     except Exception as exc:
         raise ParseError("system file %s: %s" % (path, exc)) from exc
-    return system, labels

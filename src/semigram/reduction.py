@@ -127,10 +127,6 @@ class PreservationReport:
     reduced_controllable: bool
     controllability_preserved: bool
 
-    @property
-    def ok(self):
-        return self.semistability_preserved and self.controllability_preserved
-
 
 _STRENGTH = {NOT_SEMISTABLE: 0, SEMISTABLE: 1, STABLE: 2}
 

@@ -161,14 +161,15 @@ def random_controllable_pair(rng, n, kernel_dim, n_inputs=2):
 
 def decay_defects(record, times):
     """|exp(A t) - S_inf|_2 at each time, for the record's generator."""
-    at = propagator(record.a)
+    at = propagator(record.a, np.eye(record.n))
     s_inf = record.projector.s_inf
     return np.array([opnorm(at(t) - s_inf) for t in times])
 
 
 def intertwining_defect(sys, red, times):
     """The largest |pi exp(A t) - exp(a_hat t) pi|_2 over the times."""
-    full_at, reduced_at = propagator(sys.a), propagator(red.a_hat)
+    full_at = propagator(sys.a, np.eye(sys.n))
+    reduced_at = propagator(red.a_hat, np.eye(red.order))
     return max(opnorm(red.pi @ full_at(t) - reduced_at(t) @ red.pi)
                for t in times)
 
@@ -176,7 +177,8 @@ def intertwining_defect(sys, red, times):
 def sync_defects(sys, red, x0, times):
     """|exp(A t) x0 - sigma exp(a_hat t) pi x0| at each time: how far the
     full trajectory is from its lifted reduced twin."""
-    full_at, reduced_at = propagator(sys.a), propagator(red.a_hat)
+    full_at = propagator(sys.a, np.eye(sys.n))
+    reduced_at = propagator(red.a_hat, np.eye(red.order))
     z0 = red.pi @ x0
     return np.array([
         np.linalg.norm(full_at(t) @ x0 - red.sigma @ (reduced_at(t) @ z0))

@@ -13,6 +13,14 @@ import scipy.linalg
 
 from semigram import (
     ConditioningError,
+    DimensionError,
+    InconsistencyError,
+    InvalidSelectionError,
+    NotSemistableError,
+    ParseError,
+    PreconditionError,
+    QuadratureError,
+    SemigramError,
     cli,
     lapack,
     matio,
@@ -275,7 +283,7 @@ def test_reduce_roundtrip(tmp_path, capsys):
     assert report["order"] == "2"
     assert report["kept_modes"] == "0 1"
     assert report["semistability_preserved"] == "true"
-    reduced, _ = read_system(str(outdir / "reduced_system.json"))
+    reduced = read_system(str(outdir / "reduced_system.json"))
     assert np.allclose(reduced.a, np.diag([0.0, -1.0]), atol=1e-12)
     assert reduced.b.shape == (2, 3)
     assert reduced.c.shape == (3, 2)
@@ -291,7 +299,7 @@ def test_reduce_to_order_zero_reads_back(tmp_path, capsys):
     outdir = tmp_path / "red"
     code, _, err = run(capsys, ["reduce", path, "--keep", "0", "--output", str(outdir)])
     assert code == 0, err
-    reduced, _ = read_system(str(outdir / "reduced_system.json"))
+    reduced = read_system(str(outdir / "reduced_system.json"))
     assert (reduced.a.shape, reduced.b.shape, reduced.c.shape) == ((0, 0), (0, 1), (1, 0))
     code, out, err = run(capsys, ["analyze", str(outdir / "reduced_system.json")])
     assert code == 0, err
@@ -437,6 +445,43 @@ def test_bad_common_flags_are_input_errors(tmp_path, capsys, argv):
         assert code == 2
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "p_inf.mat").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "SYS", "--method", "quadrature"],
+     "unrecognized arguments: --method quadrature"),
+    (["analyze", "SYS", "--output", "DIR"], "unrecognized arguments: --output DIR"),
+    (["analyze", "SYS", "--quad-tol", "1e-3"], "unrecognized arguments: --quad-tol 1e-3"),
+    (["heat-bench", "--method", "lyapunov"], "unrecognized arguments: --method lyapunov"),
+    (["heat-bench", "--output", "DIR"], "unrecognized arguments: --output DIR"),
+    (["heat-bench", "--quad-tol", "0"], "argument --quad-tol: must be positive and finite"),
+], ids=["analyze-method", "analyze-output", "analyze-quad-tol", "heat-bench-method",
+        "heat-bench-output", "heat-bench-quad-tol-0"])
+def test_each_subcommand_refuses_the_flags_it_does_not_read(tmp_path, capsys, argv, message):
+    # a flag that a subcommand would parse and then ignore is an input error
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    outdir = tmp_path / "out"
+    argv = [{"SYS": path, "DIR": str(outdir)}.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message.replace("DIR", str(outdir)) in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (DimensionError, 2), (ParseError, 2), (OSError, 2), (ValueError, 2),
+    (NotSemistableError, 3), (InvalidSelectionError, 4), (PreconditionError, 5),
+    (ConditioningError, 5), (InconsistencyError, 5), (QuadratureError, 5),
+    (SemigramError, 5),
+])
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
+    def failing(path):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli, "read_system", failing)
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    assert run(capsys, ["analyze", path]) == (code, "", "error: stub failure\n")
 
 
 def test_repeated_runs_byte_identical(tmp_path, capsys):
@@ -687,15 +732,19 @@ def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 
 def test_readme_documents_every_flag_and_no_other():
+    # the flag list of each subcommand, and every flag the section names
     parser = cli._build_parser()
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
-    flags = {flag for sub in subparsers.choices.values()
-             for action in sub._actions for flag in action.option_strings
-             if flag.startswith("--") and flag != "--help"}
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings
+                    if flag.startswith("--") and flag != "--help"}
+             for name, sub in subparsers.choices.items()}
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
-    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags
+    documented = {name: set(re.findall(r"--[a-z][a-z0-9-]*", line))
+                  for name, line in re.findall(r"^- `([a-z-]+)`: (.*)$", section, re.M)}
+    assert documented == flags
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == set().union(*flags.values())
 
 
 # runs CLI commands in a fresh interpreter and prints, per command, its

@@ -126,7 +126,7 @@ def test_squared_transfer_trace_identity():
     # trace of exp(A t) exp(A t)^T equals 1 + sum exp(-2 n^2 pi^2 t)
     s = build_heat_surrogate(6)
     for t in (0.01, 0.05, 0.2):
-        e = propagator(s.a)(t)
+        e = propagator(s.a, np.eye(6))(t)
         lhs = np.trace(e @ e.T)
         rhs = 1.0 + sum(
             np.exp(-2.0 * n**2 * np.pi**2 * t) for n in range(1, 6)
@@ -164,7 +164,7 @@ def test_run_benchmark_validation():
 
 def test_csv_output_format():
     report = run_benchmark(1, 3, abs_tol=1e-10)
-    text = benchmark_csv([report])
+    text = benchmark_csv(report)
     lines = text.strip().splitlines()
     assert lines[0] == CSV_HEADER
     fields = lines[1].split(",")

@@ -28,28 +28,30 @@ from conftest import counting_kernel, transient_cases
 
 
 def test_exponential_of_zero_is_identity():
-    assert np.array_equal(propagator(np.zeros((4, 4)))(5.0), np.eye(4))
+    assert np.array_equal(propagator(np.zeros((4, 4)), np.eye(4))(5.0), np.eye(4))
 
 
 def test_exponential_diagonal_modal_decay():
     a = np.diag([0.0, -np.pi**2])
-    out = propagator(a)(1.0)
+    out = propagator(a, np.eye(2))(1.0)
     assert np.allclose(out, np.diag([1.0, np.exp(-np.pi**2)]), rtol=0, atol=1e-15)
 
 
 def test_exponential_nilpotent_closed_form():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = propagator(a)(2.0)
+    out = propagator(a, np.eye(2))(2.0)
     assert np.allclose(out, [[1.0, 2.0], [0.0, 1.0]], rtol=0, atol=1e-14)
 
 
 def test_exponential_rejects_nonsquare_and_bad_time():
+    with pytest.raises(TypeError):
+        propagator(np.eye(2))  # b is required
     with pytest.raises(DimensionError):
-        propagator(np.zeros((2, 3)))
+        propagator(np.zeros((2, 3)), np.eye(2))
     with pytest.raises(ValueError):
-        propagator(np.zeros((2, 2)))(-1.0)
+        propagator(np.zeros((2, 2)), np.eye(2))(-1.0)
     with pytest.raises(ValueError):
-        propagator(np.zeros((2, 2)))(np.inf)
+        propagator(np.zeros((2, 2)), np.eye(2))(np.inf)
 
 
 def test_exponential_semigroup_law():
@@ -58,8 +60,9 @@ def test_exponential_semigroup_law():
         a = rng.normal(size=(10, 10))
         a = a - (np.abs(np.linalg.eigvals(a).real).max() + 1.0) * np.eye(10)
         s, t = rng.uniform(0.0, 2.0, size=2)
-        combined = propagator(a)(s + t)
-        split = propagator(a)(s) @ propagator(a)(t)
+        eye = np.eye(10)
+        combined = propagator(a, eye)(s + t)
+        split = propagator(a, eye)(s) @ propagator(a, eye)(t)
         assert opnorm(combined - split) <= 1e-9 * opnorm(combined)
 
 
@@ -268,7 +271,7 @@ def test_taylor_degree_is_the_least_that_meets_the_bound():
 def test_propagator_squares_a_remembered_half_time_into_a_fresh_array(monkeypatch):
     a = np.random.default_rng(5).normal(size=(4, 4))
     kernels = counting_kernel(monkeypatch)
-    at = propagator(a)
+    at = propagator(a, np.eye(4))
     first = at(0.35)
     first[:] = np.nan
     doubled = at(0.7)

@@ -79,16 +79,15 @@ def test_read_system_inline(tmp_path):
         '{"A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]],'
         ' "C": [[1.0, 0.0]]}'
     )
-    system, labels = read_system(doc)
+    system = read_system(doc)
     assert isinstance(system, StateSpaceSystem)
     assert system.n == 2 and system.n_inputs == 1 and system.n_outputs == 1
-    assert labels is None
 
 
 def test_read_system_defaults_identity(tmp_path):
     doc = tmp_path / "sys.json"
     doc.write_text('{"A": [[-1.0]]}')
-    system, _ = read_system(doc)
+    system = read_system(doc)
     assert np.array_equal(system.b, np.eye(1))
     assert np.array_equal(system.c, np.eye(1))
 
@@ -98,10 +97,9 @@ def test_read_system_file_references(tmp_path):
     write_matrix(tmp_path / "b.mat", np.array([[1.0], [2.0]]))
     doc = tmp_path / "sys.json"
     doc.write_text('{"A": "a.mat", "B": "b.mat", "labels": ["mean", "mode1"]}')
-    system, labels = read_system(doc)
+    system = read_system(doc)  # a field other than A, B and C is ignored
     assert np.array_equal(system.a, np.diag([0.0, -2.0]))
     assert np.array_equal(system.b, [[1.0], [2.0]])
-    assert labels == ["mean", "mode1"]
 
 
 def test_read_system_errors(tmp_path):
@@ -116,8 +114,7 @@ def test_read_system_errors(tmp_path):
     with pytest.raises(ParseError):
         read_system(doc)  # A must be square
     doc.write_text('{"A": [[0.0]], "labels": "mean"}')
-    with pytest.raises(ParseError):
-        read_system(doc)  # labels must be a list of strings
+    assert read_system(doc).n == 1  # labels is ignored like any other field
     with pytest.raises((ParseError, OSError)):
         read_system(tmp_path / "missing.json")
 

@@ -311,7 +311,6 @@ def test_preservation_spec_example():
     assert report.original_controllable
     assert report.reduced_controllable
     assert report.controllability_preserved
-    assert report.ok
 
 
 def test_preservation_stable_case():
@@ -322,7 +321,8 @@ def test_preservation_stable_case():
     report = check_preservation(sys, red)
     assert report.original_verdict == "stable"
     assert report.reduced_verdict == "stable"
-    assert report.ok
+    assert report.semistability_preserved
+    assert report.controllability_preserved
 
 
 def test_preservation_flags_lost_controllability():
@@ -388,7 +388,7 @@ def test_biorthogonality_and_idempotency_random():
         assert opnorm((np.eye(n) - proj) @ s_inf) <= 1e-8
         # dropped-mode subspace is flow-invariant
         for t in (0.5, 1.5):
-            e_at = propagator(a)(t)
+            e_at = propagator(a, np.eye(n))(t)
             comp = np.eye(n) - proj
             assert opnorm(red.pi @ e_at @ comp) <= 1e-8 * max(
                 1.0, opnorm(red.pi)
@@ -406,7 +406,7 @@ def test_preservation_random_never_degrades():
         red = mode_truncation(sys, spectral, r)
         report = check_preservation(sys, red)
         assert report.semistability_preserved
-        assert report.ok
+        assert report.controllability_preserved
 
 
 def test_keep_none_of_stable_system():
