@@ -23,7 +23,6 @@ from .errors import (
 from .gramian import (
     SemistabilityGramian,
     gramian_by_quadrature,
-    lyapunov_rhs,
     solve_semistability_lyapunov,
 )
 from .h2error import H2ErrorResult, h2_error_gramian, h2_error_quadrature
@@ -91,7 +90,6 @@ __all__ = [
     "spectral_data",
     "SemistabilityGramian",
     "gramian_by_quadrature",
-    "lyapunov_rhs",
     "solve_semistability_lyapunov",
     "StateSpaceSystem",
     "Reduction",

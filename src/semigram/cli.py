@@ -21,16 +21,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConditioningError, NotSemistableError, ParseError, SemigramError
-from .gramian import (
-    gramian_by_quadrature,
-    lyapunov_rhs,
-    solve_semistability_lyapunov,
-)
+from .gramian import gramian_by_quadrature, solve_semistability_lyapunov
 from .h2error import h2_error_gramian, h2_error_quadrature
 from .heatbench import benchmark_csv, benchmark_text, run_benchmark
 from .matio import format_matrix, read_system, write_matrix
 from .reduction import check_preservation, mode_truncation
-from .semistability import NOT_SEMISTABLE, DecayBound, spectral_data
+from .semistability import NOT_SEMISTABLE, DecayBound
 
 __all__ = ["main"]
 
@@ -78,8 +74,7 @@ def _emit(pairs, fmt, matrices=None):
 
 
 def cmd_analyze(args):
-    system = read_system(args.system)
-    spectral = spectral_data(system.a)
+    spectral = read_system(args.system).spectral
     if spectral.verdict == NOT_SEMISTABLE:
         _emit(
             [
@@ -115,17 +110,15 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _compute_gramian(system, spectral, args):
+def _compute_gramian(system, args):
     """Gramian by the route ``--method`` names."""
     if args.method == "quadrature":
-        return gramian_by_quadrature(spectral, system.b, args.quad_tol)
-    return solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, system.b))
+        return gramian_by_quadrature(system, args.quad_tol)
+    return solve_semistability_lyapunov(system)
 
 
 def cmd_gramian(args):
-    system = read_system(args.system)
-    spectral = spectral_data(system.a)
-    gram = _compute_gramian(system, spectral, args)
+    gram = _compute_gramian(read_system(args.system), args)
     os.makedirs(args.output, exist_ok=True)
     target = os.path.join(args.output, "p_inf.mat")
     write_matrix(target, gram.p_inf)
@@ -159,10 +152,8 @@ def _parse_keep(text, n):
 
 def cmd_reduce(args):
     system = read_system(args.system)
-    spectral = spectral_data(system.a)
-    keep = _parse_keep(args.keep, system.n)
-    red = mode_truncation(system, spectral, keep)
-    preservation = check_preservation(system, red)
+    red = mode_truncation(system, _parse_keep(args.keep, system.n))
+    preservation = check_preservation(red)
 
     pairs = [
         ("order", red.order),
@@ -178,14 +169,13 @@ def cmd_reduce(args):
     ]
 
     if args.h2 in ("gramian", "both"):
-        gram = _compute_gramian(system, spectral, args)
-        res = h2_error_gramian(system, red, gram)
+        res = h2_error_gramian(red, _compute_gramian(system, args))
         pairs += [
             ("h2_trace_gramian", res.trace_value),
             ("h2_norm_gramian", res.h2_norm),
         ]
     if args.h2 in ("quadrature", "both"):
-        res = h2_error_quadrature(system, red, args.quad_tol)
+        res = h2_error_quadrature(red, args.quad_tol)
         pairs += [
             ("h2_trace_quadrature", res.trace_value),
             ("h2_norm_quadrature", res.h2_norm),

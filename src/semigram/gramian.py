@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .errors import DimensionError, InconsistencyError, PreconditionError
+from .errors import InconsistencyError
 from .linalg import (
     EPS,
-    as_operator,
     integrate_operator_valued,
     opnorm,
     opnorm_lower_bound,
@@ -36,7 +35,6 @@ from .linalg import (
 __all__ = [
     "SemistabilityGramian",
     "gramian_by_quadrature",
-    "lyapunov_rhs",
     "solve_semistability_lyapunov",
 ]
 
@@ -111,7 +109,7 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
     )
 
 
-def gramian_by_quadrature(spectral, b, abs_tol):
+def gramian_by_quadrature(system, abs_tol):
     """Evaluate the Gramian's defining integral by adaptive quadrature.
 
     This is the oracle route: nothing is assumed beyond the proven decay
@@ -125,10 +123,9 @@ def gramian_by_quadrature(spectral, b, abs_tol):
 
     Parameters
     ----------
-    spectral : SpectralData
-        Analysis record of the generator.
-    b : array_like
-        Input matrix.
+    system : StateSpaceSystem
+        The system; the route reads A and B, and S_inf and the decay bound
+        from its analysis record, never the record's eigendecomposition.
     abs_tol : float
         Entrywise absolute tolerance for the integral.
 
@@ -137,13 +134,11 @@ def gramian_by_quadrature(spectral, b, abs_tol):
     NotSemistableError
         If the record fails the semistability criterion.
     """
-    a = spectral.a
-    b = as_operator(b, "input matrix")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError("input matrix row count must match the generator")
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    q = lyapunov_rhs(spectral, b)
+    q = _lyapunov_rhs(system)
+    spectral, b = system.spectral, system.b
+    a = spectral.a
 
     if not np.isfinite(spectral.mu):
         # no decaying modes: S(t) = S_inf for all t and the integral is 0
@@ -175,17 +170,12 @@ def gramian_by_quadrature(spectral, b, abs_tol):
     )
 
 
-def lyapunov_rhs(spectral, b):
-    """Right-hand side (I - S_inf) B B* (I - S_inf)* of the Gramian equation.
-
-    Raises :class:`NotSemistableError` if the record fails the
-    semistability criterion.
-    """
-    b = as_operator(b, "input matrix")
-    s = spectral.projector.s_inf
-    if s.shape[0] != b.shape[0]:
-        raise DimensionError("limit operator size must match the input matrix")
-    g = b - s @ b
+def _lyapunov_rhs(system):
+    """Right-hand side Q = (I - S_inf) B B* (I - S_inf)* of the Gramian
+    equation; raises :class:`NotSemistableError` if the system's record
+    fails the semistability criterion."""
+    b = system.b
+    g = b - system.spectral.projector.s_inf @ b
     return _hermitize(g @ g.conj().T)
 
 
@@ -216,25 +206,25 @@ def _solve_split(spectral, q):
     return w @ _hermitize(p22) @ w.conj().T
 
 
-def solve_semistability_lyapunov(spectral, q):
-    """Solve A P + P A* = -Q subject to S_inf P = 0.
+def solve_semistability_lyapunov(system):
+    """Solve A P + P A* = -Q subject to S_inf P = 0, for the Gramian's
+    right-hand side Q = (I - S_inf) B B* (I - S_inf)*.
 
     The equation is singular whenever ker A is nontrivial; the constraint
     picks the Gramian out of the solution family.
 
-    A self-adjoint A is solved in the record's eigenbasis by elementwise
-    division over the stable modes. Any other A is solved in the
-    coordinates of the record's ordered Schur :attr:`~SpectralData.split`,
-    by one LAPACK ``?trsyl`` back substitution on the stable triangular
-    block T22 (the second half of Bartels & Stewart's method).
+    A self-adjoint A is solved in the eigenbasis of the system's analysis
+    record by elementwise division over the stable modes. Any other A is
+    solved in the coordinates of the record's ordered Schur
+    :attr:`~SpectralData.split`, by one LAPACK ``?trsyl`` back
+    substitution on the stable triangular block T22 (the second half of
+    Bartels & Stewart's method).
 
     Parameters
     ----------
-    spectral : SpectralData
-        Analysis record of the semistable generator A (supplies A, S_inf,
-        the eigendata or the Schur split, and the self-adjointness flag).
-    q : array_like
-        Right-hand side, normally from :func:`lyapunov_rhs`.
+    system : StateSpaceSystem
+        The system; its analysis record supplies A, S_inf, the eigendata
+        or the Schur split, and the self-adjointness flag.
 
     Returns
     -------
@@ -248,12 +238,6 @@ def solve_semistability_lyapunov(spectral, q):
         If the Schur split or the block solve fails, or the solution fails
         its certificates.
     """
-    q = as_operator(q, "right-hand side", square=True)
-    if q.shape[0] != spectral.n:
-        raise DimensionError("right-hand side size must match the generator")
-    herm_q = np.linalg.norm(q - q.conj().T)
-    if herm_q > 1e-8 * max(opnorm_lower_bound(q), EPS):
-        raise PreconditionError("right-hand side must be self-adjoint")
-    spectral.projector  # raises NotSemistableError before any solve
+    q = _lyapunov_rhs(system)  # raises NotSemistableError before any solve
+    spectral = system.spectral
     return _certify(spectral, _solve_split(spectral, q), q, "lyapunov_split")
-

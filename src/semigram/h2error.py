@@ -57,39 +57,39 @@ def _finish(trace_value):
     return H2ErrorResult(trace_value=tv, h2_norm=float(np.sqrt(tv)))
 
 
-def _error_map(sys, red):
+def _error_map(red):
     """C (I - sigma pi), after checking that ``red`` keeps the kernel."""
     if red.kernel_identity_defect > _KERNEL_DEFECT_LIMIT:
         raise PreconditionError(
             "reduction does not act as the identity on the kernel "
             "(defect %.3e); the H2 error diverges" % red.kernel_identity_defect
         )
-    return sys.c - (sys.c @ red.sigma) @ red.pi
+    c = red.system.c
+    return c - (c @ red.sigma) @ red.pi
 
 
-def h2_error_gramian(sys, red, p_inf):
+def h2_error_gramian(red, gramian):
     """Closed-form squared H2 error from the semistability Gramian.
 
     Parameters
     ----------
-    sys : StateSpaceSystem
-        The full system.
     red : Reduction
-        A kernel-keeping invariant reduction of ``sys``.
-    p_inf : SemistabilityGramian
-        Semistability Gramian of ``sys``.
+        A kernel-keeping invariant reduction; the full system is
+        ``red.system``.
+    gramian : SemistabilityGramian
+        Semistability Gramian of ``red.system``.
 
     Pure matrix arithmetic, no integration.
     """
-    if not isinstance(p_inf, SemistabilityGramian):
-        raise TypeError("p_inf must be a SemistabilityGramian")
-    g = _error_map(sys, red)
-    p = p_inf.p_inf
-    if p.shape[0] != sys.n:
+    if not isinstance(gramian, SemistabilityGramian):
+        raise TypeError("gramian must be a SemistabilityGramian")
+    g = _error_map(red)
+    p, system = gramian.p_inf, red.system
+    if p.shape[0] != system.n:
         raise PreconditionError("Gramian size does not match the system")
     product = g @ p @ g.conj().T
     trace = complex(np.trace(product))
-    scale = max(opnorm_lower_bound(sys.c) ** 2 * p_inf.norm_p_inf, EPS)
+    scale = max(opnorm_lower_bound(system.c) ** 2 * gramian.norm_p_inf, EPS)
     if abs(trace.imag) > 1e-10 * scale:
         raise InconsistencyError(
             "error trace has a non-negligible imaginary part (%.3e)"
@@ -144,15 +144,15 @@ def _defect_energy(a, residual_map, s_inf, b):
     return energy
 
 
-def h2_error_quadrature(sys, red, abs_tol):
+def h2_error_quadrature(red, abs_tol):
     """Oracle squared H2 error by integrating the impulse-response defect.
 
     Integrates trace(d(t) d(t)*) for d(t) = h(t) - h_hat(t), the difference
     of the full and reduced impulse responses. Internally d is
     C (I - sigma pi) (S(t) - S_inf) B, whose exponential decay provides
     the quadrature truncation certificate: the proven decay bound
-    norm(S(t) - S_inf) <= K exp(-mu' t) and S_inf come from
-    ``red.spectral`` (:attr:`~SpectralData.decay_bound`). When
+    norm(S(t) - S_inf) <= K exp(-mu' t) and S_inf come from the analysis
+    record of ``red.system`` (:attr:`~SpectralData.decay_bound`). When
     the generator is diagonal, |d(t)|_F^2 is evaluated as a precomputed
     quadratic form in exp(lambda t), lambda = diag(A), at O(n^2) per node;
     otherwise d is formed from the propagator. Either way the oracle reads
@@ -160,20 +160,21 @@ def h2_error_quadrature(sys, red, abs_tol):
     """
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    residual_map = _error_map(sys, red)
-    spectral = red.spectral
+    residual_map = _error_map(red)
+    b = red.system.b
+    spectral = red.system.spectral
     s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
         return _finish(0.0)
 
-    energy = _defect_energy(spectral.a, residual_map, s_inf, sys.b)
+    energy = _defect_energy(spectral.a, residual_map, s_inf, b)
 
     def integrand(t):
         return np.array([[energy(t)]])
 
     # |R E B|_F <= min(|R|_F |B|_2, |R|_2 |B|_F) |E|_2, |E|_2 <= K e^{-mu' t}
     r_frob, r_two = _squared_norm_bounds(residual_map)
-    b_frob, b_two = _squared_norm_bounds(sys.b)
+    b_frob, b_two = _squared_norm_bounds(b)
     decay = spectral.decay_bound
     bound = decay.constant**2 * min(r_frob * b_two, r_two * b_frob)
     # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A)

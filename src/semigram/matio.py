@@ -156,7 +156,7 @@ def read_system(path):
     The document must contain field ``A`` and may contain ``B`` and ``C``
     (each a matrix-file path relative to the document, or an inline nested
     list); any other field is ignored. Missing ``B`` or ``C`` default to
-    the identity on the state space.
+    the identity on the state space (:class:`StateSpaceSystem`).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -174,9 +174,8 @@ def read_system(path):
     a = _resolve_field(doc, "A", base_dir)
     if a.shape[0] != a.shape[1]:
         raise ParseError("system file %s: A must be square, got %s" % (path, (a.shape,)))
-    n = a.shape[0]
-    b = _resolve_field(doc, "B", base_dir) if "B" in doc else np.eye(n)
-    c = _resolve_field(doc, "C", base_dir) if "C" in doc else np.eye(n)
+    b = _resolve_field(doc, "B", base_dir) if "B" in doc else None
+    c = _resolve_field(doc, "C", base_dir) if "C" in doc else None
 
     try:
         return StateSpaceSystem(a, b, c)

@@ -14,6 +14,7 @@ restrict to the identity on ker A.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import norm
@@ -30,7 +31,6 @@ from .semistability import (
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
-    SpectralData,
     default_zero_tol,
     spectral_data,
 )
@@ -49,22 +49,44 @@ class StateSpaceSystem:
     """Linear time-invariant system xdot = A x + B u, y = C x.
 
     B and C default to the identity, which models full actuation and full
-    observation and matches the benchmark setups.
+    observation and matches the benchmark setups. ``a``, ``b`` and ``c``
+    are read-only, so the analysis record of A, ``spectral``, is built
+    once, on first use, and every route reads that one record.
     """
 
     def __init__(self, a, b=None, c=None):
-        self.a = as_operator(a, "state matrix", square=True)
-        n = self.a.shape[0]
-        self.b = np.eye(n) if b is None else as_operator(b, "input matrix")
-        self.c = np.eye(n) if c is None else as_operator(c, "output matrix")
-        if self.b.shape[0] != n:
+        a = as_operator(a, "state matrix", square=True)
+        n = a.shape[0]
+        b = np.eye(n) if b is None else as_operator(b, "input matrix")
+        c = np.eye(n) if c is None else as_operator(c, "output matrix")
+        if b.shape[0] != n:
             raise DimensionError(
-                "input matrix has %d rows, expected %d" % (self.b.shape[0], n)
+                "input matrix has %d rows, expected %d" % (b.shape[0], n)
             )
-        if self.c.shape[1] != n:
+        if c.shape[1] != n:
             raise DimensionError(
-                "output matrix has %d columns, expected %d" % (self.c.shape[1], n)
+                "output matrix has %d columns, expected %d" % (c.shape[1], n)
             )
+        for m in (a, b, c):
+            m.flags.writeable = False
+        self._a, self._b, self._c = a, b, c
+
+    @property
+    def a(self):
+        return self._a
+
+    @property
+    def b(self):
+        return self._b
+
+    @property
+    def c(self):
+        return self._c
+
+    @cached_property
+    def spectral(self):
+        """The analysis record of A (:func:`spectral_data`)."""
+        return spectral_data(self.a)
 
     @property
     def n(self):
@@ -95,9 +117,9 @@ class Reduction:
     ``kernel_identity_defect`` is norm((sigma pi - I) K) for an orthonormal
     kernel basis K; it certifies that equilibria survive the reduction.
     ``norm_pi`` is the spectral norm of ``pi``; ``sigma`` has orthonormal
-    columns, so its norm is 1. ``spectral`` is the analysis record of the
-    full generator, which the preservation check and the H2 oracle read
-    instead of recomputing it.
+    columns, so its norm is 1. ``system`` is the full system; the
+    preservation check and both H2 routes read it, and its analysis
+    record, from the reduction.
     """
 
     pi: np.ndarray
@@ -109,7 +131,7 @@ class Reduction:
     commutativity_defect: float
     kernel_identity_defect: float
     kept_modes: tuple
-    spectral: SpectralData
+    system: StateSpaceSystem
 
     @property
     def order(self):
@@ -173,16 +195,15 @@ def _resolve_selection(spectral, keep):
     return sel
 
 
-def mode_truncation(sys, spectral, keep):
+def mode_truncation(system, keep):
     """Build an invariant reduction keeping selected eigenmodes.
 
     Parameters
     ----------
-    sys : StateSpaceSystem
-        Semistable system to reduce.
-    spectral : SpectralData
-        Analysis record of ``sys.a``, modes in canonical (slowest-first)
-        order; the returned reduction carries it.
+    system : StateSpaceSystem
+        Semistable system to reduce; the returned reduction carries it.
+        Mode indices refer to the canonical (slowest-first) order of its
+        analysis record ``system.spectral``.
     keep : int or sequence of int
         Either the number of slowest modes to keep or an explicit set of
         mode indices into the canonical order. Equilibrium modes must be
@@ -209,17 +230,14 @@ def mode_truncation(sys, spectral, keep):
         projector bound exceeds its limit, or a certificate of the
         projection pair fails.
     """
-    a = sys.a
-    if not np.array_equal(spectral.a, a):
-        raise DimensionError(
-            "spectral data was computed for a different generator"
-        )
+    spectral = system.spectral
     if spectral.verdict == NOT_SEMISTABLE:
         raise NotSemistableError(
             "mode truncation requires a semistable generator"
         )
 
-    real = not any(np.iscomplexobj(m) for m in (a, sys.b, sys.c))
+    a = system.a
+    real = not any(np.iscomplexobj(m) for m in (a, system.b, system.c))
 
     sel = _resolve_selection(spectral, keep)
     r = len(sel)
@@ -249,8 +267,8 @@ def mode_truncation(sys, spectral, keep):
         pi = sigma.conj().T - coupling @ z[:, r:].conj().T
 
     a_hat = pi @ a @ sigma
-    b_hat = pi @ sys.b
-    c_hat = sys.c @ sigma
+    b_hat = pi @ system.b
+    c_hat = system.c @ sigma
 
     norm_pi = opnorm(pi)
     biorth = opnorm(pi @ sigma - np.eye(r))
@@ -289,7 +307,7 @@ def mode_truncation(sys, spectral, keep):
         commutativity_defect=float(commut),
         kernel_identity_defect=float(kernel_defect),
         kept_modes=tuple(sel),
-        spectral=spectral,
+        system=system,
     )
 
 
@@ -342,23 +360,26 @@ def is_controllable(spectral, b):
     return True
 
 
-def check_preservation(sys, red):
+def check_preservation(red):
     """Verify the reduced model keeps the stability class and controllability.
 
     Violations are reported in the returned flags, not raised: a flagged
     report signals a defective reduction for the caller to inspect. The
-    original verdict and controllability are read from the record ``red``
-    carries; the reduced generator gets a record of its own, from which its
-    verdict and controllability are decided independently.
+    original verdict and controllability are read from the analysis record
+    of the system ``red`` carries; the reduced generator gets a record of
+    its own, from which its verdict and controllability are decided
+    independently.
     """
-    original = red.spectral.verdict
+    system = red.system
+    spectral = system.spectral
+    original = spectral.verdict
     # a_hat = pi A sigma carries roundoff at the parent scale; a reduced
     # generator that is numerically zero must not be judged on its own norm
-    carried = red.spectral.norm_a * max(red.norm_pi, 1.0)
-    zero_tol = default_zero_tol(sys.n, carried) if red.order else None
+    carried = spectral.norm_a * max(red.norm_pi, 1.0)
+    zero_tol = default_zero_tol(system.n, carried) if red.order else None
     reduced = spectral_data(red.a_hat, zero_tol)
     semistability_ok = _STRENGTH[reduced.verdict] >= _STRENGTH[original]
-    orig_ctrb = is_controllable(red.spectral, sys.b)
+    orig_ctrb = is_controllable(spectral, system.b)
     red_ctrb = is_controllable(reduced, red.b_hat)
     return PreservationReport(
         original_verdict=original,

@@ -166,18 +166,18 @@ def decay_defects(record, times):
     return np.array([opnorm(at(t) - s_inf) for t in times])
 
 
-def intertwining_defect(sys, red, times):
+def intertwining_defect(red, times):
     """The largest |pi exp(A t) - exp(a_hat t) pi|_2 over the times."""
-    full_at = propagator(sys.a, np.eye(sys.n))
+    full_at = propagator(red.system.a, np.eye(red.system.n))
     reduced_at = propagator(red.a_hat, np.eye(red.order))
     return max(opnorm(red.pi @ full_at(t) - reduced_at(t) @ red.pi)
                for t in times)
 
 
-def sync_defects(sys, red, x0, times):
+def sync_defects(red, x0, times):
     """|exp(A t) x0 - sigma exp(a_hat t) pi x0| at each time: how far the
     full trajectory is from its lifted reduced twin."""
-    full_at = propagator(sys.a, np.eye(sys.n))
+    full_at = propagator(red.system.a, np.eye(red.system.n))
     reduced_at = propagator(red.a_hat, np.eye(red.order))
     z0 = red.pi @ x0
     return np.array([

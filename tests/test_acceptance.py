@@ -16,12 +16,12 @@ from semigram import (
     gramian_by_quadrature,
     h2_error_gramian,
     is_controllable,
-    lyapunov_rhs,
     mode_truncation,
     run_benchmark,
     solve_semistability_lyapunov,
     spectral_data,
 )
+from semigram import gramian
 from semigram.linalg import opnorm
 
 from conftest import (
@@ -75,13 +75,12 @@ def test_criterion_2_single_mode_closed_form(capsys):
 def test_criterion_3_lyapunov_residual_suite(capsys):
     ok = True
     for a, b in gramian_suite_systems(100, 30, seed=101):
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        gram = solve_semistability_lyapunov(spectral, q)
-        p = gram.p_inf
+        sys = StateSpaceSystem(a, b)
+        q = gramian._lyapunov_rhs(sys)
+        p = solve_semistability_lyapunov(sys).p_inf
         scale = opnorm(a) * opnorm(p) + opnorm(q)
         residual = opnorm(a @ p + p @ a.conj().T + q)
-        constraint = opnorm(spectral.projector.s_inf @ p)
+        constraint = opnorm(sys.spectral.projector.s_inf @ p)
         if residual > 1e-8 * scale or constraint > 1e-8 * opnorm(p):
             ok = False
             break
@@ -93,10 +92,9 @@ def test_criterion_4_cross_method_agreement(capsys):
     ok = True
     worst = 0.0
     for a, b in gramian_suite_systems(100, 30, seed=101):
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        split = solve_semistability_lyapunov(spectral, q)
-        quad = gramian_by_quadrature(spectral, b, 1e-9)
+        sys = StateSpaceSystem(a, b)
+        split = solve_semistability_lyapunov(sys)
+        quad = gramian_by_quadrature(sys, 1e-9)
         dev = opnorm(split.p_inf - quad.p_inf)
         worst = max(worst, dev)
         if dev > 1e-6:
@@ -109,10 +107,10 @@ def test_criterion_4_cross_method_agreement(capsys):
 def test_criterion_5_constrained_uniqueness(capsys):
     ok = True
     for a, b in gramian_suite_systems(50, 20, seed=211):
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        gram = solve_semistability_lyapunov(spectral, q)
-        s = spectral.projector.s_inf
+        sys = StateSpaceSystem(a, b)
+        q = gramian._lyapunov_rhs(sys)
+        gram = solve_semistability_lyapunov(sys)
+        s = sys.spectral.projector.s_inf
         norm_p = opnorm(gram.p_inf)
         for kappa in (0.1, 1.0, 10.0):
             shifted = gram.p_inf + kappa * (s @ s.conj().T)
@@ -156,15 +154,13 @@ def test_criterion_7_invariance_preservation_suite(capsys):
         n = int(rng.integers(3, 13))
         kernel = int(rng.integers(1, 3))
         a, b = random_controllable_pair(rng, n, kernel)
-        sys = StateSpaceSystem(a, b=b)
-        spectral = spectral_data(a)
         k = int(rng.integers(kernel, n + 1))
-        red = mode_truncation(sys, spectral, k)
+        red = mode_truncation(StateSpaceSystem(a, b=b), k)
         if red.commutativity_defect > 1e-8:
             ok = False
-        if intertwining_defect(sys, red, [0.0, 0.5, 1.0, 2.0]) > 1e-7:
+        if intertwining_defect(red, [0.0, 0.5, 1.0, 2.0]) > 1e-7:
             ok = False
-        preservation = check_preservation(sys, red)
+        preservation = check_preservation(red)
         if preservation.reduced_verdict not in (STABLE, SEMISTABLE):
             ok = False
         if not is_controllable(spectral_data(red.a_hat), red.b_hat):
@@ -176,12 +172,9 @@ def test_criterion_7_invariance_preservation_suite(capsys):
 
 
 def test_criterion_8_trajectory_synchronization(capsys):
-    a = np.diag([0.0, -1.0, -4.0])
-    sys = StateSpaceSystem(a)
-    spectral = spectral_data(a)
-    red = mode_truncation(sys, spectral, 2)
+    red = mode_truncation(StateSpaceSystem(np.diag([0.0, -1.0, -4.0])), 2)
     times = [0.0, 1.0, 2.0, 3.0]
-    defects = sync_defects(sys, red, np.ones(3), times)
+    defects = sync_defects(red, np.ones(3), times)
     ok = all(
         abs(d - np.exp(-4.0 * t)) <= 1e-9 for t, d in zip(times, defects)
     )
@@ -199,20 +192,18 @@ def test_criterion_9_h2_property_suite(capsys):
         a = random_selfadjoint_semistable(rng, n, 1)
         b = rng.normal(size=(n, 2))
         sys = StateSpaceSystem(a, b=b)
-        spectral = spectral_data(a)
-        p_inf = gramian_by_quadrature(spectral, b, 1e-11)
-        red = mode_truncation(sys, spectral, n)
-        if h2_error_gramian(sys, red, p_inf).trace_value > 1e-10:
+        p_inf = gramian_by_quadrature(sys, 1e-11)
+        red = mode_truncation(sys, n)
+        if h2_error_gramian(red, p_inf).trace_value > 1e-10:
             ok = False
 
     # nested truncations give monotone errors
     a = random_selfadjoint_semistable(rng, 9, 1)
     b = rng.normal(size=(9, 2))
     sys = StateSpaceSystem(a, b=b)
-    spectral = spectral_data(a)
-    p_inf = gramian_by_quadrature(spectral, b, 1e-11)
+    p_inf = gramian_by_quadrature(sys, 1e-11)
     traces = [
-        h2_error_gramian(sys, mode_truncation(sys, spectral, r), p_inf).trace_value
+        h2_error_gramian(mode_truncation(sys, r), p_inf).trace_value
         for r in (1, 3, 5, 7, 9)
     ]
     for smaller, larger in zip(traces[1:], traces[:-1]):
@@ -224,10 +215,8 @@ def test_criterion_9_h2_property_suite(capsys):
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     sys1 = StateSpaceSystem(a, b=b, c=c)
     sys2 = StateSpaceSystem(a, b=b, c=u @ c)
-    red1 = mode_truncation(sys1, spectral, 4)
-    red2 = mode_truncation(sys2, spectral, 4)
-    t1 = h2_error_gramian(sys1, red1, p_inf).trace_value
-    t2 = h2_error_gramian(sys2, red2, p_inf).trace_value
+    t1 = h2_error_gramian(mode_truncation(sys1, 4), p_inf).trace_value
+    t2 = h2_error_gramian(mode_truncation(sys2, 4), p_inf).trace_value
     if abs(t1 - t2) > 1e-10 * max(1.0, t1):
         ok = False
 

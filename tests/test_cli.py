@@ -21,6 +21,7 @@ from semigram import (
     PreconditionError,
     QuadratureError,
     SemigramError,
+    build_heat_surrogate,
     cli,
     lapack,
     matio,
@@ -423,28 +424,32 @@ def test_structured_matrix_entries_are_written_as_floats(capsys):
     assert capsys.readouterr().out == json.dumps({"m": per_entry}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--quad-tol", "0"],
-    ["--quad-tol", "inf"],
-    ["--quad-tol", "nan"],
-    ["--method", "quadrature", "--quad-tol", "inf"],
-    ["--method", "auto"],
-    ["--rank-tol", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["--quad-tol", "0"], "must be positive and finite"),
+    (["--quad-tol", "inf"], "must be positive and finite"),
+    (["--quad-tol", "nan"], "must be positive and finite"),
+    (["--method", "quadrature", "--quad-tol", "inf"], "must be positive and finite"),
+    (["--method", "auto"], "invalid choice: 'auto'"),
+    (["--rank-tol", "0"], "unrecognized arguments: --rank-tol 0"),
 ], ids=["quad-tol-0", "quad-tol-inf", "quad-tol-nan", "quadrature-inf",
         "method-auto", "rank-tol"])
-def test_bad_common_flags_are_input_errors(tmp_path, capsys, argv):
+def test_bad_common_flags_are_input_errors(tmp_path, capsys, argv, message):
     # an infinite tolerance would make the quadrature certificate's
-    # residual slack infinite; there is no auto route and no --rank-tol
+    # residual slack infinite; there is no auto route and no --rank-tol.
+    # heat-bench takes no --method, so those legs run against reduce
     path = write_system(tmp_path, np.diag([0.0, -1.0]))
-    for command in (["gramian", path, "--output", str(tmp_path)],
-                    ["heat-bench", "--modes", "3", "--cosines", "1"]):
+    other = (["reduce", path, "--keep", "1", "--output", str(tmp_path)]
+             if "--method" in argv else
+             ["heat-bench", "--modes", "3", "--cosines", "1"])
+    for command in (["gramian", path, "--output", str(tmp_path)], other):
         try:
             code = main(command + argv)
         except SystemExit as exc:  # argparse rejects unknown flags and values
             code = exc.code
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "p_inf.mat").exists()
+    assert not (tmp_path / "a_hat.mat").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -625,6 +630,17 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             assert len(kernels) == int(evaluations > 0), argv
             assert sum(map(len, kernels)) == evaluations, argv
 
+    # heat-bench analyses its diagonal surrogate by one eigh; the split
+    # Gramian divides in that eigenbasis, K is exactly 1, and the H2 oracle
+    # integrates a quadratic form in exp(lambda t) with no propagator
+    generator = build_heat_surrogate(n).a
+    counts.update(dict.fromkeys(counts, 0))
+    kernels.clear()
+    code, _, err = run(capsys, ["heat-bench", "--modes", str(n), "--cosines", "2"])
+    assert code == 0, err
+    assert counts == dict(dict.fromkeys(counts, 0), eig=1, s_inf=1)
+    assert kernels == []
+
 
 def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, monkeypatch):
     # at this seed eig returns the double zero as a +-i eps pair; the
@@ -745,6 +761,17 @@ def test_readme_documents_every_flag_and_no_other():
                   for name, line in re.findall(r"^- `([a-z-]+)`: (.*)$", section, re.M)}
     assert documented == flags
     assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == set().union(*flags.values())
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    verdict, *norms = capsys.readouterr().out.splitlines()
+    assert verdict == "semistable 1.0 1"
+    assert len(norms) == 2
+    for line in norms:
+        assert float(line) == pytest.approx(np.sqrt(1 / 8), abs=1e-9)
 
 
 # runs CLI commands in a fresh interpreter and prints, per command, its

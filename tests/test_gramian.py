@@ -5,10 +5,9 @@ import scipy.linalg
 from semigram import (
     InconsistencyError,
     NotSemistableError,
-    PreconditionError,
+    StateSpaceSystem,
     gramian_by_quadrature,
     integrate_operator_valued,
-    lyapunov_rhs,
     propagator,
     solve_semistability_lyapunov,
     spectral_data,
@@ -40,25 +39,19 @@ def path_laplacian3():
 
 
 def test_quadrature_scalar():
-    a = np.array([[-1.0]])
-    spectral = spectral_data(a)
-    g = gramian_by_quadrature(spectral, np.eye(1), 1e-10)
+    g = gramian_by_quadrature(StateSpaceSystem(np.array([[-1.0]])), 1e-10)
     assert abs(g.p_inf[0, 0] - 0.5) <= 1e-10
     assert g.method == "quadrature"
     assert g.quadrature_tol == 1e-10
 
 
 def test_quadrature_semistable_diagonal():
-    a = np.diag([0.0, -1.0])
-    spectral = spectral_data(a)
-    g = gramian_by_quadrature(spectral, np.eye(2), 1e-10)
+    g = gramian_by_quadrature(StateSpaceSystem(np.diag([0.0, -1.0])), 1e-10)
     assert np.abs(g.p_inf - np.diag([0.0, 0.5])).max() <= 1e-10
 
 
 def test_quadrature_heat_modal_integrals():
-    a = heat3()
-    spectral = spectral_data(a)
-    g = gramian_by_quadrature(spectral, np.eye(3), 1e-11)
+    g = gramian_by_quadrature(StateSpaceSystem(heat3()), 1e-11)
     expected = np.diag([0.0, 1.0 / (2 * np.pi**2), 1.0 / (8 * np.pi**2)])
     assert np.abs(g.p_inf - expected).max() <= 1e-11
     assert g.constraint_defect <= 1e-8 * opnorm(g.p_inf)
@@ -66,59 +59,48 @@ def test_quadrature_heat_modal_integrals():
 
 def test_quadrature_rejects_not_semistable():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    spectral = spectral_data(a)
     with pytest.raises(NotSemistableError):
-        gramian_by_quadrature(spectral, np.eye(2), 1e-9)
+        gramian_by_quadrature(StateSpaceSystem(a), 1e-9)
 
 
 def test_quadrature_zero_generator():
-    a = np.zeros((2, 2))
-    spectral = spectral_data(a)
-    g = gramian_by_quadrature(spectral, np.eye(2), 1e-9)
+    g = gramian_by_quadrature(StateSpaceSystem(np.zeros((2, 2))), 1e-9)
     assert np.array_equal(g.p_inf, np.zeros((2, 2)))
 
 
 def test_lyapunov_rhs_examples():
-    a = np.diag([-1.0, -2.0])
-    spectral = spectral_data(a)
-    assert np.allclose(lyapunov_rhs(spectral, np.eye(2)), np.eye(2), atol=1e-14)
+    sys = StateSpaceSystem(np.diag([-1.0, -2.0]))
+    assert np.allclose(gramian._lyapunov_rhs(sys), np.eye(2), atol=1e-14)
 
-    a = np.diag([0.0, -1.0])
-    spectral = spectral_data(a)
+    sys = StateSpaceSystem(np.diag([0.0, -1.0]))
     assert np.allclose(
-        lyapunov_rhs(spectral, np.eye(2)), np.diag([0.0, 1.0]), atol=1e-14
+        gramian._lyapunov_rhs(sys), np.diag([0.0, 1.0]), atol=1e-14
     )
 
     # complete-graph Laplacian: averaging projector complement
-    a = -(3 * np.eye(3) - np.ones((3, 3)))
-    spectral = spectral_data(a)
+    sys = StateSpaceSystem(-(3 * np.eye(3) - np.ones((3, 3))))
     expected = np.eye(3) - np.ones((3, 3)) / 3.0
-    assert np.allclose(lyapunov_rhs(spectral, np.eye(3)), expected, atol=1e-12)
+    assert np.allclose(gramian._lyapunov_rhs(sys), expected, atol=1e-12)
 
 
 def test_solve_scalar():
-    a = np.array([[-1.0]])
-    spectral = spectral_data(a)
-    g = solve_semistability_lyapunov(spectral, np.eye(1))
+    g = solve_semistability_lyapunov(StateSpaceSystem(np.array([[-1.0]])))
     assert abs(g.p_inf[0, 0] - 0.5) <= 1e-14
     assert g.method == "lyapunov_split"
     assert g.quadrature_tol is None
 
 
 def test_solve_matches_modal_integral():
-    a = np.diag([0.0, -np.pi**2])
-    spectral = spectral_data(a)
-    q = lyapunov_rhs(spectral, np.eye(2))
-    g = solve_semistability_lyapunov(spectral, q)
+    g = solve_semistability_lyapunov(StateSpaceSystem(np.diag([0.0, -np.pi**2])))
     assert np.abs(g.p_inf - np.diag([0.0, 1.0 / (2 * np.pi**2)])).max() <= 1e-14
 
 
 def test_solve_agrees_with_quadrature_on_path_laplacian():
     a = path_laplacian3()
-    spectral = spectral_data(a)
-    q = lyapunov_rhs(spectral, np.eye(3))
-    split = solve_semistability_lyapunov(spectral, q)
-    quad = gramian_by_quadrature(spectral, np.eye(3), 1e-10)
+    sys = StateSpaceSystem(a)
+    q = gramian._lyapunov_rhs(sys)
+    split = solve_semistability_lyapunov(sys)
+    quad = gramian_by_quadrature(sys, 1e-10)
     assert opnorm(split.p_inf - quad.p_inf) <= 1e-6
     assert split.lyapunov_residual <= 1e-8 * (
         opnorm(a) * opnorm(split.p_inf) + opnorm(q)
@@ -154,7 +136,7 @@ def record_oracle_nodes(monkeypatch):
 def test_propagator_agrees_with_expm_at_every_oracle_node(case, tol, monkeypatch):
     a, b = consensus90() if case == "consensus90" else (drift_chain(60, 2.0), np.eye(60)[:, :1])
     times = record_oracle_nodes(monkeypatch)
-    gramian_by_quadrature(spectral_data(a), b, 1e-9)
+    gramian_by_quadrature(StateSpaceSystem(a, b), 1e-9)
     # a fresh map at the same times in the same order squares the same
     # remembered exponentials as the oracle's own
     response = propagator(a, b)
@@ -165,7 +147,8 @@ def test_propagator_agrees_with_expm_at_every_oracle_node(case, tol, monkeypatch
 
 def test_quadrature_evaluates_the_kernel_on_the_two_finest_panels_only(monkeypatch):
     a, b = consensus90()
-    spectral = spectral_data(a)
+    sys = StateSpaceSystem(a, b)
+    sys.spectral  # the record is built before the counts start
     times = record_oracle_nodes(monkeypatch)
     calls = counting_expm(monkeypatch)
     kernels = counting_kernel(monkeypatch)
@@ -178,7 +161,7 @@ def test_quadrature_evaluates_the_kernel_on_the_two_finest_panels_only(monkeypat
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", recording)
-    gramian_by_quadrature(spectral, b, 1e-9)
+    gramian_by_quadrature(sys, 1e-9)
     # one kernel, which allocates one stack for the powers of A up to
     # degree 14 and fills it as the nodes need them; every other start-mesh
     # node squares exp(A t/2) from the finer panel
@@ -215,11 +198,10 @@ def test_solve_lstsq_strategy_matches_split():
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(3, n) + 1))
         a = random_selfadjoint_semistable(rng, n, k)
-        b = rng.normal(size=(n, 2))
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        split = solve_semistability_lyapunov(spectral, q)
-        lstsq = _solve_lstsq(a, q, spectral.projector.s_inf)
+        sys = StateSpaceSystem(a, rng.normal(size=(n, 2)))
+        q = gramian._lyapunov_rhs(sys)
+        split = solve_semistability_lyapunov(sys)
+        lstsq = _solve_lstsq(a, q, sys.spectral.projector.s_inf)
         assert split.method == "lyapunov_split"
         assert opnorm(split.p_inf - lstsq) <= 1e-8 * max(
             1.0, opnorm(split.p_inf)
@@ -251,24 +233,22 @@ def test_solve_nonhermitian_oblique(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_sylvester", no_dense_solver)
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", no_dense_solver)
-    a = np.array([[0.0, 1.0], [0.0, -1.0]])
-    spectral = spectral_data(a)
-    q = lyapunov_rhs(spectral, np.eye(2))
-    g = solve_semistability_lyapunov(spectral, q)
+    sys = StateSpaceSystem(np.array([[0.0, 1.0], [0.0, -1.0]]))
+    g = solve_semistability_lyapunov(sys)
     expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.abs(g.p_inf - expected).max() <= 1e-12
-    quad = gramian_by_quadrature(spectral, np.eye(2), 1e-10)
+    quad = gramian_by_quadrature(sys, 1e-10)
     assert opnorm(g.p_inf - quad.p_inf) <= 1e-8
 
     rng = np.random.default_rng(41)
     for name, a, v_k, w_k in nonhermitian_cases():
-        spectral = spectral_data(a)
-        assert not spectral.hermitian, name
-        s = spectral.projector.s_inf
+        sys = StateSpaceSystem(a, rng.normal(size=(a.shape[0], 2)))
+        assert not sys.spectral.hermitian, name
+        s = sys.spectral.projector.s_inf
         assert np.iscomplexobj(s) == np.iscomplexobj(a), name
         assert opnorm(s - v_k @ w_k) <= 1e-10 * opnorm(v_k @ w_k), name
-        q = lyapunov_rhs(spectral, rng.normal(size=(a.shape[0], 2)))
-        g = solve_semistability_lyapunov(spectral, q)
+        q = gramian._lyapunov_rhs(sys)
+        g = solve_semistability_lyapunov(sys)
         ref = _solve_lstsq(a, q, v_k @ w_k)
         assert opnorm(g.p_inf - ref) <= 1e-8 * max(1.0, opnorm(ref)), name
 
@@ -279,10 +259,9 @@ def test_solve_gramian_invariants_random():
         n = int(rng.integers(2, 12))
         k = int(rng.integers(1, min(3, n) + 1))
         a = random_selfadjoint_semistable(rng, n, k)
-        b = rng.normal(size=(n, int(rng.integers(1, 4))))
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        g = solve_semistability_lyapunov(spectral, q)
+        sys = StateSpaceSystem(a, rng.normal(size=(n, int(rng.integers(1, 4)))))
+        q = gramian._lyapunov_rhs(sys)
+        g = solve_semistability_lyapunov(sys)
         p = g.p_inf
         norm_p = opnorm(p)
         assert opnorm(p - p.conj().T) <= 1e-8 * norm_p + 1e-30
@@ -296,11 +275,10 @@ def test_constraint_correction_uniqueness():
     # annihilation correction
     rng = np.random.default_rng(29)
     a = random_selfadjoint_semistable(rng, 6, 2)
-    b = rng.normal(size=(6, 2))
-    spectral = spectral_data(a)
-    q = lyapunov_rhs(spectral, b)
-    g = solve_semistability_lyapunov(spectral, q)
-    s = spectral.projector.s_inf
+    sys = StateSpaceSystem(a, rng.normal(size=(6, 2)))
+    q = gramian._lyapunov_rhs(sys)
+    g = solve_semistability_lyapunov(sys)
+    s = sys.spectral.projector.s_inf
     for kappa in (0.1, 1.0, 10.0):
         shifted = g.p_inf + kappa * (s @ s.conj().T)
         residual = opnorm(a @ shifted + shifted @ a.conj().T + q)
@@ -309,20 +287,14 @@ def test_constraint_correction_uniqueness():
         assert opnorm(recovered - g.p_inf) <= 1e-8 * max(1.0, opnorm(g.p_inf))
 
 
-def test_solve_rejects_inconsistent_rhs():
-    # rhs with mass on the kernel: no solution exists
-    a = np.diag([0.0, -1.0])
-    spectral = spectral_data(a)
-    with pytest.raises(InconsistencyError):
-        solve_semistability_lyapunov(spectral, np.eye(2))
-
-
-def test_solve_rejects_nonsymmetric_rhs():
-    a = np.diag([0.0, -1.0])
-    spectral = spectral_data(a)
-    q = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(PreconditionError):
-        solve_semistability_lyapunov(spectral, q)
+def test_solve_rejects_a_solution_that_misses_the_equation(monkeypatch):
+    # 1.2 P is self-adjoint, semidefinite and annihilated by S_inf, but it
+    # leaves the residual 0.2 |Q|: only the residual gate can refuse it
+    solve_split = gramian._solve_split
+    monkeypatch.setattr(gramian, "_solve_split",
+                        lambda spectral, q: 1.2 * solve_split(spectral, q))
+    with pytest.raises(InconsistencyError, match="Lyapunov residual"):
+        solve_semistability_lyapunov(StateSpaceSystem(np.diag([0.0, -1.0])))
 
 
 def test_verify_structure_trivial_and_shifted():
@@ -346,10 +318,9 @@ def test_verify_structure_random_kernel_shifts():
         n = int(rng.integers(3, 10))
         k = int(rng.integers(1, 3))
         a = random_selfadjoint_semistable(rng, n, k)
-        b = rng.normal(size=(n, 2))
-        spectral = spectral_data(a)
-        q = lyapunov_rhs(spectral, b)
-        g = solve_semistability_lyapunov(spectral, q)
+        sys = StateSpaceSystem(a, rng.normal(size=(n, 2)))
+        spectral = sys.spectral
+        g = solve_semistability_lyapunov(sys)
         s = spectral.projector.s_inf
         w = rng.normal(size=(n, n))
         shifted = g.p_inf + s @ (0.5 * (w + w.T)) @ s.conj().T
@@ -386,11 +357,11 @@ def test_eigenbasis_solve_matches_lstsq_on_laplacians(a, monkeypatch):
     rng = np.random.default_rng(31)
     n = a.shape[0]
     for b in (np.eye(n), rng.normal(size=(n, 2))):
-        spectral = spectral_data(a)
-        assert spectral.hermitian
-        q = lyapunov_rhs(spectral, b)
-        g = solve_semistability_lyapunov(spectral, q)
-        ref = _solve_lstsq(a, q, spectral.projector.s_inf)
+        sys = StateSpaceSystem(a, b)
+        assert sys.spectral.hermitian
+        q = gramian._lyapunov_rhs(sys)
+        g = solve_semistability_lyapunov(sys)
+        ref = _solve_lstsq(a, q, sys.spectral.projector.s_inf)
         assert opnorm(g.p_inf - ref) <= 1e-10 * max(1.0, opnorm(ref))
         assert g.norm_p_inf == pytest.approx(opnorm(g.p_inf), rel=1e-12)
         assert g.constraint_defect <= 1e-12 * g.norm_p_inf

@@ -8,7 +8,6 @@ from semigram import (
     STABLE,
     NotSemistableError,
     StateSpaceSystem,
-    lyapunov_rhs,
     mode_truncation,
     solve_semistability_lyapunov,
     spectral_data,
@@ -315,14 +314,15 @@ def test_nonnormal_record_computes_no_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    spectral = spectral_data(a)
+    sys = StateSpaceSystem(a, b)
+    spectral = sys.spectral
     assert spectral.eigenvectors is None and spectral.verdict == SEMISTABLE
     assert np.abs(spectral.eigenvalues - lam).max() <= 1e-12
     exact = v[:, :2] @ v_inv[:2]
     assert opnorm(spectral.projector.s_inf - exact) <= 1e-10 * opnorm(exact)
-    gram = solve_semistability_lyapunov(spectral, lyapunov_rhs(spectral, b))
+    gram = solve_semistability_lyapunov(sys)
     assert gram.method == "lyapunov_split"
-    red = mode_truncation(StateSpaceSystem(a, b), spectral, 12)
+    red = mode_truncation(sys, 12)
     exact = v[:, :12] @ v_inv[:12]
     assert opnorm(red.sigma @ red.pi - exact) <= 1e-10 * opnorm(exact)
 
