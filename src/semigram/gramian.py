@@ -31,6 +31,7 @@ from .linalg import (
     opnorm_lower_bound,
     propagator,
 )
+from .reduction import StateSpaceSystem
 
 __all__ = [
     "SemistabilityGramian",
@@ -49,8 +50,10 @@ class SemistabilityGramian:
     ``norm_p_inf`` is the spectral norm of ``p_inf``, its largest
     eigenvalue. ``lyapunov_residual`` is the Frobenius norm of
     A P + P A* + Q; ``constraint_defect`` is the Frobenius norm of
-    S_inf P, which the exact Gramian annihilates. ``quadrature_tol`` is
-    set only on the quadrature route.
+    S_inf P, which the exact Gramian annihilates. ``system`` is the system
+    it is the Gramian of; the closed-form H2 error takes it only with a
+    reduction of that same system. ``quadrature_tol`` is set only on the
+    quadrature route.
     """
 
     p_inf: np.ndarray
@@ -58,6 +61,7 @@ class SemistabilityGramian:
     norm_p_inf: float
     lyapunov_residual: float
     constraint_defect: float
+    system: StateSpaceSystem
     quadrature_tol: float | None = None
 
 
@@ -65,13 +69,15 @@ def _hermitize(p):
     return 0.5 * (p + p.conj().T)
 
 
-def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
-    """Package a candidate Gramian, enforcing the type's invariants.
+def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
+    """Package a candidate Gramian of ``system``, enforcing the type's
+    invariants.
 
     Defects are Frobenius norms, at least the spectral ones, so each gate
     is at least as strict as with the 2-norm; every scale they are compared
     against is a 2-norm or a proven lower bound of one.
     """
+    spectral = system.spectral
     a = spectral.a
     herm_defect = float(np.linalg.norm(p - p.conj().T))
     if herm_defect > 1e-8 * opnorm_lower_bound(p) + 1e-30:
@@ -105,6 +111,7 @@ def _certify(spectral, p, q, method, quadrature_tol=None, residual_slack=0.0):
         norm_p_inf=norm_p,
         lyapunov_residual=residual,
         constraint_defect=constraint,
+        system=system,
         quadrature_tol=quadrature_tol,
     )
 
@@ -143,7 +150,7 @@ def gramian_by_quadrature(system, abs_tol):
     if not np.isfinite(spectral.mu):
         # no decaying modes: S(t) = S_inf for all t and the integral is 0
         p = np.zeros((a.shape[0], a.shape[0]))
-        return _certify(spectral, p, q, "quadrature", quadrature_tol=float(abs_tol))
+        return _certify(system, p, q, "quadrature", quadrature_tol=float(abs_tol))
 
     s_inf_b = spectral.projector.s_inf @ b
     response = propagator(a, b)
@@ -165,7 +172,7 @@ def gramian_by_quadrature(system, abs_tol):
     # constraint gate needs no slack
     slack = 2.0 * norm_a * a.shape[0] * abs_tol
     return _certify(
-        spectral, p, q, "quadrature", quadrature_tol=float(abs_tol),
+        system, p, q, "quadrature", quadrature_tol=float(abs_tol),
         residual_slack=slack,
     )
 
@@ -239,5 +246,4 @@ def solve_semistability_lyapunov(system):
         its certificates.
     """
     q = _lyapunov_rhs(system)  # raises NotSemistableError before any solve
-    spectral = system.spectral
-    return _certify(spectral, _solve_split(spectral, q), q, "lyapunov_split")
+    return _certify(system, _solve_split(system.spectral, q), q, "lyapunov_split")

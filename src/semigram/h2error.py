@@ -77,17 +77,23 @@ def h2_error_gramian(red, gramian):
         A kernel-keeping invariant reduction; the full system is
         ``red.system``.
     gramian : SemistabilityGramian
-        Semistability Gramian of ``red.system``.
+        Semistability Gramian of ``red.system``, that same object.
 
     Pure matrix arithmetic, no integration.
+
+    Raises
+    ------
+    PreconditionError
+        If the Gramian is of another system, or the reduction does not
+        keep the kernel.
     """
     if not isinstance(gramian, SemistabilityGramian):
         raise TypeError("gramian must be a SemistabilityGramian")
+    system = red.system
+    if gramian.system is not system:
+        raise PreconditionError("the Gramian is not of the reduced system")
     g = _error_map(red)
-    p, system = gramian.p_inf, red.system
-    if p.shape[0] != system.n:
-        raise PreconditionError("Gramian size does not match the system")
-    product = g @ p @ g.conj().T
+    product = g @ gramian.p_inf @ g.conj().T
     trace = complex(np.trace(product))
     scale = max(opnorm_lower_bound(system.c) ** 2 * gramian.norm_p_inf, EPS)
     if abs(trace.imag) > 1e-10 * scale:

@@ -1,7 +1,8 @@
 """LAPACK's Schur-form routines, which numpy's API lacks: the Schur
 factorization ``?gees``, its reordering ``?trsen``, the triangular
-Sylvester solver ``?trsyl`` (Bartels & Stewart, CACM 15, 1972), and
-``rsf2csf``, which turns a real Schur form into the complex one.
+Sylvester solver ``?trsyl`` (Bartels & Stewart, CACM 15, 1972), the left
+eigenvectors ``ztrevc`` of a complex Schur form, and ``rsf2csf``, which
+turns a real Schur form into the complex one.
 
 Only a generator that is not self-adjoint needs them; a self-adjoint or
 diagonal one is analysed with numpy alone. numpy's Linux and Windows
@@ -12,7 +13,10 @@ ctypes, column-major on Fortran-ordered copies, as scipy's wrappers call
 LAPACK; the symbols are looked up on the first call, not on import.
 Where they do not resolve (another LAPACK, or numpy < 2), the same
 routines come from ``scipy.linalg``, which is imported on first use and
-costs about 0.24 s. So this is the one module that names scipy or ctypes.
+costs about 0.24 s. scipy wraps no ``?trevc``, so there the left
+eigenvectors come from ``scipy.linalg.eig(T, left=True, right=False)`` on
+the triangular factor, in eig's own order. So this is the one module that
+names scipy or ctypes.
 """
 
 import ctypes
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import ConditioningError, DimensionError
 from .linalg import EPS
 
-__all__ = ["schur", "rsf2csf", "trsen", "trsyl"]
+__all__ = ["schur", "rsf2csf", "trsen", "trsyl", "trevc"]
 
 _COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
 
@@ -47,6 +51,8 @@ def _signatures():
         # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale
         "dtrsyl": (char, char, num, num, num, d, num, d, num, d, num, d),
         "ztrsyl": (char, char, num, num, num, z, num, z, num, z, num, d),
+        # side, howmny, select, n, t, ldt, vl, ldvl, vr, ldvr, mm, m
+        "ztrevc": (char, char, i, num, z, num, z, num, z, num, num, i),
     }
 
 
@@ -184,3 +190,25 @@ def trsyl(a, b, c, task, trana="N", tranb="N", isgn=1):
     if info:
         raise ConditioningError("failed to %s (?trsyl info %d)" % (task, info))
     return x / scale
+
+
+def trevc(t, z):
+    """Left eigenvectors of A = Z T Z* for a Schur pair (T, Z), a real one
+    going through :func:`rsf2csf` first: eigenvalues lam and rows W with
+    W[i] A = lam[i] W[i], unnormalized.
+
+    ``ztrevc`` (side ``L``, back-transformed by Z) returns them in the
+    diagonal order of the complex T; the scipy fallback returns eig's
+    order, so a caller matches rows to eigenvalues by ``lam``.
+    """
+    if np.isrealobj(t):
+        t, z = rsf2csf(t, z)
+    if _lapacke() is None:
+        lam, vl = _scipy_linalg().eig(t, left=True, right=False)
+        return lam, (z @ vl).conj().T
+    n = len(t)
+    t, vl = _fortran(t, (n, n)), _fortran(z, (n, n), t.dtype)
+    ld, found = max(1, n), np.zeros(1, np.int64)
+    _call("ztrevc", b"L", b"B", np.zeros(n, np.int64), n, t, ld, vl, ld,
+          np.empty((1, 1), np.complex128, order="F"), 1, n, found)
+    return np.diagonal(t).copy(), np.conjugate(vl, out=vl).T

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import EPS, as_operator, opnorm
 from .semistability import (
-    COND_LIMIT,
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
@@ -314,48 +313,45 @@ def mode_truncation(system, keep):
 def is_controllable(spectral, b):
     """Popov-Belevitch-Hautus test of (A, B) over the analysis record of A.
 
-    (A, B) is controllable iff, for every cluster of numerically equal
-    eigenvalues (:attr:`SpectralData.clusters`), the rows of W B have full
-    row rank, where W holds the cluster's left eigenvectors (Hautus 1969).
-    W is V* for self-adjoint A, with V the record's orthonormal
-    eigenvectors. Otherwise V comes from one ``eig`` of A, the only
-    eigenvector basis of a non-self-adjoint A that the package computes,
-    and W = inv(V); ConditioningError is raised when cond(V) exceeds
-    COND_LIMIT.
+    (A, B) is controllable iff no left eigenvector of A is orthogonal to
+    every column of B (Hautus 1969). Each cluster of numerically equal
+    eigenvalues (:attr:`SpectralData.clusters`) comes with an orthonormal
+    left basis L of its invariant subspace and T = L A L*
+    (:meth:`SpectralData.left_bases`); a left eigenvector of the cluster
+    is y L with y T = mu y, so the cluster passes iff
+    [T - lam_c I, L B] has full row rank m, lam_c = trace(T) / m being
+    the mean of T's eigenvalues. The rank is taken at
+
+        delta = spread + |L A - T L|_F + n eps (|A| + |B|),
+
+    the spread max |lam - lam_c| of the cluster's eigenvalues, the residual
+    of L that the record measured, and the rounding of forming T and L B
+    (2-norms of A and B). If B misses the left eigenvector y L, the block
+    has the singular value |mu - lam_c|, within the spread. Conversely a
+    unit y with |y [T - lam_c I, L B]| <= delta makes w = y L a unit
+    vector with |w [A - lam_c I, B]| <= delta + |L A - T L|: a False
+    answer certifies that (A, B) lies that close to an uncontrollable pair
+    (Paige 1981; Eising 1984), whatever the condition number of the
+    eigenvectors.
     """
     b = as_operator(b, "input matrix")
     if b.shape[0] != spectral.n:
         raise DimensionError("input matrix row count must match the state size")
-    labels = spectral.clusters
-    if spectral.hermitian:
-        w, cond_v = spectral.eigenvectors.conj().T, 1.0
-    else:
-        lam, v = np.linalg.eig(spectral.a)
-        cond_v = float(np.linalg.cond(v))
-        if not cond_v <= COND_LIMIT:
-            raise ConditioningError(
-                "eigenvector basis condition number %.3e is too large to "
-                "invert" % cond_v)
-        w = np.linalg.inv(v)
-        # each eigenvalue takes the cluster of its nearest record eigenvalue:
-        # clusters lie farther apart than rounding moves an eigenvalue, and a
-        # label, unlike a mode index, does not care which of a +-i eps pair
-        # eig returns first
-        nearest = np.abs(lam[:, None] - spectral.eigenvalues[None, :]).argmin(axis=1)
-        labels = labels[nearest]
-    # eig is exact for some A + E with |E| ~ n eps |A|. That moves a cluster's
-    # left invariant subspace by at most cond_v |E| / gap, and other clusters
-    # lie more than sqrt(n eps) |A| away, so by at most sqrt(n eps) cond_v;
-    # the singular values of the projected input move by that times |B|
-    tol = np.sqrt(spectral.n * EPS) * cond_v * opnorm(b)
-    sizes = np.bincount(labels)
-    # a one-mode cluster's W B is one row, of full rank iff it is nonzero
-    single = w[sizes[labels] == 1]
-    if np.any(norm(single @ b, axis=1) <= tol * norm(single, axis=1)):
-        return False
-    for label in np.flatnonzero(sizes > 1):
-        q, _ = np.linalg.qr(w[labels == label].conj().T)
-        if np.linalg.matrix_rank(q.conj().T @ b, tol) < q.shape[1]:
+    scale = spectral.n * EPS * (spectral.norm_a + opnorm(b))
+    # one rank test per cluster, batched over the clusters of each size m
+    for modes, left, t, residual in spectral.left_bases():
+        count, m = modes.shape
+        # trace(T) / m keeps a real T's block real
+        mean = np.trace(t, axis1=1, axis2=2)[:, None] / m
+        spread = np.abs(spectral.eigenvalues[modes] - mean).max(axis=1)
+        delta = spread + residual + scale
+        left_b = (left.reshape(count * m, -1) @ b).reshape(count, m, -1)
+        block = np.concatenate((t - mean[:, :, None] * np.eye(m), left_b), axis=2)
+        if m == 1:  # the one singular value of a row is its norm
+            smallest = norm(block[:, 0], axis=1)
+        else:
+            smallest = np.linalg.svd(block, compute_uv=False)[:, m - 1]
+        if np.any(smallest <= delta):
             return False
     return True
 

@@ -43,10 +43,7 @@ NOT_SEMISTABLE = "not_semistable"
 # relative symmetry defect below which a generator is treated as self-adjoint
 HERMITIAN_RTOL = 1e-10
 
-# largest spectral projector bound 1 + |R| that mode_split accepts; also the
-# eigenvector-basis condition number beyond which the controllability test
-# (reduction.is_controllable), the only reader of eigenvectors of a
-# non-self-adjoint A, refuses to invert them
+# largest spectral projector bound 1 + |R| that mode_split accepts
 COND_LIMIT = 1e12
 
 
@@ -91,10 +88,10 @@ class SpectralData:
     ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for a real ``a``,
     complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
     eigenvalues lead; the eigenvalues and every invariant subspace are
-    read from it (:attr:`split`, :meth:`mode_split`). The certified limit
-    operator ``projector``, the proven ``decay_bound``, the Schur
-    ``split`` and the eigenvalue ``clusters`` are computed on first use
-    and cached.
+    read from it (:attr:`split`, :meth:`mode_split`, :meth:`left_bases`).
+    The certified limit operator ``projector``, the proven
+    ``decay_bound``, the Schur ``split`` and the eigenvalue ``clusters``
+    are computed on first use and cached.
     """
 
     a: np.ndarray
@@ -220,6 +217,69 @@ class SpectralData:
                 "spectral projector bound 1 + |R| = %.3e exceeds the "
                 "mode-truncation limit" % bound)
         return z, r
+
+    def left_bases(self):
+        """Left bases of the eigenvalue :attr:`clusters`, one tuple
+        ``(modes, L, T, residual)`` per cluster size m: ``modes[c]`` are
+        the m mode indices of the c-th cluster of that size (clusters in
+        canonical order), ``L[c]`` a basis of its left invariant subspace
+        with orthonormal rows, ``T[c] = L[c] A L[c]*``, and
+        ``residual[c]`` the measured Frobenius norm of L[c] A - T[c] L[c].
+
+        L is read from the record's one factorization: rows of V* for
+        self-adjoint A. Otherwise a one-mode cluster's row is its unit left
+        eigenvector from LAPACK ``ztrevc`` on the complex Schur form
+        (:func:`lapack.trevc`); a larger cluster's rows are Z_c* - R
+        Z_rest* of its :meth:`mode_split`, or of the cached :attr:`split`
+        for the kernel cluster of a semistable record, orthonormalized.
+        So no eigenvector basis of a repeated or nearly defective
+        eigenvalue is ever formed. The bases are not cached: the
+        controllability test reads them once per record, and an n x n
+        basis kept on the record would outlive that test.
+
+        Raises
+        ------
+        ConditioningError
+            If a cluster's :meth:`mode_split` fails.
+        """
+        labels = self.clusters
+        sizes = np.bincount(labels)[labels]
+        if not self.hermitian:
+            lam, rows = lapack.trevc(*self.schur)
+            row_of = np.empty(self.n, dtype=int)
+            row_of[_modes_of(lam, self.eigenvalues)] = np.arange(self.n)
+        bases = []
+        # the sizes present; np.unique's first call adds about 1 MB of RSS
+        for m in np.flatnonzero(np.bincount(sizes)):
+            modes = np.flatnonzero(sizes == m)
+            modes = modes[np.argsort(labels[modes], kind="stable")].reshape(-1, m)
+            if self.hermitian:
+                left = self.eigenvectors.T[modes].conj()
+            elif m == 1:
+                left = rows[row_of[modes]]
+                left /= np.linalg.norm(left, axis=2, keepdims=True)
+            else:
+                left = np.stack([self._cluster_rows(cluster) for cluster in modes])
+                left = np.linalg.qr(left.conj().swapaxes(1, 2))[0].conj().swapaxes(1, 2)
+            # one product of all rows with A, not one per cluster
+            left_a = (left.reshape(-1, self.n) @ self.a).reshape(left.shape)
+            t_c = left_a @ left.conj().swapaxes(1, 2)
+            left_a -= t_c @ left
+            bases.append((modes, left, t_c, np.linalg.norm(left_a, axis=(1, 2))))
+        return tuple(bases)
+
+    def _cluster_rows(self, modes):
+        """Rows Z_c* - R Z_rest* spanning the left invariant subspace of a
+        cluster of more than one mode, from the cached :attr:`split` for
+        the kernel cluster of a semistable record, else from
+        :meth:`mode_split`."""
+        m = len(modes)
+        if modes[0] == 0 and m == self.zero_eig_algebraic_multiplicity and (
+                self.verdict == SEMISTABLE):
+            _, z, r = self.split
+        else:
+            z, r = self.mode_split(modes, complex_form=True)
+        return z[:, :m].conj().T - r @ z[:, m:].conj().T
 
     @cached_property
     def projector(self):
@@ -480,15 +540,20 @@ def _decouple(t, k):
 
 def _reorder(t, z, eigenvalues, modes):
     """Schur pair ``(T, Z)`` reordered by LAPACK ``?trsen`` so that the
-    diagonal positions whose nearest of ``eigenvalues`` has an index in
-    ``modes`` lead, and m, the number of leading positions (a 2x2 block of
-    a real Schur form moves whole). Raises ConditioningError when
-    ``?trsen`` fails.
+    diagonal positions of ``modes`` (:func:`_modes_of`) lead, and m, the
+    number of leading positions (a 2x2 block of a real Schur form moves
+    whole). Raises ConditioningError when ``?trsen`` fails.
     """
-    # clusters lie farther apart than rounding moves an eigenvalue
-    lam = _schur_eigenvalues(t)
-    nearest = np.abs(lam[:, None] - eigenvalues[None, :]).argmin(axis=1)
-    return lapack.trsen(np.isin(nearest, modes), t, z)
+    owner = _modes_of(_schur_eigenvalues(t), eigenvalues)
+    return lapack.trsen(np.isin(owner, modes), t, z)
+
+
+def _modes_of(lam, eigenvalues):
+    """Per eigenvalue in ``lam``, the index of its nearest of ``eigenvalues``:
+    the mode that a Schur position or a left eigenvector belongs to.
+    Clusters lie farther apart than rounding moves an eigenvalue, so the
+    match is exact up to the cluster."""
+    return np.abs(lam[:, None] - eigenvalues[None, :]).argmin(axis=1)
 
 
 def _schur_eigenvalues(t):

@@ -567,10 +567,10 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             return fn(*args, **kwargs)
         return wrapped
 
-    # eigendecompositions, spectral norms, SVDs, Schur forms,
-    # eigenvector-basis condition numbers and inverses of the full
-    # generator; S_inf builds; the decay bound's ?trsyl solves; scipy's
-    # matrix exponentials and evaluations of the propagator's own kernel
+    # eigendecompositions, spectral norms, SVDs, Schur forms, condition
+    # numbers and inverses of full-size matrices; S_inf builds; the decay
+    # bound's ?trsyl solves; scipy's matrix exponentials and evaluations of
+    # the propagator's own kernel
     def full_size(m, *args, **kwargs):
         return np.shape(m)[0] == n
 
@@ -593,38 +593,36 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     kernels = counting_kernel(monkeypatch)
 
     out = str(tmp_path / "o")
-    # argv after the system file; whether M and inv(V) are needed; the
-    # kernel evaluations
+    # argv after the system file; whether M is needed; the kernel
+    # evaluations
     commands = (
-        (["analyze"], True, False, 0),
-        (["gramian", "--output", out], False, False, 0),
-        (["gramian", "--method", "quadrature", "--output", out], True, False, 30),
-        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, True, 30),
+        (["analyze"], True, 0),
+        (["gramian", "--output", out], False, 0),
+        (["gramian", "--method", "quadrature", "--output", out], True, 30),
+        (["reduce", "--keep", "3", "--h2", "both", "--output", out], True, 30),
     )
     # the self-adjoint generator's eigh gives its spectral norm and kernel
     # too, and its decay bound K is exactly 1; the non-self-adjoint one
-    # takes them from one SVD, its eigenvalues, semisimplicity, S_inf, the
-    # split Gramian, the truncation and K's one ?trsyl solve from one Schur
-    # form, and only the controllability test needs eig, cond(V) and
-    # inv(V); no command calls scipy's expm; analyze and the split Gramian
-    # take no matrix exponential, and each quadrature oracle evaluates its
-    # kernel at the 2 x 15 nodes of the two finest start-mesh panels and
-    # squares the next finer panel's everywhere else
+    # takes them from one SVD, and its eigenvalues, semisimplicity, S_inf,
+    # the split Gramian, the truncation, K's one ?trsyl solve and the
+    # controllability test's left eigenvectors from one Schur form, with
+    # no eig, cond or inv; no command calls scipy's expm; analyze and the
+    # split Gramian take no matrix exponential, and each quadrature oracle
+    # evaluates its kernel at the 2 x 15 nodes of the two finest
+    # start-mesh panels and squares the next finer panel's everywhere else
     for generator, self_adjoint in ((laplacian, True), (bidiagonal, False)):
         path = write_system(tmp_path, generator)
-        for argv, needs_m, needs_inv, evaluations in commands:
+        for argv, needs_m, evaluations in commands:
             counts.update(dict.fromkeys(counts, 0))
             kernels.clear()
             code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
             assert code == 0, err
             assert counts == {
-                "eig": int(self_adjoint or needs_inv),
+                "eig": int(self_adjoint),
                 "s_inf": 1, "norm": 0, "svd": int(not self_adjoint),
                 "overshoot": int(needs_m and not self_adjoint),
                 "schur": int(not self_adjoint),
-                "cond": int(needs_inv and not self_adjoint),
-                "inv": int(needs_inv and not self_adjoint),
-                "expm": 0,
+                "cond": 0, "inv": 0, "expm": 0,
             }, argv
             # one power stack per quadrature oracle
             assert len(kernels) == int(evaluations > 0), argv
@@ -642,10 +640,11 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     assert kernels == []
 
 
-def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, monkeypatch):
-    # at this seed eig returns the double zero as a +-i eps pair; the
-    # truncation reads the real Schur split, whose kernel block is real,
-    # and the one inv and cond are the controllability test's
+def test_reduce_with_kernel_pair_swap_inverts_no_basis(tmp_path, capsys, monkeypatch):
+    # at this seed the Schur form returns the double zero as a +-i eps
+    # pair; the truncation reads the real Schur split, whose kernel block
+    # is real, and the controllability test reads the kernel cluster's
+    # left basis from the same split
     n = 50
     rng = np.random.default_rng(4)
     a = random_nonnormal_semistable(rng, n, 2, 30.0)
@@ -666,7 +665,7 @@ def test_reduce_with_kernel_pair_swap_inverts_the_basis_once(tmp_path, capsys, m
     code, out, err = run(capsys, ["reduce", path, "--keep", "12", "--h2", "both",
                                   "--output", str(tmp_path / "o")])
     assert code == 0, err
-    assert counts == {"inv": 1, "cond": 1}
+    assert counts == {"inv": 0, "cond": 0}
     report = parse_report(out)
     assert float(report["kernel_identity_defect"]) <= 1e-12
     assert float(report["h2_trace_gramian"]) == pytest.approx(
@@ -677,8 +676,7 @@ def test_reduce_takes_two_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monkeyp
     # mode_truncation takes |pi|_2 and the commutativity defect, and proves
     # the rank of pi from the bi-orthogonality defect; the preservation
     # check reuses the |pi|_2 the reduction carries, and sigma has
-    # orthonormal columns. The n x n SVDs are the record's of A and the
-    # controllability test's cond(V)
+    # orthonormal columns. The one n x n SVD is the record's of A
     n, r = 50, 12
     rng = np.random.default_rng(1)
     a = random_nonnormal_semistable(rng, n, 1, 30.0)
@@ -698,7 +696,7 @@ def test_reduce_takes_two_svds_of_pi_and_none_of_sigma(tmp_path, capsys, monkeyp
     code, _, err = run(capsys, ["reduce", path, "--keep", str(r), "--h2", "gramian",
                                 "--output", str(tmp_path / "o")])
     assert code == 0, err
-    assert (shapes[(r, n)], shapes[(n, r)], shapes[(n, n)]) == (2, 0, 2)
+    assert (shapes[(r, n)], shapes[(n, r)], shapes[(n, n)]) == (2, 0, 1)
 
 
 def test_matrix_files_are_converted_row_by_row(tmp_path, capsys):

@@ -113,11 +113,13 @@ def test_unitary_output_invariance():
     b = rng.normal(size=(6, 2))
     c = rng.normal(size=(3, 6))
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    sys1 = StateSpaceSystem(a, b=b, c=c)
-    sys2 = StateSpaceSystem(a, b=b, c=u @ c)
-    p_inf = gramian_by_quadrature(sys1, 1e-11)
-    t1 = h2_error_gramian(mode_truncation(sys1, 3), p_inf).trace_value
-    t2 = h2_error_gramian(mode_truncation(sys2, 3), p_inf).trace_value
+    traces = []
+    for c_out in (c, u @ c):
+        sys = StateSpaceSystem(a, b=b, c=c_out)
+        red = mode_truncation(sys, 3)
+        gramian = gramian_by_quadrature(sys, 1e-11)
+        traces.append(h2_error_gramian(red, gramian).trace_value)
+    t1, t2 = traces
     assert abs(t1 - t2) <= 1e-10 * max(1.0, t1)
 
 
@@ -146,8 +148,28 @@ def test_rejects_degraded_reduction():
 def test_size_mismatch_rejected():
     red_small, p_small = build(np.diag([0.0, -1.0]), 2)
     red_big, p_big = build(np.diag([0.0, -1.0, -2.0]), 3)
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError):
         h2_error_gramian(red_big, p_small)
+
+
+def test_gramian_of_another_system_is_refused():
+    # the same A with another B: the foreign Gramian would give 0.35355
+    # where the system's own Gramian and the oracle give 0.70711
+    a = np.diag([0.0, -1.0, -4.0])
+    sys = StateSpaceSystem(a, [[0.0], [0.0], [2.0]])
+    red = mode_truncation(sys, 2)
+    expected = np.sqrt(0.5)
+
+    def quadrature(system):
+        return gramian_by_quadrature(system, 1e-11)
+
+    for route in (solve_semistability_lyapunov, quadrature):
+        with pytest.raises(PreconditionError, match="not of the reduced system"):
+            h2_error_gramian(red, route(StateSpaceSystem(a)))
+        own = route(sys)
+        assert own.system is sys
+        assert h2_error_gramian(red, own).h2_norm == pytest.approx(expected, rel=1e-8)
+    assert h2_error_quadrature(red, 1e-10).h2_norm == pytest.approx(expected, rel=1e-6)
 
 
 def test_diagonal_defect_energy_matches_dense_formula(monkeypatch):

@@ -1,7 +1,8 @@
 """Modules of the package use each other only through public names,
 import only what they use, use every private function they define and
-every public one somewhere, and never call scipy's matrix exponential,
-and that only ``semigram.lapack`` names scipy or ctypes."""
+every public one somewhere, never call scipy's matrix exponential or
+numpy's ``eig``, ``inv`` or ``cond``, and that only ``semigram.lapack``
+names scipy or ctypes."""
 
 import ast
 import pathlib
@@ -91,6 +92,25 @@ def test_no_module_references_expm():
                 names.append(getattr(node, "module", None))
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name and "expm" in name]
+    assert found == []
+
+
+def test_no_module_calls_numpys_eig_inv_or_cond():
+    # the analysis record's one factorization supplies every eigenvalue,
+    # invariant subspace and left eigenvector; numpy's general eigensolver,
+    # or an inverse or condition number of an eigenvector basis, would be a
+    # second eigensystem of the generator (the scipy fallback of
+    # lapack.trevc is the only eig, where numpy's LAPACKE does not resolve)
+    banned = ("eig", "inv", "cond")
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found += ["%s:%d %s" % (path.name, node.lineno, alias.name)
+                          for alias in node.names if alias.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                found.append("%s:%d %s" % (path.name, node.lineno, node.attr))
     assert found == []
 
 

@@ -95,6 +95,26 @@ def binding(request, monkeypatch):
     return request.param
 
 
+@pytest.mark.parametrize("complex_valued", (False, True), ids=("real", "complex"))
+@pytest.mark.parametrize("n", SIZES)
+def test_trevc_rows_are_the_left_eigenvectors(binding, n, complex_valued):
+    # a real form goes through rsf2csf; each row w of either binding is a
+    # left eigenvector to backward error 8 n eps |A| and spans the line of
+    # scipy's, whose eigenvalues are matched by distance
+    a = stable_generator(np.random.default_rng(n), n, complex_valued)
+    lam, w = lapack.trevc(*lapack.schur(a))
+    assert lam.shape == (n,) and w.shape == (n, n)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    norm_a = np.linalg.norm(a, 2)
+    assert np.linalg.norm(w @ a - lam[:, None] * w, axis=1).max() <= (
+        8 * n * np.finfo(float).eps * norm_a)
+    expected_lam, vl = scipy.linalg.eig(a, left=True, right=False)
+    expected = vl[:, np.abs(lam[:, None] - expected_lam).argmin(axis=1)].conj().T
+    expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+    cosines = np.abs(np.sum(w * expected.conj(), axis=1))
+    assert np.abs(cosines - 1.0).max() <= 1e-12
+
+
 def test_trsyl_on_overlapping_spectra_raises(binding):
     t = np.array([[-1.0, 2.0], [0.0, -3.0]])
     message = "failed to decouple the leading 2 modes (?trsyl info 1)"

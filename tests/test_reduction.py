@@ -13,9 +13,10 @@ from semigram import (
     spectral_data,
 )
 from semigram import lapack, semistability
-from semigram.linalg import opnorm
+from semigram.linalg import EPS, opnorm
 
 from conftest import (
+    drift_chain,
     intertwining_defect,
     nonnormal_semistable_factors,
     random_controllable_pair,
@@ -167,9 +168,8 @@ def test_complex_system_keeps_complex_reduction():
 
 
 def test_repeated_zero_of_nonnormal_generator_gives_real_reduction():
-    # eig, which the controllability test reads, returns the double zero as
-    # a +-i eps pair with complex eigenvectors; the truncation reads the
-    # real Schur split instead
+    # eig returns the double zero as a +-i eps pair with complex
+    # eigenvectors; the truncation reads the real Schur split instead
     v = np.random.default_rng(2).standard_normal((4, 4))
     a = v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)
     assert np.any(np.linalg.eig(a)[0].imag != 0.0)
@@ -207,10 +207,69 @@ def test_controllability_matrix_and_rank():
     repeated = spectral_data(np.diag([-1.0, -1.0, -2.0]))
     assert not is_controllable(repeated, np.ones((3, 1)))
     assert is_controllable(repeated, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    # no trustworthy left eigenvectors for a nearly defective generator
+    # a nearly defective pair is one cluster, whose left basis is read from
+    # the Schur form: min over lambda of sigma_min([A - lambda I, b]) is
+    # about 0.618, so b reaches both modes
     nearly_defective = spectral_data(np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-14]]))
-    with pytest.raises(ConditioningError):
-        is_controllable(nearly_defective, np.ones((2, 1)))
+    assert is_controllable(nearly_defective, np.ones((2, 1)))
+
+
+def test_repeated_semisimple_cluster_needs_as_many_inputs():
+    # the cluster at -1 is semisimple and not normal: one input leaves a
+    # left eigenvector of it unreached, two generic ones reach both
+    v = np.triu(np.ones((4, 4)))
+    spectral = spectral_data(v @ np.diag([0.0, -1.0, -1.0, -2.0]) @ np.linalg.inv(v))
+    assert list(spectral.clusters) == [0, 1, 1, 3]
+    rng = np.random.default_rng(0)
+    assert not is_controllable(spectral, rng.normal(size=(4, 1)))
+    assert is_controllable(spectral, rng.normal(size=(4, 2)))
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=("diagonal", "conjugated"))
+def test_cluster_threshold_covers_the_eigenvalue_spread(conjugate):
+    # -1 and -1 - 1e-9 lie within the cluster radius: an input that misses
+    # the second leaves a singular value of the spread 5e-10, far above the
+    # rounding n eps (|A| + |B|), so only a threshold that includes the
+    # spread reads the pair as uncontrollable
+    v = np.triu(np.ones((3, 3))) if conjugate else np.eye(3)
+    v_inv = np.linalg.inv(v)
+    spectral = spectral_data(v @ np.diag([-1.0, -1.0 - 1e-9, -2.0]) @ v_inv)
+    assert list(spectral.clusters) == [0, 0, 2]
+    w = v_inv[1]  # left eigenvector of -1 - 1e-9
+    b = np.ones((3, 1)) - np.outer(w, w.sum()) / (w @ w)
+    assert not is_controllable(spectral, b)
+    assert is_controllable(spectral, np.eye(3))
+
+
+def pbh_distance(a, b):
+    """min over the eigenvalues lambda of A of sigma_min([A - lambda I, B])."""
+    n = a.shape[0]
+    return min(np.linalg.svd(np.hstack((a - lam * np.eye(n), b)), compute_uv=False)[-1]
+               for lam in np.linalg.eigvals(a))
+
+
+@pytest.mark.parametrize("n, r", [(60, 2.0), (200, 1.1), (200, 1.2), (200, 1.3)])
+def test_drift_chain_controllability_follows_the_pbh_distance(n, r):
+    # cond(V) reaches 2e11 on these chains, and the flags must not depend
+    # on it: they follow the PBH distance wherever it lies 100 times above
+    # the largest or below the smallest threshold of the chain's one-mode
+    # clusters, n eps (|A| + |B|) plus the residual. For B = I the distance
+    # is at least 1; for e_1 it is 3.5e-2, 1.6e-3, 2.9e-3 and 4.2e-3 at the
+    # four chains, for e_n 1.8e-10, 6.5e-7, 3.1e-10 and 1.8e-13, the last
+    # within that factor of the threshold
+    a = drift_chain(n, r)
+    spectral = spectral_data(a)
+    (modes, _, _, residual), = spectral.left_bases()
+    assert modes.shape == (n, 1)
+    eye = np.eye(n)
+    assert is_controllable(spectral, eye)
+    for b in (eye[:, :1], eye[:, -1:]):
+        scale = n * EPS * (spectral.norm_a + 1.0)
+        distance = pbh_distance(a, b)
+        if distance >= 100 * (scale + residual.max()):
+            assert is_controllable(spectral, b)
+        elif distance <= scale / 100:
+            assert not is_controllable(spectral, b)
 
 
 def test_selection_must_keep_eigenvalue_clusters_whole():
@@ -238,9 +297,9 @@ def test_nonnormal_pair_is_controllable():
 
 @pytest.mark.parametrize("uncontrollable_mode", [None, 7])
 def test_pbh_over_a_kernel_pair_matches_the_exact_left_eigenvectors(uncontrollable_mode):
-    # at this seed eig returns the double zero as a +-i eps pair: each of
-    # its eigenvalues takes the kernel cluster's label, so the pair is
-    # tested as the cluster it is; the exact PBH test reads V^-1
+    # at this seed the Schur form returns the double zero as a +-i eps
+    # pair, which is one cluster, tested on its left basis from the
+    # record's split; the exact PBH test reads V^-1
     rng = np.random.default_rng(4)
     v, lam, v_inv = nonnormal_semistable_factors(rng, 50, 2, 30.0)
     a = (v * lam) @ v_inv
