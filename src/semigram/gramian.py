@@ -12,20 +12,20 @@ nontrivial kernel. It solves the (singular) Lyapunov equation
 
 and is the unique solution annihilated by S_inf on the left. Two
 independent routes are provided: direct adaptive quadrature of the
-integral (the oracle) and a Lyapunov solve on the stable spectral block
-(the fast path): elementwise in the eigenbasis of a self-adjoint A, else
-one ?trsyl (:mod:`semigram.lapack`). Tests cross-check one against the
-other; the two routes must never be collapsed into one.
+integral (the oracle) and the analysis record's Lyapunov solve on the
+stable spectral block (the fast path, :meth:`SpectralData.solve_lyapunov`).
+Tests cross-check one against the other; the two routes must never be
+collapsed into one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import lapack
 from .errors import InconsistencyError
 from .linalg import (
     EPS,
+    hermitian_part,
     integrate_operator_valued,
     opnorm,
     opnorm_lower_bound,
@@ -65,10 +65,6 @@ class SemistabilityGramian:
     quadrature_tol: float | None = None
 
 
-def _hermitize(p):
-    return 0.5 * (p + p.conj().T)
-
-
 def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
     """Package a candidate Gramian of ``system``, enforcing the type's
     invariants.
@@ -84,7 +80,7 @@ def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
         raise InconsistencyError(
             "computed Gramian is not self-adjoint (defect %.3e)" % herm_defect
         )
-    p = _hermitize(p)
+    p = hermitian_part(p)
     eigs = np.linalg.eigvalsh(p) if p.size else np.zeros(1)
     norm_p = float(np.abs(eigs[[0, -1]]).max())
     if eigs[0] < -1e-8 * norm_p - 1e-30:
@@ -183,34 +179,7 @@ def _lyapunov_rhs(system):
     fails the semistability criterion."""
     b = system.b
     g = b - system.spectral.projector.s_inf @ b
-    return _hermitize(g @ g.conj().T)
-
-
-def _solve_split(spectral, q):
-    if spectral.hermitian:
-        # A = V diag(lambda) V* with the k kernel modes first: in the
-        # eigenbasis the stable block's equation is diagonal,
-        # P_ij = (V* Q V)_ij / -(lambda_i + lambda_j) over stable i, j
-        k = spectral.kernel_dim
-        v = spectral.eigenvectors[:, k:]
-        lam = spectral.eigenvalues.real[k:]
-        core = _hermitize(v.conj().T @ q @ v) / -(lam[:, None] + lam[None, :])
-        return v @ core @ v.conj().T
-    t, z, r = spectral.split
-    k = r.shape[0]
-    if k == spectral.n:
-        return np.zeros_like(spectral.a)
-    # with M = Z [[I, R], [0, I]], M^{-1} A M = diag(T11, T22) and the
-    # constrained solution is M diag(0, P22) M*: the last n - k columns of
-    # M are W = Z_k R + Z_r and the last n - k rows of M^{-1} are Z_r*, so
-    # T22 P22 + P22 T22* = -Z_r* Q Z_r
-    z_r = z[:, k:]
-    t22 = t[k:, k:]
-    q22 = _hermitize(z_r.conj().T @ q @ z_r)
-    p22 = lapack.trsyl(t22, t22, -q22,
-                       "solve the stable block's Lyapunov equation", tranb="C")
-    w = z[:, :k] @ r + z_r
-    return w @ _hermitize(p22) @ w.conj().T
+    return hermitian_part(g @ g.conj().T)
 
 
 def solve_semistability_lyapunov(system):
@@ -218,20 +187,14 @@ def solve_semistability_lyapunov(system):
     right-hand side Q = (I - S_inf) B B* (I - S_inf)*.
 
     The equation is singular whenever ker A is nontrivial; the constraint
-    picks the Gramian out of the solution family.
-
-    A self-adjoint A is solved in the eigenbasis of the system's analysis
-    record by elementwise division over the stable modes. Any other A is
-    solved in the coordinates of the record's ordered Schur
-    :attr:`~SpectralData.split`, by one LAPACK ``?trsyl`` back
-    substitution on the stable triangular block T22 (the second half of
-    Bartels & Stewart's method).
+    picks the Gramian out of the solution family. The system's analysis
+    record solves it (:meth:`SpectralData.solve_lyapunov`), and this route
+    certifies the solution.
 
     Parameters
     ----------
     system : StateSpaceSystem
-        The system; its analysis record supplies A, S_inf, the eigendata
-        or the Schur split, and the self-adjointness flag.
+        The system; its analysis record supplies A, S_inf and the solve.
 
     Returns
     -------
@@ -246,4 +209,4 @@ def solve_semistability_lyapunov(system):
         its certificates.
     """
     q = _lyapunov_rhs(system)  # raises NotSemistableError before any solve
-    return _certify(system, _solve_split(system.spectral, q), q, "lyapunov_split")
+    return _certify(system, system.spectral.solve_lyapunov(q), q, "lyapunov_split")

@@ -132,6 +132,11 @@ def default_rank_tol(shape, largest_sv):
     return max(shape) * EPS * largest_sv if largest_sv > 0 else 0.0
 
 
+def hermitian_part(m):
+    """(M + M*) / 2, exactly self-adjoint in floating point."""
+    return 0.5 * (m + m.conj().T)
+
+
 def is_diagonal(a):
     """Whether every off-diagonal entry of the square matrix ``a`` is zero."""
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0

@@ -5,10 +5,10 @@ reduced space, a right inverse sigma, and the reduced generator
 a_hat = pi A sigma, chosen so that pi intertwines the full and reduced
 propagators (pi exp(At) = exp(a_hat t) pi). sigma pi is the spectral
 projector onto the kept modes and pi sigma is the identity on the reduced
-space. For self-adjoint A the bases are the kept orthonormal eigenvectors;
-otherwise they are read from the analysis record's Schur form, reordered so
-that the kept modes lead (:meth:`SpectralData.mode_split`), and no
-eigenvector basis is inverted. Equilibrium (kernel) modes are always kept:
+space. The analysis record gives the pair (:meth:`SpectralData.projection_pair`):
+the kept orthonormal eigenvectors for self-adjoint A, otherwise bases read
+from its Schur form, reordered so that the kept modes lead; no eigenvector
+basis is inverted. Equilibrium (kernel) modes are always kept:
 the synchronization and error results downstream require sigma pi to
 restrict to the identity on ker A.
 """
@@ -208,6 +208,7 @@ def mode_truncation(system, keep):
         mode indices into the canonical order. Equilibrium modes must be
         included either way.
 
+    sigma and pi are the record's :meth:`SpectralData.projection_pair`.
     For non-self-adjoint A, a_hat is the leading block of the reordered
     Schur form, with the kept modes in their canonical order. The reduced
     model is real exactly when A, B and C are real; complex conjugate mode
@@ -223,7 +224,8 @@ def mode_truncation(system, keep):
         If the spectral data fails the semistability criterion.
     InvalidSelectionError
         If the selection drops a kernel mode, splits a conjugate pair of a
-        real reduction, or splits a repeated-eigenvalue cluster.
+        real reduction, or splits a repeated-eigenvalue cluster of a
+        non-self-adjoint A.
     ConditioningError
         If the Schur form cannot be reordered or decoupled, the spectral
         projector bound exceeds its limit, or a certificate of the
@@ -240,30 +242,7 @@ def mode_truncation(system, keep):
 
     sel = _resolve_selection(spectral, keep)
     r = len(sel)
-    lam = spectral.eigenvalues
-
-    if spectral.hermitian:
-        sigma = spectral.eigenvectors[:, sel].copy()
-        pi = sigma.conj().T.copy()
-    else:
-        # splitting a cluster of (numerically) equal eigenvalues would cut
-        # through a Jordan chain; whole clusters travel together
-        labels = spectral.clusters
-        split = np.isin(labels[sel], np.delete(labels, sel))
-        if split.any():
-            raise InvalidSelectionError(
-                "selection splits the eigenvalue cluster near %s; "
-                "repeated modes must be kept or dropped together"
-                % lam[sel[np.argmax(split)]]
-            )
-        z, coupling = spectral.mode_split(sel, complex_form=not real)
-        if coupling.shape[0] != r:
-            raise InvalidSelectionError(
-                "a real-valued reduction must keep or drop complex "
-                "conjugate eigenvalue pairs together"
-            )
-        sigma = z[:, :r].copy()  # a view would keep all of Z alive
-        pi = sigma.conj().T - coupling @ z[:, r:].conj().T
+    sigma, pi = spectral.projection_pair(sel, real)
 
     a_hat = pi @ a @ sigma
     b_hat = pi @ system.b

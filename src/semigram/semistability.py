@@ -17,11 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from . import lapack
-from .errors import ConditioningError, NotSemistableError
+from .errors import ConditioningError, InvalidSelectionError, NotSemistableError
 from .linalg import (
     EPS,
     as_operator,
     default_rank_tol,
+    hermitian_part,
     is_diagonal,
     opnorm_lower_bound,
 )
@@ -43,7 +44,7 @@ NOT_SEMISTABLE = "not_semistable"
 # relative symmetry defect below which a generator is treated as self-adjoint
 HERMITIAN_RTOL = 1e-10
 
-# largest spectral projector bound 1 + |R| that mode_split accepts
+# largest spectral projector bound 1 + |R| that projection_pair accepts
 COND_LIMIT = 1e12
 
 
@@ -88,10 +89,11 @@ class SpectralData:
     ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for a real ``a``,
     complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
     eigenvalues lead; the eigenvalues and every invariant subspace are
-    read from it (:attr:`split`, :meth:`mode_split`, :meth:`left_bases`).
-    The certified limit operator ``projector``, the proven
+    read from it. The certified limit operator ``projector``, the proven
     ``decay_bound``, the Schur ``split`` and the eigenvalue ``clusters``
-    are computed on first use and cached.
+    are computed on first use and cached. No other module reads which
+    factorization the record holds: they take :meth:`projection_pair`,
+    :meth:`solve_lyapunov` and :meth:`left_bases`.
     """
 
     a: np.ndarray
@@ -184,30 +186,44 @@ class SpectralData:
         r.flags.writeable = False  # every caller shares it
         return t, z, r
 
-    def mode_split(self, modes, complex_form=False):
-        """Schur vectors ``Z`` and coupling ``R`` with the given modes leading.
+    def projection_pair(self, modes, real=True):
+        """Projection pair ``(sigma, pi)`` of the modes' invariant subspace:
+        sigma has orthonormal columns, pi sigma = I, and sigma pi is the
+        spectral projector onto the modes (indices in canonical order).
 
-        ``modes`` are indices into the canonical order and must hold whole
-        :attr:`clusters`. LAPACK ``?trsen`` reorders the record's
-        :attr:`schur` pair so that the Schur positions whose nearest record
-        eigenvalue is one of ``modes`` lead (:func:`_reorder`), and R
-        decouples the leading m x m block as in :attr:`split`. Then
-        Z[:, :m] and Z[:, :m]* - R Z[:, m:]* are a projection pair onto the
-        modes' invariant subspace, and their product, the spectral
-        projector, has norm at most 1 + |R|. A 2x2 block of a real Schur
-        form moves whole, so m = R.shape[0] exceeds len(modes) when they
-        split a conjugate pair; ``complex_form`` converts a real form to
-        the complex one (``rsf2csf``) first, where every eigenvalue moves
-        alone.
+        For self-adjoint A, sigma is the modes' eigenvectors and pi =
+        sigma*. Otherwise ``modes`` must hold whole :attr:`clusters`;
+        LAPACK ``?trsen`` reorders the :attr:`schur` pair so that the
+        positions whose nearest record eigenvalue is one of ``modes`` lead
+        (:func:`_reorder`), R decouples them as in :attr:`split`, and
+        |sigma pi| <= 1 + |R| (:func:`_projection_pair`). A 2x2 block of
+        a real Schur form moves whole; ``real=False`` converts to the
+        complex form (``rsf2csf``) first, where every eigenvalue moves alone.
 
         Raises
         ------
+        InvalidSelectionError
+            If A is not self-adjoint and ``modes`` split a cluster, or
+            with ``real`` a conjugate pair.
         ConditioningError
             If ``?trsen`` or ``?trsyl`` fails, or 1 + |R|_F exceeds
             COND_LIMIT.
         """
+        if self.hermitian:
+            sigma = self.eigenvectors[:, modes].copy()
+            return sigma, sigma.conj().T.copy()
+        # splitting a cluster of (numerically) equal eigenvalues would cut
+        # through a Jordan chain; whole clusters travel together
+        labels = self.clusters
+        split = np.isin(labels[modes], np.delete(labels, modes))
+        if split.any():
+            raise InvalidSelectionError(
+                "selection splits the eigenvalue cluster near %s; "
+                "repeated modes must be kept or dropped together"
+                % self.eigenvalues[modes[np.argmax(split)]]
+            )
         t, z = self.schur
-        if complex_form and np.isrealobj(t):
+        if not real and np.isrealobj(t):
             t, z = lapack.rsf2csf(t, z)
         t, z, m = _reorder(t, z, self.eigenvalues, modes)
         r = _decouple(t, m)
@@ -216,7 +232,43 @@ class SpectralData:
             raise ConditioningError(
                 "spectral projector bound 1 + |R| = %.3e exceeds the "
                 "mode-truncation limit" % bound)
-        return z, r
+        if m != len(modes):
+            raise InvalidSelectionError(
+                "a real-valued reduction must keep or drop complex "
+                "conjugate eigenvalue pairs together"
+            )
+        sigma, pi = _projection_pair(z, r)
+        return sigma.copy(), pi  # a view would keep all of Z alive
+
+    def solve_lyapunov(self, q):
+        """W core W*, the P with A P + P A* = -Q and S_inf P = 0 for
+        Q = (I - S_inf) Q (I - S_inf)*, with W spanning the stable modes.
+
+        For self-adjoint A, W holds the stable eigenvectors and core_ij =
+        (W* Q W)_ij / -(lambda_i + lambda_j). Otherwise M = Z [[I, R],
+        [0, I]] of the :attr:`split` gives M^-1 A M = diag(T11, T22), so
+        P = M diag(0, P22) M*: W = Z_k R + Z_r, and core = P22 solves
+        T22 P22 + P22 T22* = -Z_r* Q Z_r by one ``?trsyl`` back
+        substitution (the second half of Bartels & Stewart's method).
+        Raises ConditioningError if the split or that solve fails.
+        """
+        if self.hermitian:
+            k = self.kernel_dim
+            w = self.eigenvectors[:, k:]
+            lam = self.eigenvalues.real[k:]
+            core = hermitian_part(w.conj().T @ q @ w) / -(lam[:, None] + lam[None, :])
+        else:
+            t, z, r = self.split
+            k = r.shape[0]
+            if k == self.n:
+                return np.zeros_like(self.a)
+            z_r, t22 = z[:, k:], t[k:, k:]
+            q22 = hermitian_part(z_r.conj().T @ q @ z_r)
+            core = hermitian_part(lapack.trsyl(
+                t22, t22, -q22, "solve the stable block's Lyapunov equation",
+                tranb="C"))
+            w = z[:, :k] @ r + z_r
+        return w @ core @ w.conj().T
 
     def left_bases(self):
         """Left bases of the eigenvalue :attr:`clusters`, one tuple
@@ -229,9 +281,9 @@ class SpectralData:
         L is read from the record's one factorization: rows of V* for
         self-adjoint A. Otherwise a one-mode cluster's row is its unit left
         eigenvector from LAPACK ``ztrevc`` on the complex Schur form
-        (:func:`lapack.trevc`); a larger cluster's rows are Z_c* - R
-        Z_rest* of its :meth:`mode_split`, or of the cached :attr:`split`
-        for the kernel cluster of a semistable record, orthonormalized.
+        (:func:`lapack.trevc`); a larger cluster's rows are the pi of its
+        :meth:`projection_pair`, or of the cached :attr:`split` for the
+        kernel cluster of a semistable record, orthonormalized.
         So no eigenvector basis of a repeated or nearly defective
         eigenvalue is ever formed. The bases are not cached: the
         controllability test reads them once per record, and an n x n
@@ -240,7 +292,7 @@ class SpectralData:
         Raises
         ------
         ConditioningError
-            If a cluster's :meth:`mode_split` fails.
+            If a cluster's :meth:`projection_pair` fails.
         """
         labels = self.clusters
         sizes = np.bincount(labels)[labels]
@@ -269,17 +321,12 @@ class SpectralData:
         return tuple(bases)
 
     def _cluster_rows(self, modes):
-        """Rows Z_c* - R Z_rest* spanning the left invariant subspace of a
-        cluster of more than one mode, from the cached :attr:`split` for
-        the kernel cluster of a semistable record, else from
-        :meth:`mode_split`."""
-        m = len(modes)
-        if modes[0] == 0 and m == self.zero_eig_algebraic_multiplicity and (
+        """The pi of a cluster of more than one mode, from the cached
+        :attr:`split` for the kernel cluster of a semistable record."""
+        if modes[0] == 0 and len(modes) == self.zero_eig_algebraic_multiplicity and (
                 self.verdict == SEMISTABLE):
-            _, z, r = self.split
-        else:
-            z, r = self.mode_split(modes, complex_form=True)
-        return z[:, :m].conj().T - r @ z[:, m:].conj().T
+            return _projection_pair(*self.split[1:])[1]
+        return self.projection_pair(modes, real=False)[1]
 
     @cached_property
     def projector(self):
@@ -403,7 +450,7 @@ def spectral_data(a, zero_tol=None):
     if hermitian:
         # A = V diag(w) V*: the singular values are |w| and the rows of V*
         # are right singular vectors
-        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+        w, v = np.linalg.eigh(hermitian_part(a))
         sv, vh = np.abs(w), v.conj().T
     else:
         # one SVD gives the spectral norm and the kernel
@@ -444,7 +491,7 @@ def spectral_data(a, zero_tol=None):
                 "Schur reordering found %d kernel modes, spectral data found %d"
                 % (found, algebraic))
         for m in (t, z):
-            m.flags.writeable = False  # split and mode_split read them
+            m.flags.writeable = False  # split and projection_pair read them
         v, schur = None, (t, z)
         semisimple = np.linalg.norm(t[:algebraic, :algebraic]) <= zero_tol
 
@@ -491,7 +538,7 @@ def _transient_bound(spectral):
     f_schur[:k, :k] -= 2.0 * rate * np.eye(k)
     f_schur[:k, k:] += 2.0 * rate * r
     x = z @ _solve_transient_lyapunov(f_schur) @ z.conj().T
-    x = 0.5 * (x + x.conj().T)
+    x = hermitian_part(x)
     f = spectral.a - 2.0 * rate * spectral.projector.s_inf
     f[np.diag_indices(n)] += rate
     g = f.conj().T @ x
@@ -556,6 +603,14 @@ def _modes_of(lam, eigenvalues):
     return np.abs(lam[:, None] - eigenvalues[None, :]).argmin(axis=1)
 
 
+def _projection_pair(z, r):
+    """The projection pair (Z[:, :m], Z[:, :m]* - R Z[:, m:]*) of the
+    leading m modes of a Schur basis Z that the coupling R decouples."""
+    m = r.shape[0]
+    sigma = z[:, :m]
+    return sigma, sigma.conj().T - r @ z[:, m:].conj().T
+
+
 def _schur_eigenvalues(t):
     """Eigenvalues of a Schur form in diagonal order.
 
@@ -583,9 +638,7 @@ def _projector_matrix(spectral):
     elif spectral.hermitian:
         s = spectral.kernel_basis @ spectral.kernel_basis.conj().T
     else:
-        _, z, r = spectral.split
-        z_k, z_r = z[:, :k], z[:, k:]
-        s = z_k @ (z_k.conj().T - r @ z_r.conj().T)
+        s = np.matmul(*_projection_pair(*spectral.split[1:]))
     frob = np.linalg.norm
     return (s, opnorm_lower_bound(s), float(frob(s @ s - s)),
             float(max(frob(s @ a), frob(a @ s))))

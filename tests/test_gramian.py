@@ -5,6 +5,7 @@ import scipy.linalg
 from semigram import (
     InconsistencyError,
     NotSemistableError,
+    SpectralData,
     StateSpaceSystem,
     gramian_by_quadrature,
     integrate_operator_valued,
@@ -290,9 +291,9 @@ def test_constraint_correction_uniqueness():
 def test_solve_rejects_a_solution_that_misses_the_equation(monkeypatch):
     # 1.2 P is self-adjoint, semidefinite and annihilated by S_inf, but it
     # leaves the residual 0.2 |Q|: only the residual gate can refuse it
-    solve_split = gramian._solve_split
-    monkeypatch.setattr(gramian, "_solve_split",
-                        lambda spectral, q: 1.2 * solve_split(spectral, q))
+    solve = SpectralData.solve_lyapunov
+    monkeypatch.setattr(SpectralData, "solve_lyapunov",
+                        lambda spectral, q: 1.2 * solve(spectral, q))
     with pytest.raises(InconsistencyError, match="Lyapunov residual"):
         solve_semistability_lyapunov(StateSpaceSystem(np.diag([0.0, -1.0])))
 

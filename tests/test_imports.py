@@ -1,8 +1,9 @@
 """Modules of the package use each other only through public names,
 import only what they use, use every private function they define and
 every public one somewhere, never call scipy's matrix exponential or
-numpy's ``eig``, ``inv`` or ``cond``, and that only ``semigram.lapack``
-names scipy or ctypes."""
+numpy's ``eig``, ``inv`` or ``cond``, that only ``semigram.lapack``
+names scipy or ctypes, and that only the analysis record reads which
+factorization it holds or imports ``semigram.lapack``."""
 
 import ast
 import pathlib
@@ -129,3 +130,27 @@ def test_only_the_lapack_module_names_scipy():
                           if name and name.split(".")[0] in ("scipy", "ctypes"))
     assert {where.partition(":")[0] for where in naming} == {"lapack.py"}, naming
 
+
+
+def test_only_the_analysis_record_reads_its_factorization():
+    # the record holds either eigh's eigenbasis or a kernel-first Schur
+    # split; other modules take what it derives (projection_pair,
+    # solve_lyapunov, left_bases), never which one it holds. A called
+    # .split is str.split; lapack's scipy.linalg.schur is another schur
+    fields = ("hermitian", "eigenvectors", "schur", "clusters", "split", "mode_split")
+    found = []
+    for path, tree in parsed_modules():
+        if path.name in ("semistability.py", "lapack.py"):
+            continue
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in fields and not (
+                    node.attr == "split" and id(node) in called):
+                found.append("%s:%d .%s" % (path.name, node.lineno, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                names.append(getattr(node, "module", None))
+                found += ["%s:%d imports lapack" % (path.name, node.lineno)
+                          for name in names if name and name.split(".")[-1] == "lapack"]
+    assert found == []
