@@ -12,6 +12,7 @@ Reports are deterministic byte streams for fixed inputs and flags.
 """
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -54,12 +55,14 @@ def _emit(pairs, fmt, matrices=None):
     """Write a report of (key, value) pairs to stdout in the format ``fmt``.
 
     ``matrices`` maps keys to arrays; they are included in text and
-    structured output and omitted from CSV rows.
+    structured output and omitted from CSV rows. A CSV field that holds a
+    comma, a quote or a line break (a file path may) is quoted.
     """
     matrices = matrices or {}
     if fmt == "csv":
-        sys.stdout.write(",".join(k for k, _ in pairs) + "\n")
-        sys.stdout.write(",".join(_fmt_value(v) for _, v in pairs) + "\n")
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(k for k, _ in pairs)
+        rows.writerow(_fmt_value(v) for _, v in pairs)
     elif fmt == "structured":
         doc = {k: _json_value(v) for k, v in pairs}
         for k, m in matrices.items():

@@ -31,7 +31,7 @@ __all__ = ["H2ErrorResult", "h2_error_gramian", "h2_error_quadrature"]
 # to be exponentially decaying at all
 _KERNEL_DEFECT_LIMIT = 1e-6
 
-# negative trace below this magnitude is roundoff and clamps to zero
+# a negative quadrature trace of at most this magnitude clamps to zero
 _NEGATIVE_CLAMP = 1e-10
 
 
@@ -39,16 +39,17 @@ _NEGATIVE_CLAMP = 1e-10
 class H2ErrorResult:
     """Squared H2 error (trace form) and its square root.
 
-    A trace in [-1e-10, 0) is roundoff and is reported as 0; a more
-    negative one raises :class:`InconsistencyError`.
+    A negative trace within its route's rounding floor (1e-10 for the
+    quadrature, :func:`_trace_floor` for the Gramian) is reported as 0; a
+    more negative one raises :class:`InconsistencyError`.
     """
 
     trace_value: float
     h2_norm: float
 
 
-def _finish(trace_value):
-    if trace_value < -_NEGATIVE_CLAMP:
+def _finish(trace_value, floor):
+    if trace_value < -floor:
         raise InconsistencyError(
             "squared H2 error came out negative (%.3e); the inputs are "
             "inconsistent" % trace_value
@@ -66,6 +67,25 @@ def _error_map(red):
         )
     c = red.system.c
     return c - (c @ red.sigma) @ red.pi
+
+
+def _trace_floor(g, p_inf):
+    """How far below zero trace(G P G*) may come out for the p x n error
+    map G and a positive semidefinite Gramian P.
+
+    Forming G P, then (G P) G*, then the sum of the p diagonal entries
+    gives a trace within gamma_m sum_i |g_i| |P| |g_i|^T of the exact
+    trace(G P G*) >= 0, where m = 2n + p, gamma_m = m u / (1 - m u) and
+    u = eps / 2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 3.5); complex arithmetic raises gamma_m to at
+    most sqrt(2) gamma_(m+4), below (m + 4) eps. As | |P| |_2 <= |P|_F,
+    the sum is at most |G|_F^2 |P|_F. The stored P's own negative
+    eigenvalues are rounding too: at most 6.2e-16 |P|_2 on non-normal
+    systems up to cond(V) = 1e5 and on drift chains, where the traces of
+    reductions with zero error stayed within 1e-3 of this floor.
+    """
+    m = 2 * g.shape[1] + g.shape[0] + 4
+    return m * EPS * float(np.linalg.norm(g)) ** 2 * float(np.linalg.norm(p_inf))
 
 
 def h2_error_gramian(red, gramian):
@@ -86,6 +106,9 @@ def h2_error_gramian(red, gramian):
     PreconditionError
         If the Gramian is of another system, or the reduction does not
         keep the kernel.
+    InconsistencyError
+        If the trace has a non-negligible imaginary part, or lies below
+        zero by more than the rounding floor (:func:`_trace_floor`).
     """
     if not isinstance(gramian, SemistabilityGramian):
         raise TypeError("gramian must be a SemistabilityGramian")
@@ -101,7 +124,7 @@ def h2_error_gramian(red, gramian):
             "error trace has a non-negligible imaginary part (%.3e)"
             % trace.imag
         )
-    return _finish(trace.real)
+    return _finish(trace.real, _trace_floor(g, gramian.p_inf))
 
 
 def _squared_norm_bounds(x):
@@ -171,7 +194,7 @@ def h2_error_quadrature(red, abs_tol):
     spectral = red.system.spectral
     s_inf = spectral.projector.s_inf
     if not np.isfinite(spectral.mu):
-        return _finish(0.0)
+        return _finish(0.0, _NEGATIVE_CLAMP)
 
     energy = _defect_energy(spectral.a, residual_map, s_inf, b)
 
@@ -188,4 +211,4 @@ def h2_error_quadrature(red, abs_tol):
         integrand, 2.0 * decay.rate, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * spectral.norm_a,
     )
-    return _finish(float(value[0, 0]))
+    return _finish(float(value[0, 0]), _NEGATIVE_CLAMP)

@@ -1,5 +1,7 @@
 import argparse
 import collections
+import csv
+import io
 import json
 import os
 import pathlib
@@ -507,6 +509,20 @@ def test_csv_report_format(tmp_path, capsys):
     values = lines[1].split(",")
     assert len(header) == len(values)
     assert "verdict" in header
+
+
+@pytest.mark.parametrize("name", ['out,1', 'say "hi"'])
+def test_csv_quotes_an_output_path(tmp_path, capsys, name):
+    # a comma or a quote in the path must not shift or break the row
+    path = write_system(tmp_path, np.diag([0.0, -1.0]))
+    output = str(tmp_path / name)
+    code, out, err = run(capsys, ["gramian", path, "--output", output,
+                                  "--format", "csv"])
+    assert code == 0, err
+    header, values = csv.reader(io.StringIO(out))
+    assert len(header) == len(values) == 5
+    assert dict(zip(header, values))["p_inf_file"] == os.path.join(output, "p_inf.mat")
+    assert out.splitlines()[1].endswith('"')
 
 
 def path_laplacian(n):

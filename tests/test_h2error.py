@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from semigram import h2error
 from semigram import (
+    InconsistencyError,
     PreconditionError,
     StateSpaceSystem,
     gramian_by_quadrature,
@@ -16,8 +17,13 @@ from semigram import (
 )
 
 from semigram.h2error import _defect_energy
+from semigram.linalg import EPS
 
-from conftest import random_selfadjoint_semistable, transient_cases
+from conftest import (
+    nonnormal_semistable_factors,
+    random_selfadjoint_semistable,
+    transient_cases,
+)
 
 
 def build(a, keep, b=None, c=None):
@@ -128,6 +134,56 @@ def test_negative_roundoff_clamped():
     result = h2_error_gramian(red, p_inf)
     assert result.trace_value >= 0.0
     assert result.h2_norm >= 0.0
+
+
+def scaled_system_missing_the_last_mode(seed, scale):
+    # B is orthogonal to the left eigenvector of the fastest mode, so
+    # dropping that mode alone leaves no error
+    rng = np.random.default_rng(seed)
+    v, lam, v_inv = nonnormal_semistable_factors(rng, 40, 1, 30)
+    b = rng.normal(size=(40, 2))
+    w = v_inv[39]
+    b -= np.outer(w, w @ b) / (w @ w)
+    return StateSpaceSystem((v * lam) @ v_inv, scale * b)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_zero_error_is_not_refused_at_any_scale(scale):
+    # rounding leaves a trace of either sign that grows like |B|^2, and
+    # an absolute floor of -1e-10 would refuse 23 of these 40 runs
+    for seed in range(20):
+        sys = scaled_system_missing_the_last_mode(seed, scale)
+        red = mode_truncation(sys, 39)
+        gramian = solve_semistability_lyapunov(sys)
+        g = sys.c - (sys.c @ red.sigma) @ red.pi
+        rounding = 40 * EPS * np.linalg.norm(g) ** 2 * gramian.norm_p_inf
+        assert 0.0 <= h2_error_gramian(red, gramian).trace_value <= rounding
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_negated_gramian_is_refused(scale):
+    sys = scaled_system_missing_the_last_mode(0, scale)
+    red = mode_truncation(sys, 38)  # drops an excited mode too
+    gramian = solve_semistability_lyapunov(sys)
+    assert h2_error_gramian(red, gramian).trace_value > 0.0
+    negated = dataclasses.replace(gramian, p_inf=-gramian.p_inf)
+    with pytest.raises(InconsistencyError, match="came out negative"):
+        h2_error_gramian(red, negated)
+
+
+def test_trace_far_below_rounding_is_refused():
+    # P - d y y* for a row y of G moves the zero-error trace 1e3 times the
+    # rounding scale n eps |G|_F^2 |P|_2 below zero
+    sys = scaled_system_missing_the_last_mode(0, 1e8)
+    red = mode_truncation(sys, 39)
+    gramian = solve_semistability_lyapunov(sys)
+    g = sys.c - (sys.c @ red.sigma) @ red.pi
+    y = g[np.argmax(np.linalg.norm(g, axis=1))]
+    shift = 1e3 * 40 * EPS * np.linalg.norm(g) ** 2 * gramian.norm_p_inf
+    d = shift / np.linalg.norm(g @ y) ** 2
+    dented = dataclasses.replace(gramian, p_inf=gramian.p_inf - d * np.outer(y, y))
+    with pytest.raises(InconsistencyError, match="came out negative"):
+        h2_error_gramian(red, dented)
 
 
 def test_rejects_plain_matrix_gramian():

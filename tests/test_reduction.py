@@ -7,9 +7,12 @@ from semigram import (
     InvalidSelectionError,
     StateSpaceSystem,
     check_preservation,
+    h2_error_gramian,
+    h2_error_quadrature,
     is_controllable,
     mode_truncation,
     propagator,
+    solve_semistability_lyapunov,
     spectral_data,
 )
 from semigram import lapack, semistability
@@ -280,6 +283,21 @@ def test_selection_must_keep_eigenvalue_clusters_whole():
     with pytest.raises(InvalidSelectionError):
         mode_truncation(sys, 2)
     assert mode_truncation(sys, 3).order == 3
+
+
+def test_self_adjoint_selection_may_split_an_eigenvalue_cluster():
+    # any orthonormal eigenvectors of a self-adjoint A span invariant
+    # subspaces, so keeping one of a repeated -1 is an exact reduction:
+    # the cluster rule binds only a non-self-adjoint A, as above
+    q = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+    sys = StateSpaceSystem(q @ np.diag([0.0, -1.0, -1.0, -2.0]) @ q.T)
+    assert sys.spectral.hermitian
+    red = mode_truncation(sys, 2)
+    assert red.order == 2 and red.commutativity_defect <= 1e-12
+    # the dropped -1 and -2 give 1/2 + 1/4 with B = C = I
+    gram = solve_semistability_lyapunov(sys)
+    assert h2_error_gramian(red, gram).trace_value == pytest.approx(0.75, rel=1e-12)
+    assert h2_error_quadrature(red, 1e-12).trace_value == pytest.approx(0.75, rel=1e-9)
 
 
 @pytest.mark.parametrize("m", [20, 40])
