@@ -135,11 +135,15 @@ def _squared_norm_bounds(x):
             float(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf)))
 
 
-def _defect_energy(a, residual_map, s_inf, b):
-    """The map t -> |R (exp(A t) - S_inf) B|_F^2 for R = ``residual_map``.
+def _defect_energy(a, residual_map, projector, b):
+    """The map t -> |R (exp(A t) - S_inf) B|_F^2 for R = ``residual_map``
+    and the limit operator ``projector`` (a :class:`LimitProjector`).
 
-    A diagonal A (decided by :func:`is_diagonal`, the test the propagator
-    makes) takes a quadratic form in e = exp(lambda t), lambda = diag(A):
+    S_inf = sigma pi is applied through its factors: S_inf B = sigma (pi B),
+    R S_inf B = (R sigma)(pi B) and R* R S_inf B = ((R* R) sigma)(pi B),
+    each at O(n^2 k) for B = C = I. A diagonal A (decided by
+    :func:`is_diagonal`, the test the propagator makes) takes a quadratic
+    form in e = exp(lambda t), lambda = diag(A):
 
         e* Q e - 2 Re(e* l) + c,   Q = (R* R) o (B B*)^T,
         l = diag(R* R S_inf B B*),  c = |R S_inf B|_F^2,
@@ -149,13 +153,13 @@ def _defect_energy(a, residual_map, s_inf, b):
     are of the size of the reduction's kernel-identity defect, so little
     cancels. Any other A forms the defect from the propagator at each node.
     """
-    s_inf_b = s_inf @ b
+    sigma, pi_b = projector.sigma, projector.pi @ b
     if is_diagonal(a):
         lam = np.diagonal(a).copy()
         gram = residual_map.conj().T @ residual_map
         quad = gram * (b @ b.conj().T).T
-        lin = np.einsum("ij,ij->i", gram @ s_inf_b, b.conj())
-        rs = residual_map @ s_inf_b
+        lin = np.einsum("ij,ij->i", (gram @ sigma) @ pi_b, b.conj())
+        rs = (residual_map @ sigma) @ pi_b
         const = np.vdot(rs, rs).real
 
         def energy(t):
@@ -164,6 +168,7 @@ def _defect_energy(a, residual_map, s_inf, b):
                     + const)
 
         return energy
+    s_inf_b = sigma @ pi_b
     response = propagator(a, b)
 
     def energy(t):
@@ -192,11 +197,11 @@ def h2_error_quadrature(red, abs_tol):
     residual_map = _error_map(red)
     b = red.system.b
     spectral = red.system.spectral
-    s_inf = spectral.projector.s_inf
+    projector = spectral.projector
     if not np.isfinite(spectral.mu):
         return _finish(0.0, _NEGATIVE_CLAMP)
 
-    energy = _defect_energy(spectral.a, residual_map, s_inf, b)
+    energy = _defect_energy(spectral.a, residual_map, projector, b)
 
     def integrand(t):
         return np.array([[energy(t)]])

@@ -130,18 +130,32 @@ def schur(a):
 
 def rsf2csf(t, z):
     """The complex Schur pair of a real one: one Givens rotation makes each
-    2x2 block of T triangular (the loop of ``scipy.linalg.rsf2csf``)."""
+    2x2 block of T triangular, the rotation of ``scipy.linalg.rsf2csf``.
+
+    A rotation is fixed by its own diagonal block, [[a, b], [c, d]], and
+    acts only on that block's row pair and column pair. The blocks of a
+    real Schur form do not overlap, so the rotations commute: all are
+    computed from the blocks at once and applied in one step. Each takes
+    mu = lambda - d for the block's eigenvalue lambda of positive
+    imaginary part, the one LAPACK lists first: mu = h + sqrt(h^2 + bc)
+    with h = (a - d) / 2.
+    """
     t, z = t.astype(np.complex128), z.astype(np.complex128)
-    for m in range(t.shape[0] - 1, 0, -1):
-        if abs(t[m, m - 1]) > EPS * (abs(t[m - 1, m - 1]) + abs(t[m, m])):
-            mu = np.linalg.eigvals(t[m - 1:m + 1, m - 1:m + 1]) - t[m, m]
-            r = np.linalg.norm((mu[0], t[m, m - 1]))
-            c, s = mu[0] / r, t[m, m - 1] / r
-            g = np.array([[c.conjugate(), s], [-s, c]])
-            t[m - 1:m + 1, m - 1:] = g @ t[m - 1:m + 1, m - 1:]
-            t[:m + 1, m - 1:m + 1] = t[:m + 1, m - 1:m + 1] @ g.conj().T
-            z[:, m - 1:m + 1] = z[:, m - 1:m + 1] @ g.conj().T
-        t[m, m - 1] = 0.0
+    diag, sub = np.diagonal(t).real, np.diagonal(t, -1).real
+    top = np.flatnonzero(np.abs(sub) > EPS * (np.abs(diag[:-1]) + np.abs(diag[1:])))
+    low = top + 1
+    h = 0.5 * (diag[top] - diag[low])
+    mu = h + np.sqrt(h * h + t[top, low].real * sub[top] + 0j)
+    r = np.hypot(np.abs(mu), sub[top])
+    c, s = (mu / r)[:, None], (sub[top] / r)[:, None]
+    # G = [[conj(c), s], [-s, c]] on the rows, G* on the columns
+    upper, lower = t[top], t[low]
+    t[top], t[low] = c.conj() * upper + s * lower, c * lower - s * upper
+    for m in (t, z):
+        left, right = m[:, top], m[:, low]
+        m[:, top], m[:, low] = left * c.T + right * s.T, right * c.T.conj() - left * s.T
+    n = t.shape[0]
+    t[np.arange(1, n), np.arange(n - 1)] = 0.0
     return t, z
 
 

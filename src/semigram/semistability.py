@@ -89,7 +89,8 @@ class SpectralData:
     ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for a real ``a``,
     complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
     eigenvalues lead; the eigenvalues and every invariant subspace are
-    read from it. The certified limit operator ``projector``, the proven
+    read from it. The certified limit operator ``projector``, held as its
+    rank-k factor pair sigma pi and applied at O(n^2 k), the proven
     ``decay_bound``, the Schur ``split`` and the eigenvalue ``clusters``
     are computed on first use and cached. No other module reads which
     factorization the record holds: they take :meth:`projection_pair`,
@@ -330,12 +331,14 @@ class SpectralData:
 
     @cached_property
     def projector(self):
-        """The certified limit operator S_inf = lim exp(A t).
+        """The certified limit operator S_inf = lim exp(A t), held as its
+        rank-k factor pair (:class:`LimitProjector`).
 
-        For self-adjoint A this is the orthogonal projector K K* onto the
-        kernel; for general semistable A it is the spectral projector
-        Z_k (Z_k* - R Z_r*) read from the ordered Schur :attr:`split`,
-        where Z_k and Z_r are the first k and the remaining columns of Z.
+        For self-adjoint A, S_inf is the orthogonal projector K K* onto
+        the kernel, sigma = K and pi = K*; for general semistable A it is
+        the spectral projector Z_k (Z_k* - R Z_r*) of the ordered Schur
+        :attr:`split`, sigma = Z_k and pi = Z_k* - R Z_r*, where Z_k and
+        Z_r are the first k and the remaining columns of Z.
 
         Raises
         ------
@@ -349,7 +352,7 @@ class SpectralData:
                 "limit operator requires a semistable generator (eigenvalue "
                 "criterion failed at zero_tol=%.3e)" % self.zero_tol
             )
-        s, norm_s, idem, annih = _projector_matrix(self)
+        sigma, pi, norm_s, idem, annih = _limit_factors(self)
         if idem > 1e-8 * norm_s + 1e-30:
             raise ConditioningError(
                 "limit operator failed its idempotency certificate "
@@ -360,10 +363,10 @@ class SpectralData:
                 "limit operator failed its annihilation certificate "
                 "(defect %.3e)" % annih
             )
-        # every caller shares this array
-        s.flags.writeable = False
+        for m in (sigma, pi):
+            m.flags.writeable = False  # every caller shares them
         return LimitProjector(
-            s_inf=s, idempotency_defect=idem, annihilation_defect=annih
+            sigma=sigma, pi=pi, idempotency_defect=idem, annihilation_defect=annih
         )
 
     @cached_property
@@ -392,13 +395,29 @@ class SpectralData:
 class LimitProjector:
     """The limit operator of the semigroup with its certificate defects.
 
-    ``idempotency_defect`` is the Frobenius norm of S_inf^2 - S_inf and
-    ``annihilation_defect`` the larger Frobenius norm of S_inf A and A S_inf.
+    S_inf, of rank k = dim ker A, is held as the factor pair
+    S_inf = sigma pi: ``sigma`` (n x k) has orthonormal columns spanning
+    ker A and ``pi`` (k x n) satisfies pi sigma = I, so a product with
+    S_inf costs O(n^2 k) as sigma (pi X) (:meth:`apply`) and no n x n
+    matrix is stored. ``idempotency_defect`` is the Frobenius norm of
+    S_inf^2 - S_inf and ``annihilation_defect`` the larger Frobenius norm
+    of S_inf A and A S_inf.
     """
 
-    s_inf: np.ndarray
+    sigma: np.ndarray
+    pi: np.ndarray
     idempotency_defect: float
     annihilation_defect: float
+
+    @property
+    def s_inf(self):
+        """S_inf as an n x n matrix, sigma pi, formed at O(n^2 k) on every
+        read; :meth:`apply` multiplies by it without forming it."""
+        return self.sigma @ self.pi
+
+    def apply(self, x):
+        """S_inf X = sigma (pi X), at O(n k m) for an n x m X."""
+        return self.sigma @ (self.pi @ x)
 
 
 @dataclass(frozen=True)
@@ -524,7 +543,8 @@ def _transient_bound(spectral):
     [0, T22 + mu' I]] is upper (quasi-)triangular, so F* X + X F = -I is
     one ?trsyl solve (:func:`_solve_transient_lyapunov`). The solution is
     certified in the original coordinates, with F formed from A and the
-    certified S_inf: the Frobenius residual of F* X + X F = -I, plus the
+    certified S_inf (the one n x n sigma pi the package forms, at
+    O(n^2 k)): the Frobenius residual of F* X + X F = -I, plus the
     rounding of forming it, must be at most 1/2, so -(F* X + X F) is
     positive definite, and the least eigenvalue of X must exceed the
     eigensolver's backward error delta = n eps lambda_max. Then K =
@@ -626,20 +646,31 @@ def _schur_eigenvalues(t):
     return lam
 
 
-def _projector_matrix(spectral):
-    """S_inf with a proven lower bound on its spectral norm and the
-    Frobenius norms of its idempotency and annihilation defects (at least
-    the spectral norms, so the gates they feed are at least as strict);
-    the measurement is the certificate :attr:`SpectralData.projector`
-    checks."""
-    a, k = spectral.a, spectral.kernel_dim
-    if k == 0:
-        s = np.zeros_like(a)
-    elif spectral.hermitian:
-        s = spectral.kernel_basis @ spectral.kernel_basis.conj().T
-    else:
-        s = np.matmul(*_projection_pair(*spectral.split[1:]))
-    frob = np.linalg.norm
-    return (s, opnorm_lower_bound(s), float(frob(s @ s - s)),
-            float(max(frob(s @ a), frob(a @ s))))
+def _limit_factors(spectral):
+    """The factor pair (sigma, pi) of S_inf with a proven lower bound on
+    |S_inf|_2 and the Frobenius norms of its idempotency and annihilation
+    defects (at least the spectral norms, so the gates they feed are at
+    least as strict); the measurement is the certificate
+    :attr:`SpectralData.projector` checks.
 
+    Every product is with an n x k or k x n factor, O(n^2 k) in all:
+    S_inf^2 - S_inf = sigma ((pi sigma - I) pi), S_inf A = sigma (pi A)
+    and A S_inf = (A sigma) pi. As |sigma pi x| >= s_min(sigma) |pi x| and
+    s_min(sigma)^2 >= 1 - |sigma* sigma - I|_F, the lower bound of |pi|_2
+    (:func:`opnorm_lower_bound`) times the square root of the latter, or 0,
+    bounds |S_inf|_2 from below.
+    """
+    a, k = spectral.a, spectral.kernel_dim
+    if spectral.hermitian:
+        sigma = spectral.kernel_basis.copy()
+        pi = sigma.conj().T.copy()
+    else:
+        sigma, pi = _projection_pair(*spectral.split[1:])
+        sigma = sigma.copy()  # a view would keep all of Z alive
+    frob = np.linalg.norm
+    eye = np.eye(k)
+    spread = float(frob(sigma.conj().T @ sigma - eye))
+    norm_s = opnorm_lower_bound(pi) * np.sqrt(max(1.0 - spread, 0.0))
+    idem = float(frob(sigma @ ((pi @ sigma - eye) @ pi)))
+    annih = float(max(frob(sigma @ (pi @ a)), frob((a @ sigma) @ pi)))
+    return sigma, pi, float(norm_s), idem, annih

@@ -601,8 +601,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(lapack, "schur", counting("schur", lapack.schur, full))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, full_size))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, full_size))
-    monkeypatch.setattr(semistability, "_projector_matrix",
-                        counting("s_inf", semistability._projector_matrix))
+    monkeypatch.setattr(semistability, "_limit_factors",
+                        counting("s_inf", semistability._limit_factors))
     monkeypatch.setattr(semistability, "_solve_transient_lyapunov",
                         counting("overshoot", semistability._solve_transient_lyapunov))
     monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))

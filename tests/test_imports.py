@@ -154,3 +154,21 @@ def test_only_the_analysis_record_reads_its_factorization():
                 found += ["%s:%d imports lapack" % (path.name, node.lineno)
                           for name in names if name and name.split(".")[-1] == "lapack"]
     assert found == []
+
+
+def test_only_the_transient_bound_reads_the_dense_limit_operator():
+    # S_inf has rank k = dim ker A and is held as sigma pi; a product with
+    # it costs O(n^2 k) through LimitProjector.apply. Only the decay
+    # bound's F = A + mu' I - 2 mu' S_inf needs the n x n matrix .s_inf
+    found = []
+    for path, tree in parsed_modules():
+        allowed = set()
+        for node in tree.body:
+            if (path.name == "semistability.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_transient_bound"):
+                allowed.update(id(inner) for inner in ast.walk(node))
+        found += ["%s:%d .s_inf" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "s_inf"
+                  and id(node) not in allowed]
+    assert found == []

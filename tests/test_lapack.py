@@ -76,15 +76,42 @@ def test_trsyl_matches_scipy(n, complex_valued, flags):
     assert relative_gap(x, expected / scale) <= 1e-13
 
 
+def quasi_triangular_generator(rng, n, pairs):
+    """Q U Q* for a real orthogonal Q and a real quasi-triangular U whose
+    first ``pairs`` 2x2 diagonal blocks hold complex conjugate pairs of
+    distinct eigenvalues and whose other diagonal entries are real."""
+    g = rng.normal(size=(n, n))
+    u = np.triu(g, 1) / np.sqrt(n) + np.diag(-1.0 - 2.0 * rng.random(n))
+    for j in range(pairs):
+        u[2 * j, 2 * j + 1] = 1.0 + j
+        u[2 * j + 1, 2 * j] = -(1.0 + j) * (1.0 + rng.random())
+        u[2 * j + 1, 2 * j + 1] = u[2 * j, 2 * j]
+    q = np.linalg.qr(g)[0]
+    return q @ u @ q.T
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_rsf2csf_matches_scipy(n):
-    t, z = lapack.schur(stable_generator(np.random.default_rng(n), n, False))
-    t_c, z_c = lapack.rsf2csf(t, z)
-    expected = scipy.linalg.rsf2csf(t, z)
-    assert t_c.dtype == z_c.dtype == np.complex128
-    assert relative_gap(t_c, expected[0]) <= 1e-13
-    assert relative_gap(z_c, expected[1]) <= 1e-13
-    assert not np.tril(t_c, -1).any()
+    # real Schur forms with only 1x1 blocks, only 2x2 blocks (even n),
+    # and both (n >= 3)
+    layouts = {0, n // 2 if n % 2 == 0 else 0, n // 3}
+    for pairs in sorted(layouts):
+        a = quasi_triangular_generator(np.random.default_rng(n + pairs), n, pairs)
+        t, z = lapack.schur(a)
+        assert np.count_nonzero(np.diagonal(t, -1)) == pairs
+        t_c, z_c = lapack.rsf2csf(t, z)
+        expected = scipy.linalg.rsf2csf(t, z)
+        assert t_c.dtype == z_c.dtype == np.complex128
+        assert relative_gap(t_c, expected[0]) <= 1e-13
+        assert relative_gap(z_c, expected[1]) <= 1e-13
+        assert not np.tril(t_c, -1).any()
+        eps = np.finfo(float).eps
+        assert np.abs(z_c.conj().T @ z_c - np.eye(n)).max() <= 10 * n * eps
+        assert np.abs(z_c @ t_c @ z_c.conj().T - a).max() <= (
+            10 * n * eps * np.abs(a).max())
+        lam, expected_lam = np.diagonal(t_c), np.linalg.eigvals(t)
+        assert np.abs(np.sort_complex(lam) - np.sort_complex(expected_lam)).max() <= (
+            1e-13 * np.abs(lam).max())
 
 
 @pytest.fixture(params=("numpy", "scipy"))

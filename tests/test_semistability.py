@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,15 +8,19 @@ from semigram import (
     NOT_SEMISTABLE,
     SEMISTABLE,
     STABLE,
+    ConditioningError,
     NotSemistableError,
     StateSpaceSystem,
     mode_truncation,
     solve_semistability_lyapunov,
     spectral_data,
 )
+from semigram import semistability
+from semigram.heatbench import build_heat_surrogate
 from semigram.linalg import default_rank_tol, opnorm
 
 from conftest import (
+    consensus_laplacian,
     decay_defects,
     drift_chain,
     nonnormal_semistable_factors,
@@ -177,6 +183,62 @@ def test_limit_projector_random_selfadjoint():
         assert opnorm(s @ s - s) <= 1e-10
         assert opnorm(a @ s) <= 1e-10 * max(opnorm(a), 1.0)
         assert opnorm(s - s.T) <= 1e-10
+
+
+def factored_projector_cases():
+    rng = np.random.default_rng(5)
+    return {
+        "heat": build_heat_surrogate(300).a,
+        "dense": random_nonnormal_semistable(rng, 120, 3, 1e3),
+        "consensus": consensus_laplacian(rng, 90, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(factored_projector_cases()))
+def test_limit_projector_holds_only_its_rank_k_factors(name):
+    # S_inf is kept as sigma (n x k) and pi (k x n), owning their data, and
+    # sigma pi is the n x n projector K K* or Z_k (Z_k* - R Z_r*) that the
+    # record formed before it held the factors
+    record = spectral_data(factored_projector_cases()[name])
+    n, k = record.n, record.kernel_dim
+    lp = record.projector
+    arrays = [getattr(lp, f.name) for f in dataclasses.fields(lp)
+              if isinstance(getattr(lp, f.name), np.ndarray)]
+    assert [m.shape for m in arrays] == [(n, k), (k, n)]
+    assert all(m.base is None and not m.flags.writeable for m in arrays)
+    if record.hermitian:
+        kernel = record.kernel_basis
+        dense = kernel @ kernel.conj().T
+    else:
+        _, z, r = record.split
+        dense = z[:, :k] @ (z[:, :k].conj().T - r @ z[:, k:].conj().T)
+    assert np.abs(lp.s_inf - dense).max() <= 1e-14 * np.abs(dense).max()
+    x = np.random.default_rng(0).normal(size=(n, 4))
+    assert np.abs(lp.apply(x) - dense @ x).max() <= 1e-13 * np.abs(dense @ x).max()
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 0.9e-8, 1.1e-8, 1e-7, 1e-3])
+def test_factored_idempotency_certificate_gates_at_its_threshold(monkeypatch, delta):
+    # pi scaled by 1 + delta gives (sigma pi')^2 - sigma pi' =
+    # delta (1 + delta) sigma pi for a kernel of dimension 1, a defect of
+    # delta times |sigma pi'|_2 = |pi'|_2: refused above the 1e-8 gate
+    a = random_nonnormal_semistable(np.random.default_rng(3), 40, 1, 10.0)
+
+    def perturbed(z, r):
+        sigma, pi = pair(z, r)
+        return sigma, (1.0 + delta) * pi
+
+    pair = semistability._projection_pair
+    monkeypatch.setattr(semistability, "_projection_pair", perturbed)
+    record = spectral_data(a)
+    assert not record.hermitian
+    if delta > 1e-8:
+        with pytest.raises(ConditioningError, match="idempotency certificate"):
+            record.projector
+        return
+    lp = record.projector
+    norm_s = opnorm(lp.s_inf)
+    assert lp.idempotency_defect == pytest.approx(delta * norm_s, rel=1e-3, abs=1e-14)
 
 
 def test_decay_defect_exponential_rate():
