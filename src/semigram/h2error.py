@@ -20,7 +20,6 @@ from .gramian import SemistabilityGramian
 from .linalg import (
     EPS,
     integrate_operator_valued,
-    is_diagonal,
     opnorm_lower_bound,
     propagator,
 )
@@ -135,15 +134,16 @@ def _squared_norm_bounds(x):
             float(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf)))
 
 
-def _defect_energy(a, residual_map, projector, b):
-    """The map t -> |R (exp(A t) - S_inf) B|_F^2 for R = ``residual_map``
-    and the limit operator ``projector`` (a :class:`LimitProjector`).
+def _defect_energy(spectral, residual_map, b):
+    """The map t -> |R (exp(A t) - S_inf) B|_F^2 for R = ``residual_map``,
+    the generator A of the analysis record ``spectral`` and its limit
+    operator S_inf (:attr:`~SpectralData.projector`).
 
     S_inf = sigma pi is applied through its factors: S_inf B = sigma (pi B),
     R S_inf B = (R sigma)(pi B) and R* R S_inf B = ((R* R) sigma)(pi B),
-    each at O(n^2 k) for B = C = I. A diagonal A (decided by
-    :func:`is_diagonal`, the test the propagator makes) takes a quadratic
-    form in e = exp(lambda t), lambda = diag(A):
+    each at O(n^2 k) for B = C = I. A diagonal A (the record's
+    :attr:`~SpectralData.diagonal`) takes a quadratic form in
+    e = exp(lambda t), lambda = diag(A):
 
         e* Q e - 2 Re(e* l) + c,   Q = (R* R) o (B B*)^T,
         l = diag(R* R S_inf B B*),  c = |R S_inf B|_F^2,
@@ -153,8 +153,9 @@ def _defect_energy(a, residual_map, projector, b):
     are of the size of the reduction's kernel-identity defect, so little
     cancels. Any other A forms the defect from the propagator at each node.
     """
+    a, projector = spectral.a, spectral.projector
     sigma, pi_b = projector.sigma, projector.pi @ b
-    if is_diagonal(a):
+    if spectral.diagonal:
         lam = np.diagonal(a).copy()
         gram = residual_map.conj().T @ residual_map
         quad = gram * (b @ b.conj().T).T
@@ -187,21 +188,21 @@ def h2_error_quadrature(red, abs_tol):
     the quadrature truncation certificate: the proven decay bound
     norm(S(t) - S_inf) <= K exp(-mu' t) and S_inf come from the analysis
     record of ``red.system`` (:attr:`~SpectralData.decay_bound`). When
-    the generator is diagonal, |d(t)|_F^2 is evaluated as a precomputed
-    quadratic form in exp(lambda t), lambda = diag(A), at O(n^2) per node;
-    otherwise d is formed from the propagator. Either way the oracle reads
-    A, S_inf, the reduction and B, never eigenvectors.
+    the record says the generator is diagonal, |d(t)|_F^2 is evaluated as
+    a precomputed quadratic form in exp(lambda t), lambda = diag(A), at
+    O(n^2) per node; otherwise d is formed from the propagator. Either
+    way the oracle reads A, S_inf, the reduction and B, never
+    eigenvectors.
     """
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
     residual_map = _error_map(red)
     b = red.system.b
     spectral = red.system.spectral
-    projector = spectral.projector
     if not np.isfinite(spectral.mu):
         return _finish(0.0, _NEGATIVE_CLAMP)
 
-    energy = _defect_energy(spectral.a, residual_map, projector, b)
+    energy = _defect_energy(spectral, residual_map, b)
 
     def integrand(t):
         return np.array([[energy(t)]])

@@ -160,8 +160,9 @@ def run_benchmark(n, m, abs_tol=1e-9):
     sum. All three must agree to quadrature accuracy; the report also
     carries their maximum pairwise deviation.
     """
-    analytic = analytic_truncation_error(n, m)
+    # the surrogate rejects M < 2 itself, before N is checked against M
     surrogate = build_heat_surrogate(m)
+    analytic = analytic_truncation_error(n, m)
     system = StateSpaceSystem(surrogate.a)
     gramian = solve_semistability_lyapunov(system)
     red = mode_truncation(system, int(n) + 1)

@@ -10,12 +10,10 @@ belongs to one thread.
 
 :func:`propagator` validates a generator once and returns t -> exp(A t) B,
 so quadrature integrands cost one product per node, and on the dyadic
-start mesh one squaring in place of a matrix exponential; :func:`is_diagonal`
-is the one test that decides whether a generator takes the exact
-elementwise path. Every other generator takes the package's one matrix
-exponential, a truncated Taylor series with scaling and squaring whose
-powers of A are built once per map and whose truncation is proven below
-eps / 2 relative.
+start mesh one squaring in place of a matrix exponential. Every exp(A t)
+it forms is the package's one matrix exponential, a truncated Taylor
+series with scaling and squaring whose powers of A are built once per map
+and whose truncation is proven below eps / 2 relative.
 
 :func:`integrate_operator_valued` integrates a certified exponentially
 decaying integrand over [0, inf):
@@ -44,7 +42,6 @@ __all__ = [
     "as_operator",
     "opnorm",
     "opnorm_lower_bound",
-    "is_diagonal",
     "propagator",
     "integrate_operator_valued",
 ]
@@ -137,25 +134,14 @@ def hermitian_part(m):
     return 0.5 * (m + m.conj().T)
 
 
-def is_diagonal(a):
-    """Whether every off-diagonal entry of the square matrix ``a`` is zero."""
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
-
-
 def propagator(a, b):
     """The map t -> exp(a*t) b of a constant-coefficient system.
 
-    ``a`` and ``b`` are validated, and ``a`` is tested for being exactly
-    diagonal by :func:`is_diagonal`, once, here; the returned map does no
+    ``a`` and ``b`` are validated once, here; the returned map does no
     per-call checks beyond the time argument, so an integrand that
-    evaluates it at many nodes pays for neither. A diagonal ``a`` takes an
-    exact elementwise path: exp(a*t) is diag(exp(lambda t)) with lambda the
-    diagonal of ``a``, and applying it is a row scaling of ``b``, O(n m) per
-    call. Integrands that only need a quadratic form in exp(lambda t) (the
-    H2 error oracle) make the same :func:`is_diagonal` decision and skip
-    even that.
+    evaluates it at many nodes pays for neither.
 
-    Any other ``a`` takes the Taylor kernel of :func:`_taylor_kernel`,
+    Every exp(a*t) is the Taylor kernel of :func:`_taylor_kernel`,
     whose truncation is proven to stay below eps / 2 relative before the
     squarings, followed by one product with ``b``; the kernel's stack of
     powers of ``a`` is built once per map, so every node of an integral
@@ -186,8 +172,7 @@ def propagator(a, b):
     b = as_operator(b, "input matrix")
     if b.shape[0] != a.shape[0]:
         raise DimensionError("input matrix row count must match the generator")
-    diagonal = np.diagonal(a).copy() if is_diagonal(a) else None
-    exponential = _taylor_kernel(a) if diagonal is None else None
+    exponential = _taylor_kernel(a)
     memo = {}  # t -> exp(a*t) for the latest nodes, oldest first
 
     def at(t):
@@ -196,9 +181,6 @@ def propagator(a, b):
             raise ValueError(
                 "time must be a finite nonnegative real, got %r" % t
             )
-        if diagonal is not None:
-            scale = np.exp(diagonal * t)
-            return scale[:, None] * b
         # a start-mesh node is exactly twice a node of the finer panel
         # evaluated just before it, so its exponential is one squaring
         half = memo.pop(0.5 * t, None)

@@ -7,7 +7,8 @@ when every eigenvalue has nonpositive real part and each eigenvalue on the
 imaginary axis is real (i.e. zero) and semisimple. The limit operator
 ``S_inf = lim exp(A t)`` is then a bounded idempotent onto ker A: the
 orthogonal projector for self-adjoint A, an oblique spectral projector in
-general. A self-adjoint A is analysed by numpy's ``eigh``; any other A on
+general. A self-adjoint diagonal A is its own eigendecomposition; any
+other self-adjoint A is analysed by numpy's ``eigh``, and any other A on
 its Schur form, whose LAPACK routines :mod:`semigram.lapack` wraps.
 """
 
@@ -23,7 +24,6 @@ from .linalg import (
     as_operator,
     default_rank_tol,
     hermitian_part,
-    is_diagonal,
     opnorm_lower_bound,
 )
 
@@ -80,16 +80,21 @@ class SpectralData:
     so that conjugate pairs are adjacent and mode indices are stable
     across runs.
 
-    The record holds one factorization of ``a``. For self-adjoint ``a``
+    ``diagonal`` says whether every off-diagonal entry of ``a`` is zero;
+    it is decided once, here, and every other module reads it. The record
+    holds one factorization of ``a``. For self-adjoint ``a``
     (``hermitian``) it is ``eigenvectors``, orthonormal, column i for
     mode i, and ``schur`` is None; ``norm_a`` and the orthonormal
     ``kernel_basis`` come from it, as the singular values are the
-    eigenvalues' magnitudes. Otherwise they come from one SVD of ``a``,
-    ``eigenvectors`` is None, and ``schur`` is the kernel-first Schur pair
-    ``(T, Z)`` with ``a = Z T Z*`` (real Schur form for a real ``a``,
-    complex otherwise), whose ``zero_eig_algebraic_multiplicity`` zero
-    eigenvalues lead; the eigenvalues and every invariant subspace are
-    read from it. The certified limit operator ``projector``, held as its
+    eigenvalues' magnitudes. A self-adjoint diagonal ``a`` is its own
+    eigendecomposition: the eigenvalues are its diagonal and the
+    eigenvectors the identity's columns, in ``a``'s dtype, so modes with
+    equal eigenvalues keep their diagonal order. Otherwise ``norm_a`` and
+    ``kernel_basis`` come from one SVD of ``a``, ``eigenvectors`` is
+    None, and ``schur`` is the kernel-first Schur pair ``(T, Z)`` with
+    ``a = Z T Z*`` (real Schur form for a real ``a``, complex otherwise),
+    whose ``zero_eig_algebraic_multiplicity`` zero eigenvalues lead; the
+    eigenvalues and every invariant subspace are read from it. The certified limit operator ``projector``, held as its
     rank-k factor pair sigma pi and applied at O(n^2 k), the proven
     ``decay_bound``, the Schur ``split`` and the eigenvalue ``clusters``
     are computed on first use and cached. No other module reads which
@@ -107,6 +112,7 @@ class SpectralData:
     zero_tol: float
     zero_eig_semisimple: bool
     hermitian: bool
+    diagonal: bool
 
     @property
     def n(self):
@@ -374,9 +380,9 @@ class SpectralData:
         """Proven bound norm(exp(A t) - S_inf) <= K exp(-mu' t) for t >= 0,
         as a :class:`DecayBound`; None if the record is not semistable.
 
-        For self-adjoint or exactly diagonal A (:func:`is_diagonal`), and
-        for A without decaying modes, norm(exp(A t) - S_inf) is exp(-mu t):
-        K = 1 at the exact rate mu. Any other A takes the Lyapunov
+        For self-adjoint or exactly diagonal A (:attr:`diagonal`, so a
+        complex diagonal A too), and for A without decaying modes,
+        norm(exp(A t) - S_inf) is exp(-mu t): K = 1 at the exact rate mu. Any other A takes the Lyapunov
         transient bound at mu' = mu / 2 (:func:`_transient_bound`).
 
         Raises
@@ -386,7 +392,7 @@ class SpectralData:
         """
         if self.verdict == NOT_SEMISTABLE:
             return None
-        if self.hermitian or is_diagonal(self.a) or not np.isfinite(self.mu):
+        if self.hermitian or self.diagonal or not np.isfinite(self.mu):
             return DecayBound(constant=1.0, rate=self.mu)
         return _transient_bound(self)
 
@@ -439,10 +445,11 @@ def spectral_data(a, zero_tol=None):
     semistability in finite dimensions: all real parts nonpositive, any
     eigenvalue on the axis real and semisimple, and as many zero
     eigenvalues as kernel dimensions. A self-adjoint A is diagonalisable,
-    so its zero is semisimple. Otherwise the Schur form is reordered once
-    so that the zero eigenvalues lead, and zero is semisimple exactly when
-    the leading block T11 vanishes (|T11|_F <= zero_tol), which avoids a
-    fragile Jordan computation.
+    so its zero is semisimple; a self-adjoint diagonal A takes its
+    eigenvalues off its diagonal, with no eigensolver. Otherwise the Schur
+    form is reordered once so that the zero eigenvalues lead, and zero is
+    semisimple exactly when the leading block T11 vanishes
+    (|T11|_F <= zero_tol), which avoids a fragile Jordan computation.
 
     Parameters
     ----------
@@ -463,13 +470,18 @@ def spectral_data(a, zero_tol=None):
     a = as_operator(a, "generator", square=True)
     a.flags.writeable = False  # the record caches what it derives from a
     n = a.shape[0]
+    # counts the off-diagonal nonzeros without an n x n temporary
+    diagonal = bool(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)))
     # a proven lower bound of |A| as the scale keeps the test at least as
     # strict as with |A| itself, which is not known yet
     hermitian = is_hermitian(a, opnorm_lower_bound(a))
     if hermitian:
         # A = V diag(w) V*: the singular values are |w| and the rows of V*
-        # are right singular vectors
-        w, v = np.linalg.eigh(hermitian_part(a))
+        # are right singular vectors; a diagonal A has V = I
+        if diagonal:
+            w, v = np.diagonal(a).real, np.eye(n, dtype=a.dtype)
+        else:
+            w, v = np.linalg.eigh(hermitian_part(a))
         sv, vh = np.abs(w), v.conj().T
     else:
         # one SVD gives the spectral norm and the kernel
@@ -525,6 +537,7 @@ def spectral_data(a, zero_tol=None):
         zero_tol=float(zero_tol),
         zero_eig_semisimple=bool(semisimple),
         hermitian=hermitian,
+        diagonal=diagonal,
     )
 
 

@@ -406,6 +406,14 @@ def test_heat_bench_csv(tmp_path, capsys):
     assert float(fields[3]) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-10)
 
 
+@pytest.mark.parametrize("modes", ["1", "-3"])
+def test_heat_bench_names_a_surrogate_below_two_modes(capsys, modes):
+    # M is the invalid value, so the error names M, not N < M
+    code, out, err = run(capsys, ["heat-bench", "--modes", modes, "--cosines", "1"])
+    assert code == 2 and out == ""
+    assert "at least 2 modes" in err
+
+
 def test_structured_output_parses(tmp_path, capsys):
     path = write_system(tmp_path, np.diag([0.0, -1.0]))
     code, out, err = run(capsys, ["analyze", path, "--format", "structured"])
@@ -644,15 +652,16 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             assert len(kernels) == int(evaluations > 0), argv
             assert sum(map(len, kernels)) == evaluations, argv
 
-    # heat-bench analyses its diagonal surrogate by one eigh; the split
-    # Gramian divides in that eigenbasis, K is exactly 1, and the H2 oracle
-    # integrates a quadratic form in exp(lambda t) with no propagator
+    # heat-bench reads its diagonal surrogate's eigenvalues, norm and
+    # kernel off the diagonal, with no eigh; the split Gramian divides in
+    # the identity eigenbasis, K is exactly 1, and the H2 oracle integrates
+    # a quadratic form in exp(lambda t) with no propagator
     generator = build_heat_surrogate(n).a
     counts.update(dict.fromkeys(counts, 0))
     kernels.clear()
     code, _, err = run(capsys, ["heat-bench", "--modes", str(n), "--cosines", "2"])
     assert code == 0, err
-    assert counts == dict(dict.fromkeys(counts, 0), eig=1, s_inf=1)
+    assert counts == dict(dict.fromkeys(counts, 0), eig=0, s_inf=1)
     assert kernels == []
 
 

@@ -252,7 +252,7 @@ def test_diagonal_defect_energy_matches_dense_formula(monkeypatch):
     # R = C (I - sigma pi), the one the oracle integrates, has R S_inf B = 0
     # here, so its nodes must agree to relative rounding
     for r in (c, c - (c @ red.sigma) @ red.pi):
-        energy = _defect_energy(a, r, projector, b)
+        energy = _defect_energy(sys.spectral, r, b)
         cancelled = np.linalg.norm(r @ s_inf @ b) ** 2
         for t in (0.0, 0.01, 0.2, 1.0, 4.0, 30.0):
             d = r @ (expm(a * t) @ b - s_inf @ b)

@@ -3,7 +3,8 @@ import only what they use, use every private function they define and
 every public one somewhere, never call scipy's matrix exponential or
 numpy's ``eig``, ``inv`` or ``cond``, that only ``semigram.lapack``
 names scipy or ctypes, and that only the analysis record reads which
-factorization it holds or imports ``semigram.lapack``."""
+factorization it holds, imports ``semigram.lapack`` or decides whether a
+generator is diagonal."""
 
 import ast
 import pathlib
@@ -93,6 +94,28 @@ def test_no_module_references_expm():
                 names.append(getattr(node, "module", None))
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name and "expm" in name]
+    assert found == []
+
+
+def test_only_the_analysis_record_decides_diagonality():
+    # spectral_data decides once whether A is diagonal and stores it on the
+    # record; a definition, import, reference or export of is_diagonal
+    # anywhere else would be a second test that could answer differently
+    found = []
+    for path, tree in parsed_modules():
+        if path.name == "semistability.py":
+            continue
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [name for alias in node.names
+                          for name in (alias.name, alias.asname)]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.append(node.value)  # an __all__ entry
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name == "is_diagonal"]
     assert found == []
 
 

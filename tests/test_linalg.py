@@ -37,6 +37,18 @@ def test_exponential_diagonal_modal_decay():
     assert np.allclose(out, np.diag([1.0, np.exp(-np.pi**2)]), rtol=0, atol=1e-15)
 
 
+def test_propagator_takes_the_taylor_kernel_for_a_diagonal_generator(monkeypatch):
+    # every exp(A t) is the one Taylor kernel, a diagonal A's too
+    kernels = counting_kernel(monkeypatch)
+    lam = np.array([0.0, -1.0, -np.pi**2])
+    at = propagator(np.diag(lam), np.eye(3))
+    times = [0.25, 1.0, 3.0]  # none twice another, so no squaring
+    for t in times:
+        exact = np.diag(np.exp(lam * t))
+        assert np.abs(at(t) - exact).max() <= 1e-15
+    assert kernels == [times]
+
+
 def test_exponential_nilpotent_closed_form():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     out = propagator(a, np.eye(2))(2.0)

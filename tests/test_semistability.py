@@ -16,7 +16,7 @@ from semigram import (
     spectral_data,
 )
 from semigram import semistability
-from semigram.heatbench import build_heat_surrogate
+from semigram.heatbench import build_heat_surrogate, run_benchmark
 from semigram.linalg import default_rank_tol, opnorm
 
 from conftest import (
@@ -92,6 +92,102 @@ def test_spectral_data_canonical_order():
     assert spectral.kernel_dim == 1
     assert spectral.zero_eig_semisimple
     assert spectral.hermitian
+
+
+def eigh_record(a, zero_tol):
+    """Eigenvalues, eigenvectors and kernel basis of a self-adjoint A as
+    numpy's eigh of (A + A*) / 2 gives them, in the record's canonical
+    order: the reference a diagonal record must equal bit for bit."""
+    n = a.shape[0]
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    sv = np.abs(w)
+    kernel = v.conj().T[sv <= max(default_rank_tol((n, n), sv.max()), zero_tol)]
+    lam = w.astype(np.complex128)
+    order = np.lexsort((np.arange(n), lam.imag, np.abs(lam.imag), -lam.real))
+    return lam[order], v[:, order], kernel.conj().T
+
+
+def assert_bitwise(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+def shuffled_diagonal(dtype):
+    # distinct entries, one zero, in a random diagonal order
+    rng = np.random.default_rng(5)
+    entries = np.concatenate([[0.0], -rng.uniform(0.01, 50.0, size=39)])
+    return np.diag(rng.permutation(entries)).astype(dtype)
+
+
+@pytest.mark.parametrize("name", ["heat", "shuffled", "shuffled-complex"])
+def test_diagonal_record_equals_the_eigh_record_bitwise(name):
+    # the heat surrogate's mode 0 is -0.0, which eigh returns as -0.0 too
+    a = {
+        "heat": lambda: build_heat_surrogate(300).a,
+        "shuffled": lambda: shuffled_diagonal(np.float64),
+        "shuffled-complex": lambda: shuffled_diagonal(np.complex128),
+    }[name]()
+    record = spectral_data(a)
+    assert record.diagonal and record.hermitian
+    eigenvalues, eigenvectors, kernel = eigh_record(a, record.zero_tol)
+    assert_bitwise(record.eigenvalues, eigenvalues)
+    assert_bitwise(record.eigenvectors, eigenvectors)
+    assert_bitwise(record.kernel_basis, kernel)
+    assert_bitwise(record.projector.sigma, kernel)
+    assert_bitwise(record.projector.pi, kernel.conj().T)
+    assert record.norm_a == np.abs(np.diagonal(a)).max()
+
+
+@pytest.mark.parametrize("entries, order", [
+    ([0.0, 0.0, -2.0], [0, 1, 2]),
+    ([-1.0, 0.0, -1.0, 0.0], [1, 3, 0, 2]),
+])
+def test_equal_eigenvalues_of_a_diagonal_generator_keep_their_diagonal_order(
+        entries, order):
+    # eigh orders tied eigenvalues as LAPACK does (on diag(0, 0, -2) its
+    # kernel columns come as e1, e0); the diagonal record keeps the
+    # diagonal's order, in the eigenvectors and in the kernel basis
+    record = spectral_data(np.diag(entries))
+    eye = np.eye(len(entries))
+    assert np.array_equal(record.eigenvalues, np.array(entries)[order])
+    assert np.array_equal(record.eigenvectors, eye[:, order])
+    kernel = eye[:, [i for i in order if entries[i] == 0.0]]
+    assert np.array_equal(record.kernel_basis, kernel)
+    assert np.array_equal(record.projector.sigma, kernel)
+
+
+def test_complex_diagonal_generator_gets_complex_identity_eigenvectors():
+    record = spectral_data(np.diag([-1.0, 0.0, -3.0]).astype(np.complex128))
+    assert record.diagonal and record.hermitian
+    assert record.eigenvectors.dtype == np.complex128
+    assert np.array_equal(record.eigenvectors, np.eye(3)[:, [1, 0, 2]])
+    assert record.kernel_basis.dtype == np.complex128
+    # a diagonal that is not self-adjoint takes the Schur form, and its
+    # decay bound is still exactly exp(-mu t)
+    record = spectral_data(np.diag([0.0, -1.0 + 2.0j, -3.0 - 1.0j]))
+    assert record.diagonal and not record.hermitian
+    assert record.decay_bound.constant == 1.0
+
+
+def test_diagonality_is_decided_from_the_entries():
+    assert spectral_data(np.zeros((3, 3))).diagonal
+    assert spectral_data(np.diag([0.0, -1.0, -2.0])).diagonal
+    tiny = np.diag([0.0, -1.0, -2.0])
+    tiny[2, 0] = 5e-324
+    assert not spectral_data(tiny).diagonal
+    assert not spectral_data(np.array([[0.0, 1.0], [0.0, 0.0]])).diagonal
+    assert not spectral_data(laplacian_k3()).diagonal
+
+
+def test_diagonal_generator_never_reaches_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran on a diagonal generator")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    record = spectral_data(build_heat_surrogate(40).a)
+    assert record.kernel_dim == 1 and record.decay_bound.constant == 1.0
+    report = run_benchmark(2, 40)
+    assert report.max_pairwise_deviation <= 1e-9
 
 
 def test_spectral_data_zero_tol_override():
