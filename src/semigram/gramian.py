@@ -65,13 +65,34 @@ class SemistabilityGramian:
     quadrature_tol: float | None = None
 
 
+def _eigenvalues(p):
+    """Ascending eigenvalues of a self-adjoint P (a single 0 if P is
+    empty).
+
+    A P with no off-diagonal nonzero, decided from its own entries, has
+    its sorted real diagonal as its eigenvalues: exact, and bit for bit
+    what ``eigvalsh`` returns for it (up to the order of zeros of either
+    sign), except that LAPACK rescales a P of norm beyond about 1e146 or
+    below 1e-146 and rounds in doing so. Any other P takes ``eigvalsh``.
+    """
+    if not p.size:
+        return np.zeros(1)
+    diagonal = np.diagonal(p)
+    if np.count_nonzero(p) == np.count_nonzero(diagonal):
+        return np.sort(diagonal.real)
+    return np.linalg.eigvalsh(p)
+
+
 def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
     """Package a candidate Gramian of ``system``, enforcing the type's
     invariants.
 
     Defects are Frobenius norms, at least the spectral ones, so each gate
     is at least as strict as with the 2-norm; every scale they are compared
-    against is a 2-norm or a proven lower bound of one.
+    against is a 2-norm or a proven lower bound of one. The eigenvalues of
+    P come from :func:`_eigenvalues`, and for a :attr:`~SpectralData.diagonal`
+    A the product A P is the row scaling diag(A) P, exactly, so a diagonal
+    generator's Gramian is certified in O(n^2).
     """
     spectral = system.spectral
     a = spectral.a
@@ -81,7 +102,7 @@ def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
             "computed Gramian is not self-adjoint (defect %.3e)" % herm_defect
         )
     p = hermitian_part(p)
-    eigs = np.linalg.eigvalsh(p) if p.size else np.zeros(1)
+    eigs = _eigenvalues(p)
     norm_p = float(np.abs(eigs[[0, -1]]).max())
     if eigs[0] < -1e-8 * norm_p - 1e-30:
         raise InconsistencyError(
@@ -89,7 +110,7 @@ def _certify(system, p, q, method, quadrature_tol=None, residual_slack=0.0):
             "(min eigenvalue %.3e)" % eigs[0]
         )
     # P is exactly self-adjoint, so P A* = (A P)*: one product, not two
-    ap = a @ p
+    ap = np.diagonal(a)[:, None] * p if spectral.diagonal else a @ p
     residual = float(np.linalg.norm(ap + ap.conj().T + q))
     scale = spectral.norm_a * norm_p + opnorm_lower_bound(q)
     if residual > _RESIDUAL_RTOL * scale + residual_slack + 1e-30:

@@ -72,8 +72,9 @@ def _trace_floor(g, p_inf):
     """How far below zero trace(G P G*) may come out for the p x n error
     map G and a positive semidefinite Gramian P.
 
-    Forming G P, then (G P) G*, then the sum of the p diagonal entries
-    gives a trace within gamma_m sum_i |g_i| |P| |g_i|^T of the exact
+    Forming G P, then the p diagonal entries of (G P) G* as the inner
+    products of the rows of G P with those of G, then their sum gives a
+    trace within gamma_m sum_i |g_i| |P| |g_i|^T of the exact
     trace(G P G*) >= 0, where m = 2n + p, gamma_m = m u / (1 - m u) and
     u = eps / 2 (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2002, sec. 3.5); complex arithmetic raises gamma_m to at
@@ -98,7 +99,10 @@ def h2_error_gramian(red, gramian):
     gramian : SemistabilityGramian
         Semistability Gramian of ``red.system``, that same object.
 
-    Pure matrix arithmetic, no integration.
+    Pure matrix arithmetic, no integration: G P is formed once, for
+    G = C (I - sigma pi), and trace(G P G*) is the sum of the row inner
+    products of G P with G, the p diagonal entries of (G P) G*, which is
+    never formed.
 
     Raises
     ------
@@ -115,8 +119,7 @@ def h2_error_gramian(red, gramian):
     if gramian.system is not system:
         raise PreconditionError("the Gramian is not of the reduced system")
     g = _error_map(red)
-    product = g @ gramian.p_inf @ g.conj().T
-    trace = complex(np.trace(product))
+    trace = complex(np.einsum("ij,ij->i", g @ gramian.p_inf, g.conj()).sum())
     scale = max(opnorm_lower_bound(system.c) ** 2 * gramian.norm_p_inf, EPS)
     if abs(trace.imag) > 1e-10 * scale:
         raise InconsistencyError(
@@ -149,24 +152,37 @@ def _defect_energy(spectral, residual_map, b):
         l = diag(R* R S_inf B B*),  c = |R S_inf B|_F^2,
 
     precomputed once, so a node costs O(n^2) instead of the O(p n m) of
-    forming the p x m defect (O(n^3) for B = C = I). The terms in S_inf B
-    are of the size of the reduction's kernel-identity defect, so little
-    cancels. Any other A forms the defect from the propagator at each node.
+    forming the p x m defect (O(n^3) for B = C = I). A square B with no
+    off-diagonal nonzero, decided from its own entries, makes Q diagonal,
+    Q_jj = |R e_j|^2 |b_jj|^2, and l_j = (R* (R S_inf B))_jj conj(b_jj)
+    reuses the R S_inf B of c: both cost O(p n), no R* R or B B* is
+    formed, and a node costs O(n). The terms in S_inf B are of the size of
+    the reduction's kernel-identity defect, so little cancels. Any other A
+    forms the defect from the propagator at each node.
     """
     a, projector = spectral.a, spectral.projector
     sigma, pi_b = projector.sigma, projector.pi @ b
     if spectral.diagonal:
         lam = np.diagonal(a).copy()
-        gram = residual_map.conj().T @ residual_map
-        quad = gram * (b @ b.conj().T).T
-        lin = np.einsum("ij,ij->i", (gram @ sigma) @ pi_b, b.conj())
         rs = (residual_map @ sigma) @ pi_b
         const = np.vdot(rs, rs).real
+        b_diagonal = np.diagonal(b)
+        if b.shape[0] == b.shape[1] and (
+                np.count_nonzero(b) == np.count_nonzero(b_diagonal)):
+            # the diagonal of Q, and Q e = quad * e
+            r_star = residual_map.conj()
+            quad = (np.einsum("ij,ij->j", r_star, residual_map).real
+                    * np.abs(b_diagonal) ** 2)
+            lin = np.einsum("ij,ij->j", r_star, rs) * b_diagonal.conj()
+        else:
+            gram = residual_map.conj().T @ residual_map
+            quad = gram * (b @ b.conj().T).T
+            lin = np.einsum("ij,ij->i", (gram @ sigma) @ pi_b, b.conj())
 
         def energy(t):
             e = np.exp(lam * t)
-            return (np.vdot(e, quad @ e).real - 2.0 * np.vdot(e, lin).real
-                    + const)
+            quad_e = quad * e if quad.ndim == 1 else quad @ e
+            return np.vdot(e, quad_e).real - 2.0 * np.vdot(e, lin).real + const
 
         return energy
     s_inf_b = sigma @ pi_b
@@ -190,7 +206,7 @@ def h2_error_quadrature(red, abs_tol):
     record of ``red.system`` (:attr:`~SpectralData.decay_bound`). When
     the record says the generator is diagonal, |d(t)|_F^2 is evaluated as
     a precomputed quadratic form in exp(lambda t), lambda = diag(A), at
-    O(n^2) per node; otherwise d is formed from the propagator. Either
+    O(n^2) per node, O(n) when B is square and diagonal too; otherwise d is formed from the propagator. Either
     way the oracle reads A, S_inf, the reduction and B, never
     eigenvectors.
     """

@@ -252,7 +252,11 @@ class SpectralData:
         Q = (I - S_inf) Q (I - S_inf)*, with W spanning the stable modes.
 
         For self-adjoint A, W holds the stable eigenvectors and core_ij =
-        (W* Q W)_ij / -(lambda_i + lambda_j). Otherwise M = Z [[I, R],
+        (W* Q W)_ij / -(lambda_i + lambda_j). When A is also
+        :attr:`diagonal`, W is the identity's columns at the stable modes'
+        diagonal positions s, so W* Q W is the selection Q[s][:, s] and
+        W core W* a scatter into zeros: indexing, with no product, that
+        gives the products' values exactly. Otherwise M = Z [[I, R],
         [0, I]] of the :attr:`split` gives M^-1 A M = diag(T11, T22), so
         P = M diag(0, P22) M*: W = Z_k R + Z_r, and core = P22 solves
         T22 P22 + P22 T22* = -Z_r* Q Z_r by one ``?trsyl`` back
@@ -263,7 +267,16 @@ class SpectralData:
             k = self.kernel_dim
             w = self.eigenvectors[:, k:]
             lam = self.eigenvalues.real[k:]
-            core = hermitian_part(w.conj().T @ q @ w) / -(lam[:, None] + lam[None, :])
+            divisor = -(lam[:, None] + lam[None, :])
+            if self.diagonal:
+                # column j of W is e_s[j]: s[j] is the row of its one nonzero
+                s = np.argmax(w != 0, axis=0)
+                block = np.ix_(s, s)
+                core = hermitian_part(q[block]) / divisor
+                p = np.zeros(q.shape, dtype=np.result_type(w, core))
+                p[block] = core
+                return p
+            core = hermitian_part(w.conj().T @ q @ w) / divisor
         else:
             t, z, r = self.split
             k = r.shape[0]

@@ -578,8 +578,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     bidiagonal = np.diag(-np.arange(n, dtype=float)) + np.eye(n, k=1)
     generator = laplacian
     counts = dict.fromkeys(
-        ("eig", "s_inf", "overshoot", "norm", "svd", "schur", "cond", "inv",
-         "expm"), 0)
+        ("eig", "eigvalsh", "s_inf", "overshoot", "norm", "svd", "schur", "cond",
+         "inv", "expm"), 0)
 
     def full(m, *args, **kwargs):
         return np.shape(m) == (n, n) and np.array_equal(m, generator)
@@ -591,8 +591,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             return fn(*args, **kwargs)
         return wrapped
 
-    # eigendecompositions, spectral norms, SVDs, Schur forms, condition
-    # numbers and inverses of full-size matrices; S_inf builds; the decay
+    # eigendecompositions, eigenvalues of self-adjoint matrices, spectral
+    # norms, SVDs, Schur forms, condition numbers and inverses of full-size
+    # matrices; S_inf builds; the decay
     # bound's ?trsyl solves; scipy's matrix exponentials and evaluations of
     # the propagator's own kernel
     def full_size(m, *args, **kwargs):
@@ -604,6 +605,8 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", counting("eig", np.linalg.eigh, full_size))
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig, full_size))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eig", np.linalg.eigvals, full_size))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counting("eigvalsh", np.linalg.eigvalsh, full_size))
     monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm, full_opnorm))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, full))
     monkeypatch.setattr(lapack, "schur", counting("schur", lapack.schur, full))
@@ -630,7 +633,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     # takes them from one SVD, and its eigenvalues, semisimplicity, S_inf,
     # the split Gramian, the truncation, K's one ?trsyl solve and the
     # controllability test's left eigenvectors from one Schur form, with
-    # no eig, cond or inv; no command calls scipy's expm; analyze and the
+    # no eig, cond or inv; the Gramian's certificate takes the eigenvalues
+    # of its dense P, and K's certificate those of its Lyapunov solution,
+    # with eigvalsh; no command calls scipy's expm; analyze and the
     # split Gramian take no matrix exponential, and each quadrature oracle
     # evaluates its kernel at the 2 x 15 nodes of the two finest
     # start-mesh panels and squares the next finer panel's everywhere else
@@ -643,6 +648,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             assert code == 0, err
             assert counts == {
                 "eig": int(self_adjoint),
+                "eigvalsh": int(argv[0] != "analyze") + int(needs_m and not self_adjoint),
                 "s_inf": 1, "norm": 0, "svd": int(not self_adjoint),
                 "overshoot": int(needs_m and not self_adjoint),
                 "schur": int(not self_adjoint),
@@ -653,15 +659,17 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
             assert sum(map(len, kernels)) == evaluations, argv
 
     # heat-bench reads its diagonal surrogate's eigenvalues, norm and
-    # kernel off the diagonal, with no eigh; the split Gramian divides in
-    # the identity eigenbasis, K is exactly 1, and the H2 oracle integrates
-    # a quadratic form in exp(lambda t) with no propagator
+    # kernel off the diagonal, with no eigh; the Gramian selects and
+    # divides the stable block of Q, and its certificate reads the
+    # eigenvalues of the diagonal P off its diagonal, with no eigvalsh; K
+    # is exactly 1, and the H2 oracle integrates a quadratic form in
+    # exp(lambda t) with no propagator
     generator = build_heat_surrogate(n).a
     counts.update(dict.fromkeys(counts, 0))
     kernels.clear()
     code, _, err = run(capsys, ["heat-bench", "--modes", str(n), "--cosines", "2"])
     assert code == 0, err
-    assert counts == dict(dict.fromkeys(counts, 0), eig=0, s_inf=1)
+    assert counts == dict(dict.fromkeys(counts, 0), eig=0, eigvalsh=0, s_inf=1)
     assert kernels == []
 
 

@@ -298,6 +298,76 @@ def test_solve_rejects_a_solution_that_misses_the_equation(monkeypatch):
         solve_semistability_lyapunov(StateSpaceSystem(np.diag([0.0, -1.0])))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_diagonal_gramian_eigenvalues_are_eigvalsh_bitwise(dtype, monkeypatch):
+    # unsorted, with zeros and negative entries of several magnitudes; the
+    # sorted diagonal is what eigvalsh returns, bit for bit
+    entries = [0.3, 0.0, -2.5e-9, 7.0, 1e-300, -4.0, 0.0, 12.5, -1e-17, 3e8]
+    p = np.diag(entries).astype(dtype)
+    expected = np.linalg.eigvalsh(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a diagonal P")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert gramian._eigenvalues(p).tobytes() == expected.tobytes()
+    monkeypatch.undo()
+    # a certified Gramian, with a rounding-size negative entry on the
+    # kernel, reports the eigvalsh norm too
+    solve = SpectralData.solve_lyapunov
+
+    def dented(spectral, q):
+        p = solve(spectral, q)
+        p[0, 0] = -1e-12 * np.abs(p).max()
+        return p
+
+    monkeypatch.setattr(SpectralData, "solve_lyapunov", dented)
+    g = solve_semistability_lyapunov(StateSpaceSystem(heat3().astype(dtype)))
+    assert g.p_inf.dtype == dtype and g.p_inf[0, 0] < 0.0
+    eigs = np.linalg.eigvalsh(g.p_inf)
+    assert g.norm_p_inf == float(np.abs(eigs[[0, -1]]).max())
+
+
+def test_diagonal_gramian_with_a_negative_entry_is_refused(monkeypatch):
+    # the sorted diagonal feeds the same semidefiniteness gate as eigvalsh
+    solve = SpectralData.solve_lyapunov
+
+    def dented(spectral, q):
+        p = solve(spectral, q)
+        p[0, 0] = -1e-7 * np.abs(p).max()
+        return p
+
+    monkeypatch.setattr(SpectralData, "solve_lyapunov", dented)
+    with pytest.raises(InconsistencyError, match="not positive semidefinite"):
+        solve_semistability_lyapunov(StateSpaceSystem(heat3()))
+
+
+def test_one_offdiagonal_entry_sends_the_gramian_through_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.shape)
+        return eigvalsh(p, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    sys = StateSpaceSystem(heat3())
+    solve_semistability_lyapunov(sys)
+    assert calls == []
+    solve = SpectralData.solve_lyapunov
+
+    def coupled(spectral, q):
+        p = solve(spectral, q)
+        p[1, 2] = p[2, 1] = 1e-9 * p[1, 1]
+        return p
+
+    monkeypatch.setattr(SpectralData, "solve_lyapunov", coupled)
+    p = coupled(sys.spectral, gramian._lyapunov_rhs(sys))
+    g = solve_semistability_lyapunov(sys)
+    assert calls == [(3, 3)]
+    assert g.norm_p_inf == eigvalsh(p)[-1]
+
+
 def test_verify_structure_trivial_and_shifted():
     a = np.diag([0.0, -1.0])
     spectral = spectral_data(a)

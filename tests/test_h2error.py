@@ -20,6 +20,7 @@ from semigram.h2error import _defect_energy
 from semigram.linalg import EPS
 
 from conftest import (
+    consensus_laplacian,
     nonnormal_semistable_factors,
     random_selfadjoint_semistable,
     transient_cases,
@@ -228,41 +229,87 @@ def test_gramian_of_another_system_is_refused():
     assert h2_error_quadrature(red, 1e-10).h2_norm == pytest.approx(expected, rel=1e-6)
 
 
+def precomputed_form(energy):
+    """The Q that the diagonal integrand ``energy`` holds: an n x n matrix,
+    or the vector of its diagonal when Q is diagonal."""
+    cells = dict(zip(energy.__code__.co_freevars,
+                     (cell.cell_contents for cell in energy.__closure__)))
+    return cells["quad"]
+
+
 def test_diagonal_defect_energy_matches_dense_formula(monkeypatch):
-    # complex diagonal A with a 2-dimensional kernel; B (6 x 3) and C (4 x 6)
-    # are neither square nor the identity. The quadratic form must not touch
-    # the propagator
+    # complex diagonal A with a 2-dimensional kernel; C (4 x 6) is neither
+    # square nor the identity. B is 6 x 3, which keeps the n x n quadratic
+    # form, or square and diagonal (complex with one zero entry, or I),
+    # which makes Q diagonal. No form may touch the propagator
     rng = np.random.default_rng(8)
     lam = np.array([0.0, 0.0, -0.5 + 1.0j, -1.3 - 0.7j, -2.0 + 0.5j, -4.0 - 3.0j])
     a = np.diag(lam)
-    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     c = rng.normal(size=(4, 6))
-    sys = StateSpaceSystem(a, b, c)
-    assert sys.spectral.kernel_dim == 2
-    red = mode_truncation(sys, 4)
-    projector = sys.spectral.projector
-    s_inf = projector.s_inf
+    inputs = (
+        (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)), (6, 6)),
+        (np.diag([1.0 - 0.5j, 2.0j, 0.7 + 0.2j, 0.0, -1.5, 0.3 - 1.1j]), (6,)),
+        (np.eye(6), (6,)),
+    )
+    for b, form in inputs:
+        sys = StateSpaceSystem(a, b, c)
+        assert sys.spectral.kernel_dim == 2
+        red = mode_truncation(sys, 4)
+        s_inf = sys.spectral.projector.s_inf
 
-    def no_propagator(*args, **kwargs):
-        raise AssertionError("the diagonal integrand formed exp(A t)")
+        def no_propagator(*args, **kwargs):
+            raise AssertionError("the diagonal integrand formed exp(A t)")
 
-    monkeypatch.setattr(h2error, "propagator", no_propagator)
-    # a generic R exercises the linear and constant terms, which cancel to
-    # rounding of their size |R S_inf B|_F^2 as t grows; the reduction's
-    # R = C (I - sigma pi), the one the oracle integrates, has R S_inf B = 0
-    # here, so its nodes must agree to relative rounding
-    for r in (c, c - (c @ red.sigma) @ red.pi):
-        energy = _defect_energy(sys.spectral, r, b)
-        cancelled = np.linalg.norm(r @ s_inf @ b) ** 2
-        for t in (0.0, 0.01, 0.2, 1.0, 4.0, 30.0):
-            d = r @ (expm(a * t) @ b - s_inf @ b)
-            expected = np.vdot(d, d).real
-            assert energy(t) == pytest.approx(expected, rel=1e-12, abs=1e-13 * cancelled)
-    monkeypatch.undo()
+        monkeypatch.setattr(h2error, "propagator", no_propagator)
+        # a generic R exercises the linear and constant terms, which cancel
+        # to rounding of their size |R S_inf B|_F^2 as t grows; the
+        # reduction's R = C (I - sigma pi), the one the oracle integrates,
+        # has R S_inf B = 0 here, so its nodes must agree to relative
+        # rounding
+        for r in (c, c - (c @ red.sigma) @ red.pi):
+            energy = _defect_energy(sys.spectral, r, b)
+            assert precomputed_form(energy).shape == form
+            cancelled = np.linalg.norm(r @ s_inf @ b) ** 2
+            for t in (0.0, 0.01, 0.2, 1.0, 4.0, 30.0):
+                d = r @ (expm(a * t) @ b - s_inf @ b)
+                expected = np.vdot(d, d).real
+                assert energy(t) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-13 * cancelled)
+        by_quadrature = h2_error_quadrature(red, 1e-11)
+        monkeypatch.undo()
 
-    by_quadrature = h2_error_quadrature(red, 1e-11)
-    by_gramian = h2_error_gramian(red, solve_semistability_lyapunov(sys))
-    assert by_quadrature.trace_value == pytest.approx(by_gramian.trace_value, rel=1e-9)
+        by_gramian = h2_error_gramian(red, solve_semistability_lyapunov(sys))
+        assert by_quadrature.trace_value == pytest.approx(
+            by_gramian.trace_value, rel=1e-9)
+
+
+def dense_reduction():
+    rng = np.random.default_rng(11)
+    v, lam, v_inv = nonnormal_semistable_factors(rng, 40, 2, 1e3)
+    sys = StateSpaceSystem((v * lam) @ v_inv, rng.normal(size=(40, 3)),
+                           rng.normal(size=(5, 40)))
+    return mode_truncation(sys, 12)
+
+
+def consensus_reduction():
+    rng = np.random.default_rng(12)
+    sys = StateSpaceSystem(consensus_laplacian(rng, 30, 2))
+    return mode_truncation(sys, 8)
+
+
+@pytest.mark.parametrize("build_reduction", [dense_reduction, consensus_reduction],
+                         ids=["dense", "consensus"])
+def test_row_inner_product_trace_is_the_trace_of_the_product(build_reduction):
+    # the p row inner products of G P with G, summed, are trace(G P G*)
+    # within the rounding floor that both ways of forming it obey
+    red = build_reduction()
+    gramian = solve_semistability_lyapunov(red.system)
+    g = h2error._error_map(red)
+    p = gramian.p_inf
+    reference = np.trace(g @ p @ g.conj().T).real
+    assert reference > 0.0
+    trace = h2_error_gramian(red, gramian).trace_value
+    assert abs(trace - reference) <= h2error._trace_floor(g, p)
 
 
 @pytest.mark.parametrize("name", sorted(transient_cases()))

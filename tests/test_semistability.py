@@ -169,6 +169,39 @@ def test_complex_diagonal_generator_gets_complex_identity_eigenvectors():
     assert record.decay_bound.constant == 1.0
 
 
+def kernel_2_shuffled_diagonal(dtype):
+    # distinct stable entries and two zeros, in a random diagonal order
+    rng = np.random.default_rng(6)
+    entries = np.concatenate([[0.0, 0.0], -rng.uniform(0.01, 50.0, size=38)])
+    return np.diag(rng.permutation(entries)).astype(dtype)
+
+
+@pytest.mark.parametrize("name", ["heat", "shuffled-kernel-2", "complex"])
+def test_diagonal_lyapunov_solve_equals_the_product_path(name):
+    # the selection Q[s][:, s] and the scatter into zeros give what the
+    # products with the identity's columns W give, entry for entry
+    a = {
+        "heat": lambda: build_heat_surrogate(300).a,
+        "shuffled-kernel-2": lambda: kernel_2_shuffled_diagonal(np.float64),
+        "complex": lambda: kernel_2_shuffled_diagonal(np.complex128),
+    }[name]()
+    n = a.shape[0]
+    record = spectral_data(a)
+    assert record.diagonal and record.hermitian
+    assert record.kernel_dim == (1 if name == "heat" else 2)
+    stable = np.argmax(record.eigenvectors[:, record.kernel_dim:] != 0, axis=0)
+    assert name == "heat" or not np.array_equal(stable, np.sort(stable))
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(n, n))
+    if a.dtype == np.complex128:
+        g = g + 1j * rng.normal(size=(n, n))
+    q = g @ g.conj().T
+    fast = record.solve_lyapunov(q)
+    slow = dataclasses.replace(record, diagonal=False).solve_lyapunov(q)
+    assert fast.dtype == slow.dtype == a.dtype
+    assert np.array_equal(fast, slow)
+
+
 def test_diagonality_is_decided_from_the_entries():
     assert spectral_data(np.zeros((3, 3))).diagonal
     assert spectral_data(np.diag([0.0, -1.0, -2.0])).diagonal
