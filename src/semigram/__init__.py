@@ -27,9 +27,7 @@ from .gramian import (
 )
 from .h2error import H2ErrorResult, h2_error_gramian, h2_error_quadrature
 from .heatbench import (
-    AnalyticTruncation,
     BenchmarkReport,
-    HeatSurrogate,
     analytic_truncation_error,
     benchmark_csv,
     benchmark_text,
@@ -100,8 +98,6 @@ __all__ = [
     "H2ErrorResult",
     "h2_error_gramian",
     "h2_error_quadrature",
-    "HeatSurrogate",
-    "AnalyticTruncation",
     "BenchmarkReport",
     "build_heat_surrogate",
     "analytic_truncation_error",

@@ -219,10 +219,6 @@ def h2_error_quadrature(red, abs_tol):
         return _finish(0.0, _NEGATIVE_CLAMP)
 
     energy = _defect_energy(spectral, residual_map, b)
-
-    def integrand(t):
-        return np.array([[energy(t)]])
-
     # |R E B|_F <= min(|R|_F |B|_2, |R|_2 |B|_F) |E|_2, |E|_2 <= K e^{-mu' t}
     r_frob, r_two = _squared_norm_bounds(residual_map)
     b_frob, b_two = _squared_norm_bounds(b)
@@ -230,7 +226,7 @@ def h2_error_quadrature(red, abs_tol):
     bound = decay.constant**2 * min(r_frob * b_two, r_two * b_frob)
     # |exp(lambda t)|^2 varies at rate 2 |lambda| <= 2 norm(A)
     value = integrate_operator_valued(
-        integrand, 2.0 * decay.rate, abs_tol,
+        energy, 2.0 * decay.rate, abs_tol,
         bound_constant=max(bound, EPS), fast_rate=2.0 * spectral.norm_a,
     )
-    return _finish(float(value[0, 0]), _NEGATIVE_CLAMP)
+    return _finish(float(value), _NEGATIVE_CLAMP)

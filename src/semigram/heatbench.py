@@ -14,7 +14,10 @@ error. An alternative closed form in circulation for this example sums
 1/(pi^2 n^2) per mode, apparently from an un-normalized cosine basis;
 that value is reported side by side for comparison but never asserted.
 Both sums' tails are trigamma values, computed here, so the diagonal
-surrogate runs on numpy alone.
+surrogate runs on numpy alone. :func:`build_heat_surrogate` returns the
+generator and :func:`analytic_truncation_error` the modal sum;
+:func:`run_benchmark` computes the rest of its :class:`BenchmarkReport`
+itself.
 """
 
 import math
@@ -27,8 +30,6 @@ from .h2error import h2_error_gramian, h2_error_quadrature
 from .reduction import StateSpaceSystem, mode_truncation
 
 __all__ = [
-    "HeatSurrogate",
-    "AnalyticTruncation",
     "BenchmarkReport",
     "build_heat_surrogate",
     "analytic_truncation_error",
@@ -39,35 +40,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "N,trace_gramian,trace_quadrature,trace_analytic,published_constant"
-
-
-@dataclass(frozen=True)
-class HeatSurrogate:
-    """M-mode diagonal model of the insulated bar, observed and actuated
-    in every mode (B = C = I).
-
-    ``tail_bound`` is the exact sum of the modal error integrals for the
-    modes the surrogate itself discards (n >= M), so comparisons against
-    infinite sums stay honest.
-    """
-
-    modes: int
-    a: np.ndarray
-    tail_bound: float
-
-
-@dataclass(frozen=True)
-class AnalyticTruncation:
-    """Closed-form truncation error values for keep-N-of-M.
-
-    ``derived_trace`` is the modal sum of 1/(2 pi^2 n^2) over the dropped
-    surrogate modes; this is the value computed quantities are tested
-    against. ``published_constant`` is the alternative infinite sum of
-    1/(pi^2 n^2), reported for side-by-side comparison only.
-    """
-
-    derived_trace: float
-    published_constant: float
 
 
 @dataclass(frozen=True)
@@ -85,21 +57,18 @@ class BenchmarkReport:
 
 
 def build_heat_surrogate(m):
-    """Spectral surrogate with modes 0..M-1 and B = C = I.
+    """The M x M generator diag(0, -pi^2, ..., -(M-1)^2 pi^2) of the
+    surrogate with modes 0..M-1.
 
     Mode n decays at rate n^2 pi^2; mode 0 is the equilibrium (the spatial
-    mean, which insulation conserves).
+    mean, which insulation conserves). The benchmark observes and actuates
+    every mode (B = C = I).
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError("mode count must be an integer")
     if m < 2:
         raise ValueError("surrogate needs at least 2 modes, got %d" % m)
-    m = int(m)
-    rates = -(np.arange(m, dtype=np.float64) ** 2) * np.pi**2
-    a = np.diag(rates)
-    # exact tail: sum_{n>=M} 1/(2 pi^2 n^2) = trigamma(M) / (2 pi^2)
-    tail = _trigamma(m) / (2.0 * np.pi**2)
-    return HeatSurrogate(modes=m, a=a, tail_bound=tail)
+    return np.diag(-(np.arange(int(m), dtype=np.float64) ** 2) * np.pi**2)
 
 
 def _trigamma(x):
@@ -133,9 +102,9 @@ def analytic_truncation_error(n, m):
 
     Returns
     -------
-    AnalyticTruncation
-        Derived modal-sum trace plus the alternative constant (the
-        infinite sum of 1/(pi^2 n^2) over n > N).
+    float
+        The modal sum of 1/(2 pi^2 n^2) over the dropped surrogate modes,
+        the value the computed traces are tested against.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError("truncation order must be an integer")
@@ -144,11 +113,7 @@ def analytic_truncation_error(n, m):
             "truncation order must satisfy 1 <= N < M, got N=%s M=%s" % (n, m)
         )
     dropped = np.arange(n + 1, m, dtype=np.float64)
-    derived = float(np.sum(1.0 / (2.0 * np.pi**2 * dropped**2)))
-    published = _trigamma(n + 1) / np.pi**2
-    return AnalyticTruncation(
-        derived_trace=derived, published_constant=published
-    )
+    return float(np.sum(1.0 / (2.0 * np.pi**2 * dropped**2)))
 
 
 def run_benchmark(n, m, abs_tol=1e-9):
@@ -158,22 +123,22 @@ def run_benchmark(n, m, abs_tol=1e-9):
     slowest cosine modes, and computes the squared H2 error by the Gramian
     formula, by impulse-response quadrature, and by the analytic modal
     sum. All three must agree to quadrature accuracy; the report also
-    carries their maximum pairwise deviation.
+    carries their maximum pairwise deviation, the surrogate's own tail
+    sum_{n>=M} 1/(2 pi^2 n^2) = trigamma(M) / (2 pi^2) (the modes it
+    discards, so comparisons against infinite sums stay honest) and the
+    alternative constant, the infinite sum of 1/(pi^2 n^2) over n > N,
+    trigamma(N + 1) / pi^2.
     """
-    # the surrogate rejects M < 2 itself, before N is checked against M
-    surrogate = build_heat_surrogate(m)
+    # M is checked before N, and both before B = C = I are allocated
+    a = build_heat_surrogate(m)
     analytic = analytic_truncation_error(n, m)
-    system = StateSpaceSystem(surrogate.a)
+    system = StateSpaceSystem(a)
     gramian = solve_semistability_lyapunov(system)
     red = mode_truncation(system, int(n) + 1)
     by_gramian = h2_error_gramian(red, gramian)
     by_quadrature = h2_error_quadrature(red, abs_tol)
 
-    values = (
-        by_gramian.trace_value,
-        by_quadrature.trace_value,
-        analytic.derived_trace,
-    )
+    values = (by_gramian.trace_value, by_quadrature.trace_value, analytic)
     max_dev = max(
         abs(x - y) for i, x in enumerate(values) for y in values[i + 1 :]
     )
@@ -182,11 +147,11 @@ def run_benchmark(n, m, abs_tol=1e-9):
         modes=int(m),
         trace_gramian=by_gramian.trace_value,
         trace_quadrature=by_quadrature.trace_value,
-        trace_analytic=analytic.derived_trace,
-        published_constant=analytic.published_constant,
+        trace_analytic=analytic,
+        published_constant=_trigamma(n + 1) / np.pi**2,
         h2_norm=by_gramian.h2_norm,
         max_pairwise_deviation=float(max_dev),
-        surrogate_tail_bound=surrogate.tail_bound,
+        surrogate_tail_bound=_trigamma(m) / (2.0 * np.pi**2),
         abs_tol=float(abs_tol),
     )
 

@@ -86,14 +86,18 @@ def _call(routine, *args):
     return info
 
 
-def _fortran(x, shape, dtype=None):
-    """A Fortran-ordered copy of ``x``, which must have ``shape``, since
-    LAPACK reads it by the sizes passed beside it."""
-    x = np.array(x, dtype=dtype, order="F")
-    if x.shape != shape:
+def _shaped(x, shape):
+    """``x``, which must have ``shape``, since LAPACK reads it by the sizes
+    passed beside it."""
+    if np.shape(x) != shape:
         raise DimensionError("LAPACK operand of shape %s, expected %s"
-                             % (x.shape, shape))
+                             % (np.shape(x), shape))
     return x
+
+
+def _fortran(x, shape, dtype=None):
+    """A Fortran-ordered copy of ``x``, which must have ``shape``."""
+    return np.array(_shaped(x, shape), dtype=dtype, order="F")
 
 
 def _scipy_linalg():
@@ -187,7 +191,17 @@ def trsen(select, t, z):
 def trsyl(a, b, c, task, trana="N", tranb="N", isgn=1):
     """X with op(A) X + isgn X op(B) = C for upper (quasi-)triangular A and
     B; raises ConditioningError "failed to <task>" if ``?trsyl`` finds A
-    and -isgn B too close."""
+    and -isgn B too close.
+
+    LAPACK rejects an empty A or B, so for one this returns the empty X of
+    C's shape itself, in either binding; an operand of the wrong shape
+    still raises DimensionError.
+    """
+    rows, cols = np.shape(c)
+    if not rows or not cols:
+        _shaped(a, (rows, rows))
+        _shaped(b, (cols, cols))
+        return np.zeros((rows, cols), np.result_type(a, b, c))
     if _lapacke() is None:
         solve = _scipy_linalg().get_lapack_funcs("trsyl", (a, b, c))
         x, scale, info = solve(a, b, c, trana=trana, tranb=tranb, isgn=isgn)

@@ -356,7 +356,9 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
     Parameters
     ----------
     f : callable
-        Maps a nonnegative float to a matrix (consistent shape across calls).
+        Maps a nonnegative float to a matrix (consistent shape across
+        calls) or to a scalar, which is integrated as it is, with no
+        1 x 1 wrapper.
     decay_rate : float
         Positive certified exponential decay rate.
     abs_tol : float
@@ -371,8 +373,9 @@ def integrate_operator_valued(f, decay_rate, abs_tol, bound_constant,
 
     Returns
     -------
-    ndarray
-        The integral, entrywise accurate to ``abs_tol``. Panel values are
+    ndarray or scalar
+        The integral, of the kind ``f`` returns, entrywise accurate to
+        ``abs_tol``. Panel values are
         summed in order of their left endpoints, so for a given integrand
         and arguments the result is reproducible bit for bit.
 

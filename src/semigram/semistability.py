@@ -244,8 +244,7 @@ class SpectralData:
                 "a real-valued reduction must keep or drop complex "
                 "conjugate eigenvalue pairs together"
             )
-        sigma, pi = _projection_pair(z, r)
-        return sigma.copy(), pi  # a view would keep all of Z alive
+        return _projection_pair(z, r)
 
     def solve_lyapunov(self, q):
         """W core W*, the P with A P + P A* = -Q and S_inf P = 0 for
@@ -261,6 +260,9 @@ class SpectralData:
         P = M diag(0, P22) M*: W = Z_k R + Z_r, and core = P22 solves
         T22 P22 + P22 T22* = -Z_r* Q Z_r by one ``?trsyl`` back
         substitution (the second half of Bartels & Stewart's method).
+        Without stable modes (k = n, n = 0 included) W has no columns and
+        either route gives P = 0, with no branch: :func:`lapack.trsyl`
+        returns the empty P22 of an empty T22.
         Raises ConditioningError if the split or that solve fails.
         """
         if self.hermitian:
@@ -269,8 +271,9 @@ class SpectralData:
             lam = self.eigenvalues.real[k:]
             divisor = -(lam[:, None] + lam[None, :])
             if self.diagonal:
-                # column j of W is e_s[j]: s[j] is the row of its one nonzero
-                s = np.argmax(w != 0, axis=0)
+                # column j of W is e_s[j]: s[j] is the row of its one
+                # nonzero, read with no reduction over an empty axis
+                s = np.nonzero(w.T)[1]
                 block = np.ix_(s, s)
                 core = hermitian_part(q[block]) / divisor
                 p = np.zeros(q.shape, dtype=np.result_type(w, core))
@@ -280,8 +283,6 @@ class SpectralData:
         else:
             t, z, r = self.split
             k = r.shape[0]
-            if k == self.n:
-                return np.zeros_like(self.a)
             z_r, t22 = z[:, k:], t[k:, k:]
             q22 = hermitian_part(z_r.conj().T @ q @ z_r)
             core = hermitian_part(lapack.trsyl(
@@ -301,10 +302,10 @@ class SpectralData:
         L is read from the record's one factorization: rows of V* for
         self-adjoint A. Otherwise a one-mode cluster's row is its unit left
         eigenvector from LAPACK ``ztrevc`` on the complex Schur form
-        (:func:`lapack.trevc`); a larger cluster's rows are the pi of its
-        :meth:`projection_pair`, or of the cached :attr:`split` for the
-        kernel cluster of a semistable record, orthonormalized.
-        So no eigenvector basis of a repeated or nearly defective
+        (:func:`lapack.trevc`); a larger cluster's rows, the kernel
+        cluster's too, are the pi of its :meth:`projection_pair` on the
+        complex Schur form, orthonormalized, whatever the verdict. So no
+        eigenvector basis of a repeated or nearly defective
         eigenvalue is ever formed. The bases are not cached: the
         controllability test reads them once per record, and an n x n
         basis kept on the record would outlive that test.
@@ -331,7 +332,8 @@ class SpectralData:
                 left = rows[row_of[modes]]
                 left /= np.linalg.norm(left, axis=2, keepdims=True)
             else:
-                left = np.stack([self._cluster_rows(cluster) for cluster in modes])
+                left = np.stack([self.projection_pair(cluster, real=False)[1]
+                                 for cluster in modes])
                 left = np.linalg.qr(left.conj().swapaxes(1, 2))[0].conj().swapaxes(1, 2)
             # one product of all rows with A, not one per cluster
             left_a = (left.reshape(-1, self.n) @ self.a).reshape(left.shape)
@@ -339,14 +341,6 @@ class SpectralData:
             left_a -= t_c @ left
             bases.append((modes, left, t_c, np.linalg.norm(left_a, axis=(1, 2))))
         return tuple(bases)
-
-    def _cluster_rows(self, modes):
-        """The pi of a cluster of more than one mode, from the cached
-        :attr:`split` for the kernel cluster of a semistable record."""
-        if modes[0] == 0 and len(modes) == self.zero_eig_algebraic_multiplicity and (
-                self.verdict == SEMISTABLE):
-            return _projection_pair(*self.split[1:])[1]
-        return self.projection_pair(modes, real=False)[1]
 
     @cached_property
     def projector(self):
@@ -620,13 +614,11 @@ def _decouple(t, k):
     form T, so that M = [[I, R], [0, I]] gives M^-1 T M = diag(T11, T22).
 
     Solved by LAPACK ``?trsyl`` on the triangular blocks, which also
-    covers a defective T22, where no eigenvector basis exists. Raises
-    ConditioningError when ``?trsyl`` reports the blocks too close to
-    decouple.
+    covers a defective T22, where no eigenvector basis exists; for k = 0
+    or k = n one block is empty and :func:`lapack.trsyl` returns the
+    empty R. Raises ConditioningError when ``?trsyl`` reports the blocks
+    too close to decouple.
     """
-    n = t.shape[0]
-    if k in (0, n):  # ?trsyl rejects empty blocks
-        return np.zeros((k, n - k), dtype=t.dtype)
     return lapack.trsyl(t[:k, :k], t[k:, k:], -t[:k, k:],
                         "decouple the leading %d modes" % k, isgn=-1)
 
@@ -651,9 +643,10 @@ def _modes_of(lam, eigenvalues):
 
 def _projection_pair(z, r):
     """The projection pair (Z[:, :m], Z[:, :m]* - R Z[:, m:]*) of the
-    leading m modes of a Schur basis Z that the coupling R decouples."""
+    leading m modes of a Schur basis Z that the coupling R decouples;
+    sigma is a copy, as a view would keep all of Z alive."""
     m = r.shape[0]
-    sigma = z[:, :m]
+    sigma = z[:, :m].copy()
     return sigma, sigma.conj().T - r @ z[:, m:].conj().T
 
 
@@ -692,7 +685,6 @@ def _limit_factors(spectral):
         pi = sigma.conj().T.copy()
     else:
         sigma, pi = _projection_pair(*spectral.split[1:])
-        sigma = sigma.copy()  # a view would keep all of Z alive
     frob = np.linalg.norm
     eye = np.eye(k)
     spread = float(frob(sigma.conj().T @ sigma - eye))

@@ -664,7 +664,7 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
     # eigenvalues of the diagonal P off its diagonal, with no eigvalsh; K
     # is exactly 1, and the H2 oracle integrates a quadratic form in
     # exp(lambda t) with no propagator
-    generator = build_heat_surrogate(n).a
+    generator = build_heat_surrogate(n)
     counts.update(dict.fromkeys(counts, 0))
     kernels.clear()
     code, _, err = run(capsys, ["heat-bench", "--modes", str(n), "--cosines", "2"])
@@ -852,3 +852,32 @@ def test_no_command_loads_scipy(tmp_path):
         assert "scipy.linalg" in loaded[-2]
         loaded = loaded[:-2]
     assert loaded == [[]] * len(loaded)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_zero_generator_runs_every_route(tmp_path, capsys, n):
+    # n = 0 is the matrix file "0 0"; the 1 x 1 and 2 x 2 zero generators
+    # are all kernel, so their Gramian and every truncation error vanish too
+    write_matrix(str(tmp_path / "a.mat"), np.zeros((n, n)))
+    path = str(tmp_path / "sys.json")
+    pathlib.Path(path).write_text(json.dumps({"A": "a.mat"}))
+    out = str(tmp_path / "o")
+    code, text, err = run(capsys, ["analyze", path, "--format", "structured"])
+    assert code == 0, err
+    assert json.loads(text)["kernel_dim"] == n
+    for method in ("lyapunov", "quadrature"):
+        code, text, err = run(capsys, ["gramian", path, "--method", method,
+                                       "--output", out, "--format", "structured"])
+        assert code == 0, err
+        assert json.loads(text)["norm_p_inf"] == 0.0
+        assert np.array_equal(read_matrix(out + "/p_inf.mat"), np.zeros((n, n)))
+    routes = {"gramian": ("gramian",), "quadrature": ("quadrature",),
+              "both": ("gramian", "quadrature"), "none": ()}
+    for keep in ("0", "all") if n == 0 else ("all",):
+        for h2, names in routes.items():
+            code, text, err = run(capsys, ["reduce", path, "--keep", keep, "--h2", h2,
+                                           "--output", out, "--format", "structured"])
+            assert code == 0, err
+            report = json.loads(text)
+            assert report["order"] == n
+            assert [report.get("h2_trace_" + name) for name in names] == [0.0] * len(names)

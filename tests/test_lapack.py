@@ -149,6 +149,22 @@ def test_trsyl_on_overlapping_spectra_raises(binding):
         lapack.trsyl(t, t, np.ones((2, 2)), "decouple the leading 2 modes", isgn=-1)
 
 
+@pytest.mark.parametrize("dtype", (np.float64, np.complex128), ids=("real", "complex"))
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_trsyl_with_an_empty_block_returns_the_empty_x(binding, rows, cols, dtype):
+    # LAPACK rejects an empty A or B, so the wrapper answers for it in
+    # either binding, still checking every operand's shape
+    a = np.triu(np.ones((rows, rows), dtype)) - 3.0 * np.eye(rows)
+    b = np.triu(np.ones((cols, cols), dtype))
+    x = lapack.trsyl(a, b, np.ones((rows, cols), dtype), "solve", isgn=-1)
+    assert x.shape == (rows, cols) and x.dtype == dtype
+    assert not np.any(x)
+    # a C that is empty too, but does not match A and B
+    wrong = (rows, cols + 1) if rows == 0 else (rows + 1, cols)
+    with pytest.raises(DimensionError):
+        lapack.trsyl(a, b, np.ones(wrong, dtype), "solve")
+
+
 def test_gees_failure_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     # ?gees reports info > 0 when the QR iteration fails to converge,
     # which no small input provokes; a stand-in routine reports it

@@ -316,8 +316,8 @@ def test_nonnormal_pair_is_controllable():
 @pytest.mark.parametrize("uncontrollable_mode", [None, 7])
 def test_pbh_over_a_kernel_pair_matches_the_exact_left_eigenvectors(uncontrollable_mode):
     # at this seed the Schur form returns the double zero as a +-i eps
-    # pair, which is one cluster, tested on its left basis from the
-    # record's split; the exact PBH test reads V^-1
+    # pair, which is one cluster, tested on its left basis from its
+    # projection pair; the exact PBH test reads V^-1
     rng = np.random.default_rng(4)
     v, lam, v_inv = nonnormal_semistable_factors(rng, 50, 2, 30.0)
     a = (v * lam) @ v_inv
@@ -332,6 +332,35 @@ def test_pbh_over_a_kernel_pair_matches_the_exact_left_eigenvectors(uncontrollab
         stable > 1e-10 * np.linalg.norm(v_inv[2:], axis=1) * opnorm(b)))
     assert exact == (uncontrollable_mode is None)
     assert is_controllable(spectral_data(a), b) == exact
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kernel_cluster_rows_come_from_its_projection_pair(k):
+    # the kernel's k modes are one cluster, whose rows are the pi of its
+    # projection pair, orthonormalized: a left basis of ker A's invariant
+    # subspace that meets ker A in full rank. Two inputs reach a double
+    # zero and cannot reach a triple one, as the PBH distance says
+    rng = np.random.default_rng(0)
+    v, lam, v_inv = nonnormal_semistable_factors(rng, 60, k, 30.0)
+    a = (v * lam) @ v_inv
+    spectral = spectral_data(a)
+    kernel = [base for base in spectral.left_bases() if base[0].shape[1] > 1]
+    (modes, left, _, residual), = kernel
+    assert modes.tolist() == [list(range(k))]
+    rows, residual = left[0], residual[0]
+    scale = 60 * EPS * spectral.norm_a
+    assert np.abs(rows @ rows.conj().T - np.eye(k)).max() <= 1e-14
+    assert residual <= scale
+    assert np.linalg.norm(rows @ a) <= residual + scale
+    assert np.linalg.matrix_rank(rows @ spectral.projector.sigma) == k
+    b = rng.normal(size=(60, 2))
+    distance = pbh_distance(a, b)
+    threshold = 60 * EPS * (spectral.norm_a + opnorm(b))
+    if k == 2:
+        assert distance >= 100 * (threshold + residual)
+    else:
+        assert distance <= threshold / 100
+    assert is_controllable(spectral, b) == (k == 2)
 
 
 def consensus_generator(rng, sizes):

@@ -123,7 +123,7 @@ def shuffled_diagonal(dtype):
 def test_diagonal_record_equals_the_eigh_record_bitwise(name):
     # the heat surrogate's mode 0 is -0.0, which eigh returns as -0.0 too
     a = {
-        "heat": lambda: build_heat_surrogate(300).a,
+        "heat": lambda: build_heat_surrogate(300),
         "shuffled": lambda: shuffled_diagonal(np.float64),
         "shuffled-complex": lambda: shuffled_diagonal(np.complex128),
     }[name]()
@@ -181,7 +181,7 @@ def test_diagonal_lyapunov_solve_equals_the_product_path(name):
     # the selection Q[s][:, s] and the scatter into zeros give what the
     # products with the identity's columns W give, entry for entry
     a = {
-        "heat": lambda: build_heat_surrogate(300).a,
+        "heat": lambda: build_heat_surrogate(300),
         "shuffled-kernel-2": lambda: kernel_2_shuffled_diagonal(np.float64),
         "complex": lambda: kernel_2_shuffled_diagonal(np.complex128),
     }[name]()
@@ -217,7 +217,7 @@ def test_diagonal_generator_never_reaches_eigh(monkeypatch):
         raise AssertionError("eigh ran on a diagonal generator")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    record = spectral_data(build_heat_surrogate(40).a)
+    record = spectral_data(build_heat_surrogate(40))
     assert record.kernel_dim == 1 and record.decay_bound.constant == 1.0
     report = run_benchmark(2, 40)
     assert report.max_pairwise_deviation <= 1e-9
@@ -317,7 +317,7 @@ def test_limit_projector_random_selfadjoint():
 def factored_projector_cases():
     rng = np.random.default_rng(5)
     return {
-        "heat": build_heat_surrogate(300).a,
+        "heat": build_heat_surrogate(300),
         "dense": random_nonnormal_semistable(rng, 120, 3, 1e3),
         "consensus": consensus_laplacian(rng, 90, 2),
     }
