@@ -47,7 +47,6 @@ from .reduction import (
     Reduction,
     StateSpaceSystem,
     check_preservation,
-    is_controllable,
     mode_truncation,
 )
 from .semistability import (
@@ -57,6 +56,7 @@ from .semistability import (
     DecayBound,
     LimitProjector,
     SpectralData,
+    is_controllable,
     spectral_data,
 )
 

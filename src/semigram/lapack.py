@@ -86,18 +86,19 @@ def _call(routine, *args):
     return info
 
 
-def _shaped(x, shape):
-    """``x``, which must have ``shape``, since LAPACK reads it by the sizes
-    passed beside it."""
-    if np.shape(x) != shape:
-        raise DimensionError("LAPACK operand of shape %s, expected %s"
-                             % (np.shape(x), shape))
-    return x
+def _shaped(shape, *operands):
+    """Refuse operands without ``shape``, since LAPACK reads them by the
+    sizes passed beside them; checked before a binding is chosen, so both
+    raise DimensionError."""
+    for x in operands:
+        if np.shape(x) != shape:
+            raise DimensionError("LAPACK operand of shape %s, expected %s"
+                                 % (np.shape(x), shape))
 
 
-def _fortran(x, shape, dtype=None):
-    """A Fortran-ordered copy of ``x``, which must have ``shape``."""
-    return np.array(_shaped(x, shape), dtype=dtype, order="F")
+def _fortran(x, dtype=None):
+    """A Fortran-ordered copy of ``x``."""
+    return np.array(x, dtype=dtype, order="F")
 
 
 def _scipy_linalg():
@@ -109,6 +110,8 @@ def _scipy_linalg():
 def schur(a):
     """Schur pair (T, Z) with A = Z T Z*, real for a real A, else complex;
     raises ConditioningError if ``?gees`` fails to converge."""
+    n = len(a)
+    _shaped((n, n), a)
     if _lapacke() is None:
         try:
             return _scipy_linalg().schur(
@@ -116,8 +119,7 @@ def schur(a):
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(
                 "failed to compute the Schur form (%s)" % exc) from exc
-    n = len(a)
-    t = _fortran(a, (n, n))
+    t = _fortran(a)
     z = np.empty_like(t)
     ld, sdim = max(1, n), np.zeros(1, np.int64)
     if np.isrealobj(t):
@@ -166,13 +168,15 @@ def rsf2csf(t, z):
 def trsen(select, t, z):
     """(T, Z) reordered so that the positions where ``select`` holds lead,
     and their number m; raises ConditioningError if ``?trsen`` fails."""
+    n = len(t)
+    _shaped((n, n), t, z)
+    _shaped((n,), select)
     if _lapacke() is None:
         out = _scipy_linalg().get_lapack_funcs("trsen", (t,))(select, t, z, job="N")
         t, z, m, info = out[0], out[1], out[-4], out[-1]
     else:
-        n = len(t)
-        t, z = _fortran(t, (n, n)), _fortran(z, (n, n), t.dtype)
-        select = _fortran(select, (n,), np.int64)
+        t, z = _fortran(t), _fortran(z, t.dtype)
+        select = _fortran(select, np.int64)
         ld, found = max(1, n), np.zeros(1, np.int64)
         s, sep = np.zeros(1), np.zeros(1)
         if np.isrealobj(t):
@@ -198,18 +202,16 @@ def trsyl(a, b, c, task, trana="N", tranb="N", isgn=1):
     still raises DimensionError.
     """
     rows, cols = np.shape(c)
+    _shaped((rows, rows), a)
+    _shaped((cols, cols), b)
     if not rows or not cols:
-        _shaped(a, (rows, rows))
-        _shaped(b, (cols, cols))
         return np.zeros((rows, cols), np.result_type(a, b, c))
     if _lapacke() is None:
         solve = _scipy_linalg().get_lapack_funcs("trsyl", (a, b, c))
         x, scale, info = solve(a, b, c, trana=trana, tranb=tranb, isgn=isgn)
     else:
         dtype = np.result_type(a, b, c)
-        rows, cols = np.shape(c)
-        a, b = _fortran(a, (rows, rows), dtype), _fortran(b, (cols, cols), dtype)
-        x = _fortran(c, (rows, cols), dtype)
+        a, b, x = _fortran(a, dtype), _fortran(b, dtype), _fortran(c, dtype)
         scale = np.ones(1)
         info = _call("dtrsyl" if dtype == np.float64 else "ztrsyl",
                      trana.encode(), tranb.encode(), isgn, rows, cols,
@@ -229,13 +231,14 @@ def trevc(t, z):
     diagonal order of the complex T; the scipy fallback returns eig's
     order, so a caller matches rows to eigenvalues by ``lam``.
     """
+    n = len(t)
+    _shaped((n, n), t, z)
     if np.isrealobj(t):
         t, z = rsf2csf(t, z)
     if _lapacke() is None:
         lam, vl = _scipy_linalg().eig(t, left=True, right=False)
         return lam, (z @ vl).conj().T
-    n = len(t)
-    t, vl = _fortran(t, (n, n)), _fortran(z, (n, n), t.dtype)
+    t, vl = _fortran(t), _fortran(z, t.dtype)
     ld, found = max(1, n), np.zeros(1, np.int64)
     _call("ztrevc", b"L", b"B", np.zeros(n, np.int64), n, t, ld, vl, ld,
           np.empty((1, 1), np.complex128, order="F"), 1, n, found)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import (
     ConditioningError,
@@ -31,6 +30,7 @@ from .semistability import (
     SEMISTABLE,
     STABLE,
     default_zero_tol,
+    is_controllable,
     spectral_data,
 )
 
@@ -40,7 +40,6 @@ __all__ = [
     "PreservationReport",
     "mode_truncation",
     "check_preservation",
-    "is_controllable",
 ]
 
 
@@ -287,52 +286,6 @@ def mode_truncation(system, keep):
         kept_modes=tuple(sel),
         system=system,
     )
-
-
-def is_controllable(spectral, b):
-    """Popov-Belevitch-Hautus test of (A, B) over the analysis record of A.
-
-    (A, B) is controllable iff no left eigenvector of A is orthogonal to
-    every column of B (Hautus 1969). Each cluster of numerically equal
-    eigenvalues (:attr:`SpectralData.clusters`) comes with an orthonormal
-    left basis L of its invariant subspace and T = L A L*
-    (:meth:`SpectralData.left_bases`); a left eigenvector of the cluster
-    is y L with y T = mu y, so the cluster passes iff
-    [T - lam_c I, L B] has full row rank m, lam_c = trace(T) / m being
-    the mean of T's eigenvalues. The rank is taken at
-
-        delta = spread + |L A - T L|_F + n eps (|A| + |B|),
-
-    the spread max |lam - lam_c| of the cluster's eigenvalues, the residual
-    of L that the record measured, and the rounding of forming T and L B
-    (2-norms of A and B). If B misses the left eigenvector y L, the block
-    has the singular value |mu - lam_c|, within the spread. Conversely a
-    unit y with |y [T - lam_c I, L B]| <= delta makes w = y L a unit
-    vector with |w [A - lam_c I, B]| <= delta + |L A - T L|: a False
-    answer certifies that (A, B) lies that close to an uncontrollable pair
-    (Paige 1981; Eising 1984), whatever the condition number of the
-    eigenvectors.
-    """
-    b = as_operator(b, "input matrix")
-    if b.shape[0] != spectral.n:
-        raise DimensionError("input matrix row count must match the state size")
-    scale = spectral.n * EPS * (spectral.norm_a + opnorm(b))
-    # one rank test per cluster, batched over the clusters of each size m
-    for modes, left, t, residual in spectral.left_bases():
-        count, m = modes.shape
-        # trace(T) / m keeps a real T's block real
-        mean = np.trace(t, axis1=1, axis2=2)[:, None] / m
-        spread = np.abs(spectral.eigenvalues[modes] - mean).max(axis=1)
-        delta = spread + residual + scale
-        left_b = (left.reshape(count * m, -1) @ b).reshape(count, m, -1)
-        block = np.concatenate((t - mean[:, :, None] * np.eye(m), left_b), axis=2)
-        if m == 1:  # the one singular value of a row is its norm
-            smallest = norm(block[:, 0], axis=1)
-        else:
-            smallest = np.linalg.svd(block, compute_uv=False)[:, m - 1]
-        if np.any(smallest <= delta):
-            return False
-    return True
 
 
 def check_preservation(red):

@@ -18,12 +18,18 @@ from functools import cached_property
 import numpy as np
 
 from . import lapack
-from .errors import ConditioningError, InvalidSelectionError, NotSemistableError
+from .errors import (
+    ConditioningError,
+    DimensionError,
+    InvalidSelectionError,
+    NotSemistableError,
+)
 from .linalg import (
     EPS,
     as_operator,
     default_rank_tol,
     hermitian_part,
+    opnorm,
     opnorm_lower_bound,
 )
 
@@ -35,6 +41,7 @@ __all__ = [
     "LimitProjector",
     "DecayBound",
     "spectral_data",
+    "is_controllable",
 ]
 
 STABLE = "stable"
@@ -94,12 +101,13 @@ class SpectralData:
     None, and ``schur`` is the kernel-first Schur pair ``(T, Z)`` with
     ``a = Z T Z*`` (real Schur form for a real ``a``, complex otherwise),
     whose ``zero_eig_algebraic_multiplicity`` zero eigenvalues lead; the
-    eigenvalues and every invariant subspace are read from it. The certified limit operator ``projector``, held as its
-    rank-k factor pair sigma pi and applied at O(n^2 k), the proven
-    ``decay_bound``, the Schur ``split`` and the eigenvalue ``clusters``
-    are computed on first use and cached. No other module reads which
-    factorization the record holds: they take :meth:`projection_pair`,
-    :meth:`solve_lyapunov` and :meth:`left_bases`.
+    eigenvalues and every invariant subspace are read from it. The
+    certified limit operator ``projector``, held as its rank-k factor pair
+    sigma pi and applied at O(n^2 k), the proven ``decay_bound``, the
+    Schur ``split`` and the eigenvalue ``clusters`` are computed on first
+    use and cached. No other module reads which factorization the record
+    holds: they take :meth:`projection_pair`, :meth:`solve_lyapunov` and
+    the controllability test :func:`is_controllable`.
     """
 
     a: np.ndarray
@@ -290,57 +298,6 @@ class SpectralData:
                 tranb="C"))
             w = z[:, :k] @ r + z_r
         return w @ core @ w.conj().T
-
-    def left_bases(self):
-        """Left bases of the eigenvalue :attr:`clusters`, one tuple
-        ``(modes, L, T, residual)`` per cluster size m: ``modes[c]`` are
-        the m mode indices of the c-th cluster of that size (clusters in
-        canonical order), ``L[c]`` a basis of its left invariant subspace
-        with orthonormal rows, ``T[c] = L[c] A L[c]*``, and
-        ``residual[c]`` the measured Frobenius norm of L[c] A - T[c] L[c].
-
-        L is read from the record's one factorization: rows of V* for
-        self-adjoint A. Otherwise a one-mode cluster's row is its unit left
-        eigenvector from LAPACK ``ztrevc`` on the complex Schur form
-        (:func:`lapack.trevc`); a larger cluster's rows, the kernel
-        cluster's too, are the pi of its :meth:`projection_pair` on the
-        complex Schur form, orthonormalized, whatever the verdict. So no
-        eigenvector basis of a repeated or nearly defective
-        eigenvalue is ever formed. The bases are not cached: the
-        controllability test reads them once per record, and an n x n
-        basis kept on the record would outlive that test.
-
-        Raises
-        ------
-        ConditioningError
-            If a cluster's :meth:`projection_pair` fails.
-        """
-        labels = self.clusters
-        sizes = np.bincount(labels)[labels]
-        if not self.hermitian:
-            lam, rows = lapack.trevc(*self.schur)
-            row_of = np.empty(self.n, dtype=int)
-            row_of[_modes_of(lam, self.eigenvalues)] = np.arange(self.n)
-        bases = []
-        # the sizes present; np.unique's first call adds about 1 MB of RSS
-        for m in np.flatnonzero(np.bincount(sizes)):
-            modes = np.flatnonzero(sizes == m)
-            modes = modes[np.argsort(labels[modes], kind="stable")].reshape(-1, m)
-            if self.hermitian:
-                left = self.eigenvectors.T[modes].conj()
-            elif m == 1:
-                left = rows[row_of[modes]]
-                left /= np.linalg.norm(left, axis=2, keepdims=True)
-            else:
-                left = np.stack([self.projection_pair(cluster, real=False)[1]
-                                 for cluster in modes])
-                left = np.linalg.qr(left.conj().swapaxes(1, 2))[0].conj().swapaxes(1, 2)
-            # one product of all rows with A, not one per cluster
-            left_a = (left.reshape(-1, self.n) @ self.a).reshape(left.shape)
-            t_c = left_a @ left.conj().swapaxes(1, 2)
-            left_a -= t_c @ left
-            bases.append((modes, left, t_c, np.linalg.norm(left_a, axis=(1, 2))))
-        return tuple(bases)
 
     @cached_property
     def projector(self):
@@ -546,6 +503,89 @@ def spectral_data(a, zero_tol=None):
         hermitian=hermitian,
         diagonal=diagonal,
     )
+
+
+def is_controllable(spectral, b):
+    """Popov-Belevitch-Hautus test of (A, B) over the analysis record of A.
+
+    (A, B) is controllable iff no left eigenvector of A is orthogonal to
+    every column of B (Hautus 1969). Each cluster of numerically equal
+    eigenvalues (:attr:`SpectralData.clusters`), of m modes, takes a basis
+    L of its left invariant subspace with orthonormal rows, read from the
+    record's one factorization: rows of V* for self-adjoint A. Otherwise a
+    one-mode cluster's row is its unit left eigenvector from LAPACK
+    ``ztrevc`` on the complex Schur form (:func:`lapack.trevc`); a larger
+    cluster's rows, the kernel cluster's too, are the pi of its
+    :meth:`SpectralData.projection_pair` on the complex Schur form,
+    orthonormalized, whatever the verdict. So no eigenvector basis of a
+    repeated or nearly defective eigenvalue is ever formed.
+
+    With T = L A L*, a left eigenvector of the cluster is y L with y T =
+    mu y, so the cluster passes iff [T - lam_c I, L B] has full row rank
+    m, lam_c = trace(T) / m being the mean of T's eigenvalues. The rank is
+    taken at
+
+        delta = spread + |L A - T L|_F + n eps (|A| + |B|),
+
+    the spread max |lam - lam_c| of the cluster's eigenvalues, the
+    measured residual of L, and the rounding of forming T and L B (2-norms
+    of A and B). If B misses the left eigenvector y L, the block has the
+    singular value |mu - lam_c|, within the spread. Conversely a unit y
+    with |y [T - lam_c I, L B]| <= delta makes w = y L a unit vector with
+    |w [A - lam_c I, B]| <= delta + |L A - T L|: a False answer certifies
+    that (A, B) lies that close to an uncontrollable pair (Paige 1981;
+    Eising 1984), whatever the condition number of the eigenvectors.
+
+    Raises
+    ------
+    DimensionError
+        If B's row count is not A's.
+    ConditioningError
+        If a cluster's :meth:`SpectralData.projection_pair` fails.
+    """
+    b = as_operator(b, "input matrix")
+    n = spectral.n
+    if b.shape[0] != n:
+        raise DimensionError("input matrix row count must match the state size")
+    scale = n * EPS * (spectral.norm_a + opnorm(b))
+    labels = spectral.clusters
+    sizes = np.bincount(labels)[labels]
+    if not spectral.hermitian:
+        lam, rows = lapack.trevc(*spectral.schur)
+        row_of = np.empty(n, dtype=int)
+        row_of[_modes_of(lam, spectral.eigenvalues)] = np.arange(n)
+    controllable = True
+    # the sizes present; np.unique's first call adds about 1 MB of RSS
+    for m in np.flatnonzero(np.bincount(sizes)):
+        modes = np.flatnonzero(sizes == m)
+        modes = modes[np.argsort(labels[modes], kind="stable")].reshape(-1, m)
+        if spectral.hermitian:
+            left = spectral.eigenvectors.T[modes].conj()
+        elif m == 1:
+            left = rows[row_of[modes]]
+            left /= np.linalg.norm(left, axis=2, keepdims=True)
+        else:
+            left = np.stack([spectral.projection_pair(cluster, real=False)[1]
+                             for cluster in modes])
+            left = np.linalg.qr(left.conj().swapaxes(1, 2))[0].conj().swapaxes(1, 2)
+        # one product of all rows with A, and one with B, not one per cluster
+        left_a = (left.reshape(-1, n) @ spectral.a).reshape(left.shape)
+        t = left_a @ left.conj().swapaxes(1, 2)
+        left_a -= t @ left
+        residual = np.linalg.norm(left_a, axis=(1, 2))
+        # trace(T) / m keeps a real T's block real
+        mean = np.trace(t, axis1=1, axis2=2)[:, None] / m
+        spread = np.abs(spectral.eigenvalues[modes] - mean).max(axis=1)
+        delta = spread + residual + scale
+        left_b = (left.reshape(-1, n) @ b).reshape(*modes.shape, -1)
+        block = np.concatenate((t - mean[:, :, None] * np.eye(m), left_b), axis=2)
+        if m == 1:  # the one singular value of a row is its norm
+            smallest = np.linalg.norm(block[:, 0], axis=1)
+        else:
+            smallest = np.linalg.svd(block, compute_uv=False)[:, m - 1]
+        # a later size may still raise, so none returns early
+        controllable &= not np.any(smallest <= delta)
+    return controllable
 
 
 def _transient_bound(spectral):

@@ -170,6 +170,23 @@ def test_analyze_malformed_system(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, matrix, message", [
+    ({"A": "a.mat"}, "2 x\n1 2\n3 4\n", "non-integer dimensions in header"),
+    ([[0.0, 1.0], [0.0, -1.0]], None, "top level must be an object"),
+    ({"A": [[0.0, 1.0], [0.0, -1.0]], "B": [[1.0], [1.0], [1.0]]}, None,
+     "input matrix has 3 rows, expected 2"),
+    ({"A": [[0.0, "x"], [0.0, -1.0]]}, None, "A has non-numeric entries"),
+], ids=["header", "top-level", "b-rows", "inline-entry"])
+def test_malformed_system_files_are_input_errors(tmp_path, capsys, doc, matrix, message):
+    if matrix is not None:
+        (tmp_path / "a.mat").write_text(matrix)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_analyze_undecodable_matrix_file(tmp_path, capsys):
     (tmp_path / "a.mat").write_bytes("1 1\né\n".encode("utf-8"))
     path = tmp_path / "sys.json"
@@ -404,6 +421,34 @@ def test_heat_bench_csv(tmp_path, capsys):
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
     assert float(fields[3]) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-10)
+
+
+def test_heat_bench_structured_report_matches_text_and_csv(capsys):
+    # every timed heat command prints this format: one JSON object with the
+    # ten report fields, each the value that the text or CSV report prints
+    argv = ["heat-bench", "--modes", "6", "--cosines", "2", "--format"]
+    outs = {}
+    for fmt in ("structured", "text", "csv"):
+        code, outs[fmt], err = run(capsys, argv + [fmt])
+        assert code == 0 and err == ""
+    doc = json.loads(outs["structured"])
+    assert list(doc) == [
+        "n_kept", "modes", "trace_gramian", "trace_quadrature", "trace_analytic",
+        "published_constant", "h2_norm", "max_pairwise_deviation",
+        "surrogate_tail_bound", "abs_tol"]
+    title, *lines = outs["text"].splitlines()
+    assert title == "heat benchmark: %d-mode surrogate, keeping %d cosine modes" % (
+        doc["modes"], doc["n_kept"])
+    text = parse_report("\n".join(lines))
+    formats = {"max_pairwise_deviation": "%.3e", "surrogate_tail_bound": "%.3e",
+               "abs_tol": "%.1e"}
+    for key in list(doc)[2:]:
+        assert formats.get(key, "%.12e") % doc[key] == text[key].strip(), key
+    header, row = outs["csv"].splitlines()
+    for key, value in zip(header.split(","), row.split(",")):
+        key = {"N": "n_kept"}.get(key, key)
+        assert ("%d" if key == "n_kept" else "%.12e") % doc[key] == value, key
+    assert (doc["modes"], doc["n_kept"]) == (6, 2)
 
 
 @pytest.mark.parametrize("modes", ["1", "-3"])
@@ -676,8 +721,9 @@ def test_each_command_analyses_the_generator_once(tmp_path, capsys, monkeypatch)
 def test_reduce_with_kernel_pair_swap_inverts_no_basis(tmp_path, capsys, monkeypatch):
     # at this seed the Schur form returns the double zero as a +-i eps
     # pair; the truncation reads the real Schur split, whose kernel block
-    # is real, and the controllability test reads the kernel cluster's
-    # left basis from the same split
+    # is real, and the controllability test takes the kernel cluster's
+    # left basis from the pi of its projection pair on the complex Schur
+    # form
     n = 50
     rng = np.random.default_rng(4)
     a = random_nonnormal_semistable(rng, n, 2, 30.0)

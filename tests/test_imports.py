@@ -158,7 +158,7 @@ def test_only_the_lapack_module_names_scipy():
 def test_only_the_analysis_record_reads_its_factorization():
     # the record holds either eigh's eigenbasis or a kernel-first Schur
     # split; other modules take what it derives (projection_pair,
-    # solve_lyapunov, left_bases), never which one it holds. A called
+    # solve_lyapunov, is_controllable), never which one it holds. A called
     # .split is str.split; lapack's scipy.linalg.schur is another schur
     fields = ("hermitian", "eigenvectors", "schur", "clusters", "split", "mode_split")
     found = []

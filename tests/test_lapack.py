@@ -183,9 +183,9 @@ def test_an_invalid_argument_is_a_programming_error(monkeypatch):
         lapack.schur(np.eye(2))
 
 
-@pytest.mark.skipif(lapack._lapacke() is None, reason="numpy's LAPACKE does not resolve")
-def test_operands_of_the_wrong_shape_are_refused():
-    # LAPACK would read past them by the sizes passed beside them
+def test_operands_of_the_wrong_shape_are_refused(binding):
+    # LAPACK would read past them by the sizes passed beside them; the
+    # shapes are checked before a binding is chosen, so both refuse alike
     t = np.triu(np.ones((3, 3)))
     with pytest.raises(DimensionError):
         lapack.trsen(np.ones(2, dtype=bool), t, t)
@@ -195,6 +195,8 @@ def test_operands_of_the_wrong_shape_are_refused():
         lapack.trsyl(t, t[:2, :2], np.ones((3, 3)), "solve")
     with pytest.raises(DimensionError):
         lapack.schur(np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        lapack.trevc(t, t[:2, :2])
 
 
 def test_numpy_openblas_takes_the_numpy_binding():

@@ -262,8 +262,13 @@ def test_drift_chain_controllability_follows_the_pbh_distance(n, r):
     # within that factor of the threshold
     a = drift_chain(n, r)
     spectral = spectral_data(a)
-    (modes, _, _, residual), = spectral.left_bases()
-    assert modes.shape == (n, 1)
+    assert spectral.clusters.tolist() == list(range(n))
+    # each one-mode cluster's row is its unit left eigenvector from ztrevc
+    rows = lapack.trevc(*spectral.schur)[1]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows_a = rows @ a
+    t = np.sum(rows_a * rows.conj(), axis=1)
+    residual = np.linalg.norm(rows_a - t[:, None] * rows, axis=1)
     eye = np.eye(n)
     assert is_controllable(spectral, eye)
     for b in (eye[:, :1], eye[:, -1:]):
@@ -273,6 +278,24 @@ def test_drift_chain_controllability_follows_the_pbh_distance(n, r):
             assert is_controllable(spectral, b)
         elif distance <= scale / 100:
             assert not is_controllable(spectral, b)
+
+
+def test_every_cluster_size_is_tested_before_the_answer(monkeypatch):
+    # B misses the zero mode's left eigenvector [1, -1, 0, 0], a one-mode
+    # cluster tested first; the double -1 is tested after it, and a failure
+    # of its projection pair still raises rather than being skipped
+    v = np.triu(np.ones((4, 4)))
+    spectral = spectral_data(v @ np.diag([0.0, -1.0, -1.0, -2.0]) @ np.linalg.inv(v))
+    assert list(spectral.clusters) == [0, 1, 1, 3]
+    b = np.array([[1.0], [1.0], [0.0], [0.0]])
+    assert not is_controllable(spectral, b)
+
+    def refuse(self, modes, real=True):
+        raise ConditioningError("stand-in failure")
+
+    monkeypatch.setattr(semistability.SpectralData, "projection_pair", refuse)
+    with pytest.raises(ConditioningError, match="stand-in failure"):
+        is_controllable(spectral, b)
 
 
 def test_selection_must_keep_eigenvalue_clusters_whole():
@@ -344,10 +367,12 @@ def test_kernel_cluster_rows_come_from_its_projection_pair(k):
     v, lam, v_inv = nonnormal_semistable_factors(rng, 60, k, 30.0)
     a = (v * lam) @ v_inv
     spectral = spectral_data(a)
-    kernel = [base for base in spectral.left_bases() if base[0].shape[1] > 1]
-    (modes, left, _, residual), = kernel
-    assert modes.tolist() == [list(range(k))]
-    rows, residual = left[0], residual[0]
+    sizes = np.bincount(spectral.clusters)
+    assert np.flatnonzero(sizes > 1).tolist() == [0] and sizes[0] == k
+    pi = spectral.projection_pair(np.arange(k), real=False)[1]
+    rows = np.linalg.qr(pi.conj().T)[0].conj().T
+    rows_a = rows @ a
+    residual = np.linalg.norm(rows_a - (rows_a @ rows.conj().T) @ rows)
     scale = 60 * EPS * spectral.norm_a
     assert np.abs(rows @ rows.conj().T - np.eye(k)).max() <= 1e-14
     assert residual <= scale
