@@ -13,11 +13,12 @@ workload of CHANGE_ROOT's ``BENCHMARK.json``.
 Writes one JSON document (to ``--out``, else standard output). Per
 workload and per end-to-end metric, and for ``wall_raw_s``, it holds the
 median and quartiles of each side and the number of pairs in which the
-change read lower. Per run it holds the side, the seed, ``correct``,
-``failed``, the probe lines, the ``env`` line, the end-to-end values and
-the elapsed time. Per root it holds the commit of a git checkout (None for
-an exported tree) and a digest of its ``src`` tree. Exits 1 if any run
-was not correct.
+change read lower. Per run it holds the seed, whether its side ran
+first, ``correct``, ``attempted``, ``failed``, the probe lines, the
+``env`` line, the end-to-end values and the elapsed time. Per root it
+holds, as found before the first run, the commit of a git checkout (None
+for an exported tree) and a digest of its ``src`` tree. Exits 1 if any
+run was not correct.
 """
 
 import argparse
@@ -66,7 +67,8 @@ def run_once(script, root, workload, seed, seconds, names):
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     record = {"seed": seed, "exit": done.returncode, "elapsed_s": round(elapsed, 3),
-              "correct": False, "failed": None, "probe": [], "env": None, "metrics": {}}
+              "correct": False, "attempted": None, "failed": None, "probe": [],
+              "env": None, "metrics": {}}
     lines = done.stdout.splitlines()
     for line in lines:
         word, _, rest = line.partition(" ")
@@ -80,7 +82,8 @@ def run_once(script, root, workload, seed, seconds, names):
                 record["metrics"][name] = float(value)
     if done.returncode == 0 and lines:
         result = json.loads(lines[-1])
-        record["correct"], record["failed"] = result["correct"], result["failed"]
+        for key in ("correct", "attempted", "failed"):
+            record[key] = result[key]
     else:
         record["stderr"] = done.stderr[-2000:]
     return record
@@ -129,6 +132,7 @@ def main(argv=None):
                  else [w["name"] for w in bench["workloads"]])
     names = [m["name"] for m in bench["end_to_end"]] + ["wall_raw_s"]
     script = os.path.join(roots["change"], "perfbench", "run.py")
+    described = {side: describe(root) for side, root in roots.items()}
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for seed in range(1, args.pairs + 1):
@@ -145,7 +149,7 @@ def main(argv=None):
     doc = {
         "seconds": seconds,
         "pairs": args.pairs,
-        "roots": {side: describe(root) for side, root in roots.items()},
+        "roots": described,
         "workloads": {w: {"metrics": compare(runs[w], names), "runs": runs[w]}
                       for w in workloads},
     }
